@@ -142,7 +142,10 @@ def cmd_gorenstein(pres, args):
         lines.append(_kv("gentle", f"yes; cycle criterion {g.gentle_one_gorenstein}"))
     else:
         lines.append(_kv("gentle", f"no ({g.reason})"))
-    lines.append(_kv("oracle", f"gorenstein={prof.gorenstein} level={prof.level}"))
+    if prof.decided:
+        lines.append(_kv("oracle", f"gorenstein={prof.gorenstein} level={prof.level}"))
+    else:
+        lines.append(_kv("oracle", "undecided (resolution cutoff reached)"))
     _emit("\n".join(lines))
     return 0
 
@@ -230,8 +233,17 @@ def cmd_glue(pres, args):
 
 
 def cmd_oracle(pres, args):
+    """Run one oracle check; ``--cutoff`` overrides the dimension cap for this call only."""
+    saved = oracle_mod.DIM_CAP
     if args.cutoff is not None:
         oracle_mod.DIM_CAP = args.cutoff
+    try:
+        return _oracle_check(pres, args)
+    finally:
+        oracle_mod.DIM_CAP = saved
+
+
+def _oracle_check(pres, args):
     window = args.window if args.window is not None else 2 * pres.dimension()
     if args.check == "gorenstein":
         prof = injective_dimension_profile(pres)

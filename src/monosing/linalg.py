@@ -49,14 +49,6 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
 def is_zero_matrix(A):
     return all(all(x == 0 for x in row) for row in A)
 
@@ -168,32 +160,22 @@ def nullspace(A, ncols=None):
     return basis
 
 
-def solve(A, b):
-    """One solution x of Ax = b, or None when inconsistent."""
-    out = solve_many(A, [b])
-    return None if out is None or out[0] is None else out[0]
-
-
 def solve_many(A, bs):
     """Solutions of Ax = b for each b in bs; None entries mark inconsistency."""
     m, n = shape(A)
     k = len(bs)
     aug = [list(A[i]) + [bs[t][i] for t in range(k)] for i in range(m)]
     rows, pivots = echelon(aug)
-    main_pivots = [c for c in pivots if c < n]
     out = []
     for t in range(k):
         col = n + t
-        # inconsistent when some pivot sits in this b column with zero A-part
-        bad = any(c == col for c in pivots) or any(
-            all(row[j] == 0 for j in range(n)) and row[col] != 0 for row in rows
-        )
-        if bad:
+        # inconsistent iff some row with zero A-part is nonzero in this b column
+        if any(all(row[j] == 0 for j in range(n)) and row[col] != 0 for row in rows):
             out.append(None)
             continue
         x = [Fraction(0)] * n
         for r in range(len(rows) - 1, -1, -1):
-            if r >= len(pivots) or pivots[r] >= n:
+            if pivots[r] >= n:
                 continue
             c = pivots[r]
             row = rows[r]

@@ -57,6 +57,29 @@ def test_oracle_checks(capsys):
     assert code == 0 and "True" in out
 
 
+def test_oracle_cutoff_applies_to_one_call(capsys):
+    # --cutoff must not outlive its call: a leaked cap makes every later
+    # in-process call report glu as not Gorenstein
+    from monosing import oracle
+
+    code, out, _ = run(capsys, "oracle", "--check", "gorenstein", "--cutoff", "2",
+                       fixture_path("glu"))
+    assert code == 1 and "undecided (resolution cutoff reached)" in out
+    code, out, _ = run(capsys, "gorenstein", fixture_path("glu"))
+    assert code == 0 and "oracle        gorenstein=True level=1" in out
+    assert oracle.DIM_CAP == 260
+
+
+def test_gorenstein_reports_undecided_profile(capsys, monkeypatch):
+    from monosing import oracle
+
+    monkeypatch.setattr(oracle, "DIM_CAP", 2)
+    code, out, _ = run(capsys, "gorenstein", fixture_path("glu"))
+    assert code == 0
+    assert "oracle        undecided (resolution cutoff reached)" in out
+    assert "gorenstein=False" not in out
+
+
 @pytest.mark.parametrize("command", ["info", "basis", "perfect", "gproj", "gorenstein", "graded"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_commands_run_on_fixtures(capsys, command, name):

@@ -6,6 +6,7 @@ from monosing.oracle import (
     PERIODIC,
     Representation,
     crosscheck_classification,
+    dual_regular_rep,
     ext_dim,
     global_dimension,
     gorenstein_projective_test,
@@ -159,14 +160,14 @@ def test_omega_T_vanishing_examples(z3r2, z2r3, lin):
 def test_graded_stable_hom_detects_nonzero(z3r2):
     # the tilting check's inner test must not be vacuous: the identity of a
     # non-projective graded module is a nonzero degree-preserving stable hom
-    from monosing.oracle import _stable_hom0_dim, syzygy_step
+    from monosing.oracle import syzygy_step
 
     S2 = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))  # simple, degree 0
-    assert _stable_hom0_dim(S2, S2) == 1
+    assert stable_hom_dim(S2, S2, degree_shift=0) == 1
     # one graded syzygy shifts the generator to degree 1: no degree-0 maps left
     _, _, om, _ = syzygy_step(S2)
-    assert _stable_hom0_dim(om, S2) == 0
-    assert _stable_hom0_dim(om, om) == 1
+    assert stable_hom_dim(om, S2, degree_shift=0) == 0
+    assert stable_hom_dim(om, om, degree_shift=0) == 1
 
 
 def test_presentation_mismatch(z3r2, z2r3):
@@ -190,3 +191,29 @@ def test_glu_triangle_reduction_confirmed_by_oracle(glu):
     assert M.dims == N.dims
     assert _iso_witness(M, N) is not None
     assert stable_hom_dim(M, N) >= 1 and stable_hom_dim(N, M) >= 1
+
+
+def test_iso_witness_is_exact_on_a_negative_case():
+    # A.x and A.y are 2-dimensional with a simple top but are not isomorphic
+    # (x kills A.x and not A.y); a nonzero map A.x -> A.y exists, so the
+    # exact test must reject every Hom-basis map rather than find none
+    from monosing.oracle import _iso_witness
+
+    pres = parse_presentation(
+        "vertex 1\narrow x 1 1\narrow y 1 1\n"
+        "relation x x\nrelation y y\nrelation x y x\nrelation y x y\n"
+    )
+    Ax = path_module_rep(pres, pres.quiver.arrow_path("x"))
+    Ay = path_module_rep(pres, pres.quiver.arrow_path("y"))
+    assert Ax.dims == Ay.dims == {"1": 2}
+    assert hom_dim(Ax, Ay) >= 1
+    assert _iso_witness(Ax, Ay) is None
+    assert _iso_witness(Ax, Ax) is not None
+
+
+def test_dual_regular_rep(z3r2, lin, glu):
+    for pres in (z3r2, lin, glu):
+        D = dual_regular_rep(pres)
+        basis = pres.basis()
+        assert D.dims == {v: len(basis.from_vertex(v)) for v in pres.quiver.vertices}
+        Representation(pres, D.dims, D.mats)  # validates shapes and relations
