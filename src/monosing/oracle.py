@@ -14,6 +14,14 @@ generated by paths, so a finite projective dimension is bounded by the
 longest strictly-descending chain of such modules.  A hard dimension cap
 guards against growth blowups; hitting it leaves the trace undecided
 (CutoffReached), which test corpora must filter out.
+
+Over a Gorenstein algebra of level d a module of finite projective dimension
+has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  Checks that
+already hold a Gorenstein certificate therefore resolve only as deep as they
+read: the Gorenstein-projective test to depth d + 2 (not at all at level 0),
+and the tilting check's "stably nonzero" test to depth d + 1, where a
+nonzero Omega^{d+1} means infinite pd.  A resolution stopped at a requested
+depth is DepthReached, never PeriodicityDetected.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .errors import (
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
 CUTOFF = "CutoffReached"
+DEPTH = "DepthReached"
 
 DIM_CAP = 260
 
@@ -398,21 +407,26 @@ class ResolutionTrace:
         return len(self.layers[k].gens) if k < len(self.layers) else 0
 
 
-def resolve(pres, rep, min_layers=0, dim_cap=None):
-    """Minimal resolution of rep with certified termination status.
+def resolve(pres, rep, depth=None, dim_cap=None):
+    """Minimal resolution of rep with its termination status.
 
-    Runs for max(bound + 1, min_layers) syzygy steps unless the syzygy dies
+    Without ``depth`` it runs bound + 1 syzygy steps unless the syzygy dies
     first, where bound = 2 + (number of nontrivial basis paths) is the sound
     upper limit on finite projective dimensions over a monomial algebra.
     ``Finite`` fixes pd; a resolution still alive past the bound is certified
     infinite (``PeriodicityDetected``, with any observed dimension-vector
     recurrence noted); ``CutoffReached`` (dimension cap) means undecided.
+
+    With ``depth`` it stops after exactly that many steps.  A resolution
+    still alive there is ``DepthReached``: it shows Omega^depth != 0 and
+    certifies nothing more.  Over a Gorenstein algebra of level d every
+    finite pd is at most d, so there depth d + 1 decides whether pd is finite.
     """
     if dim_cap is None:
         dim_cap = DIM_CAP
     basis = pres.basis()
     bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
-    steps = max(bound + 1, min_layers)
+    steps = bound + 1 if depth is None else depth
     trace = ResolutionTrace(module=rep)
     if rep.is_zero():
         trace.status, trace.pd = FINITE, 0
@@ -454,32 +468,16 @@ def resolve(pres, rep, min_layers=0, dim_cap=None):
             trace.detail = f"syzygy dimension {krep.total_dim} exceeds cap {dim_cap}"
             return trace
         cur = krep
+    if depth is not None:
+        trace.status = DEPTH
+        trace.detail = f"stopped after the requested {depth} steps. " + trace.detail
+        return trace
     trace.status = PERIODIC
     trace.detail = (
         f"resolution alive after the finite-pd bound {bound}; "
         "syzygy classes over a monomial algebra must recur. " + trace.detail
     )
     return trace
-
-
-class _ResolutionCache:
-    """Per-presentation memo of resolutions and the Gorenstein profile."""
-
-    def __init__(self, pres):
-        self.pres = pres
-        self.path_traces = {}
-
-    def path_trace(self, p):
-        key = (p.source, p.arrows)
-        if key not in self.path_traces:
-            self.path_traces[key] = resolve(self.pres, path_module_rep(self.pres, p))
-        return self.path_traces[key]
-
-
-def _cache(pres):
-    if "oracle" not in pres._cache:
-        pres._cache["oracle"] = _ResolutionCache(pres)
-    return pres._cache["oracle"]
 
 
 # -- Hom and Ext ---------------------------------------------------------------
@@ -656,19 +654,19 @@ def ext_dim(pres, M, N, k):
     """dim Ext^k_A(M, N) for k >= 1, from a minimal resolution of M."""
     if k < 1:
         raise ValueError("ext_dim needs k >= 1")
-    trace = resolve(pres, M, min_layers=k + 2)
-    return _ext_from_trace(pres, trace, N, k)
+    return _ext_from_trace(pres, resolve(pres, M, depth=k + 2), N, k)
 
 
 def _ext_from_trace(pres, trace, N, k):
+    """Ext^k from P_k, P_{k+1} and their differentials; a trace that stopped
+    short of P_{k+1} without dying is resolved again to depth k + 2."""
     if trace.status == FINITE:
         if trace.pd < k:
             return 0
     elif len(trace.layers) < k + 2:
         if trace.status == CUTOFF:
             raise UndecidedResolution("resolution hit the cutoff before depth " + str(k + 1))
-        trace = resolve(pres, trace.module, min_layers=k + 2)
-        return _ext_from_trace(pres, trace, N, k)
+        return _ext_from_trace(pres, resolve(pres, trace.module, depth=k + 2), N, k)
     nk = sum(N.dims[v] for (v, _) in trace.layers[k].gens)
     d_k = _hom_complex_matrix(pres, trace.layers[k], trace.differentials[k], trace.layers[k - 1], N)
     rank_prev = la.rank(d_k) if d_k and d_k[0] else 0
@@ -820,11 +818,18 @@ def global_dimension(pres):
 # -- Gorenstein-projective test and classification crosscheck -------------------
 
 
+def _regular(pres):
+    """The left regular module, built once per presentation."""
+    if "regular_rep" not in pres._cache:
+        pres._cache["regular_rep"] = regular_rep(pres)
+    return pres._cache["regular_rep"]
+
+
 def is_torsionless(M):
     """Does the evaluation into the double dual embed M, i.e. do maps to A
     jointly have zero kernel?"""
     pres = M.pres
-    A = regular_rep(pres)
+    A = _regular(pres)
     fams = _hom_family_basis(M, A)
     for v in pres.quiver.vertices:
         n = M.dims[v]
@@ -841,17 +846,21 @@ def is_torsionless(M):
 
 
 def gorenstein_projective_test(pres, M):
-    """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check."""
+    """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check.
+
+    Ext^k reads the resolution only through P_{k+1}, so M is resolved to
+    depth level + 2, and not at all at level 0.
+    """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("the profile does not certify a Gorenstein algebra")
     d = prof.level
     if M.is_zero():
         return True
-    A = regular_rep(pres)
-    trace = resolve(pres, M)
-    for k in range(1, d + 1):
-        if _ext_from_trace(pres, trace, A, k) != 0:
+    if d:
+        A = _regular(pres)
+        trace = resolve(pres, M, depth=d + 2)
+        if any(_ext_from_trace(pres, trace, A, k) for k in range(1, d + 1)):
             return False
     return is_torsionless(M)
 
@@ -954,7 +963,6 @@ def verify_omega_T_ext_vanishing(pres, window):
         return False
     from .graded import syzygy_of_T
 
-    cache = _cache(pres)
     chosen = []
     seen = set()
     for s in syzygy_of_T(pres):
@@ -962,10 +970,11 @@ def verify_omega_T_ext_vanishing(pres, window):
         if key in seen:
             continue
         seen.add(key)
-        tr = cache.path_trace(s.generator)
+        # a finite pd is at most d, so Omega^{d+1} != 0 means infinite pd
+        tr = resolve(pres, path_module_rep(pres, s.generator), depth=prof.level + 1)
         if tr.status == CUTOFF:
             raise UndecidedResolution(f"pd of the module on {s.generator} undecided")
-        if tr.status == PERIODIC:
+        if tr.status == DEPTH:
             chosen.append(s.generator)
     if not chosen:
         return True

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monosing
 from monosing.cli import main
 from monosing.presentation import parse_presentation
 
@@ -164,3 +169,22 @@ def test_byte_determinism_across_runs(capsys):
                 code, out, _ = run(capsys, command, fixture_path(name))
                 outs.add((code, out))
             assert len(outs) == 1, (name, command)
+
+
+def test_byte_determinism_across_hash_seeds():
+    # set iteration order follows the hash seed, so only separate processes
+    # can show an output that depends on it; the two seeds run side by side
+    src = str(Path(monosing.__file__).resolve().parents[1])
+    calls = []
+    for name in FIXTURE_NAMES:
+        calls.append(["gorenstein", fixture_path(name), "--json"])
+        for check in ("classification", "tilting"):
+            calls.append(["oracle", fixture_path(name), "--check", check])
+    for argv in calls:
+        procs = [subprocess.Popen([sys.executable, "-m", "monosing.cli", *argv],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+                 for seed in ("0", "1")]
+        runs = [(proc.communicate(timeout=60)[0], proc.returncode) for proc in procs]
+        assert runs[0][1] == 0 and runs[0][0], argv
+        assert runs[0] == runs[1], argv

@@ -1,10 +1,14 @@
 import pytest
 
+from monosing import oracle
+from monosing.corpus import gorenstein_corpus, seeded_rng
 from monosing.errors import InternalInvariantViolation, NotGorenstein
 from monosing.oracle import (
+    DEPTH,
     FINITE,
     PERIODIC,
     Representation,
+    _ext_from_trace,
     crosscheck_classification,
     dual_regular_rep,
     ext_dim,
@@ -21,6 +25,8 @@ from monosing.oracle import (
     verify_omega_T_ext_vanishing,
 )
 from monosing.presentation import parse_presentation
+
+from conftest import FIXTURE_NAMES, load
 
 
 def tpath(pres, *names):
@@ -217,3 +223,97 @@ def test_dual_regular_rep(z3r2, lin, glu):
         basis = pres.basis()
         assert D.dims == {v: len(basis.from_vertex(v)) for v in pres.quiver.vertices}
         Representation(pres, D.dims, D.mats)  # validates shapes and relations
+
+
+def counting(monkeypatch, name):
+    """Replace oracle.<name> by a wrapper that records every call."""
+    calls = []
+    real = getattr(oracle, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, wrapper)
+    return calls
+
+
+def non_projective_path_modules(pres):
+    basis = pres.basis()
+    for p in basis.paths:
+        if p.is_trivial:
+            continue
+        M = path_module_rep(pres, p)
+        if M.total_dim != len(basis.from_vertex(p.target)):
+            yield M
+
+
+def test_gp_test_resolves_only_to_level_plus_two(z3r2, her, glu, monkeypatch):
+    assert injective_dimension_profile(z3r2).level == 0
+    assert injective_dimension_profile(her).level == 1
+    assert injective_dimension_profile(glu).level == 1
+    steps = counting(monkeypatch, "syzygy_step")
+    for M in non_projective_path_modules(z3r2):
+        gorenstein_projective_test(z3r2, M)
+    assert steps == []  # level 0: Ext^1..0 is empty, only torsionless is read
+    # over the hereditary A_2 every path module is projective; the simples are not
+    per_module = []
+    for v in her.quiver.vertices:
+        steps.clear()
+        gorenstein_projective_test(her, simple_rep(her, v))
+        per_module.append(len(steps))
+    assert max(per_module) <= 3 and min(per_module) > 0
+    # glu has path modules of infinite pd, which a full-bound resolution
+    # would follow far past P_2
+    for M in non_projective_path_modules(glu):
+        steps.clear()
+        gorenstein_projective_test(glu, M)
+        assert len(steps) <= 3
+
+
+def test_crosscheck_builds_the_regular_module_once(z3r2, monkeypatch):
+    builds = counting(monkeypatch, "regular_rep")
+    assert crosscheck_classification(z3r2)["homological_classes"] == 3
+    assert len(builds) == 1
+
+
+def test_level_bounded_verdicts_match_full_resolutions():
+    # Over a Gorenstein algebra of level d a finite pd is at most d: the GP
+    # verdict read from a depth-(d+2) resolution and the "alive after d+1
+    # steps" test must agree with the certified full-bound resolution
+    presentations = [load(name) for name in FIXTURE_NAMES]
+    presentations += gorenstein_corpus(seeded_rng(), 20)
+    levels = set()
+    checked = 0
+    for pres in presentations:
+        d = injective_dimension_profile(pres).level
+        levels.add(d)
+        A = regular_rep(pres)
+        for M in non_projective_path_modules(pres):
+            full = resolve(pres, M)
+            assert full.status in (FINITE, PERIODIC)
+            expected = (all(_ext_from_trace(pres, full, A, k) == 0 for k in range(1, d + 1))
+                        and is_torsionless(M))
+            assert gorenstein_projective_test(pres, M) == expected
+            shallow = resolve(pres, M, depth=d + 1)
+            assert shallow.status in (FINITE, DEPTH)
+            assert (shallow.status == DEPTH) == (full.status == PERIODIC)
+            checked += 1
+    assert {0, 1, 2} <= levels
+    assert checked >= 30
+
+
+def test_truncated_trace_is_never_read_as_a_pd(z3r2, lin):
+    nonzero = 0
+    for pres in (z3r2, lin):
+        simples = [simple_rep(pres, v) for v in pres.quiver.vertices]
+        for M in non_projective_path_modules(pres):
+            cut = resolve(pres, M, depth=2)
+            full = resolve(pres, M)
+            assert cut.status == DEPTH or cut.pd == full.pd
+            for N in simples:
+                for k in (2, 3):
+                    got = _ext_from_trace(pres, cut, N, k)
+                    assert got == _ext_from_trace(pres, full, N, k)
+                    nonzero += got != 0
+    assert nonzero  # Ext^k(M, S) != 0 for some pair, so reading 0 would show
