@@ -27,7 +27,6 @@ depth is DepthReached, never PeriodicityDetected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
@@ -328,7 +327,7 @@ def _kernel_blocks(rep, layer, cover):
             idx = groups[dkey]
             sub = [[m[i][j] for j in idx] for i in range(nrows)]
             for vec in la.nullspace(sub, len(idx)):
-                full = [Fraction(0)] * ncols
+                full = [0] * ncols
                 for pos, j in enumerate(idx):
                     full[j] = vec[pos]
                 cols.append(full)

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from monosing.corpus import random_gentle_presentation, random_presentation
+from monosing.corpus import (
+    gentle_corpus,
+    random_gentle_presentation,
+    random_presentation,
+    seeded_rng,
+)
 from monosing.errors import NotOneGorenstein
 from monosing.gorenstein import (
     cycle_subalgebra,
@@ -12,8 +17,9 @@ from monosing.gorenstein import (
     relation_cycles,
     singularity_decomposition,
 )
-from monosing.perfection import perfect_paths
-from monosing.presentation import parse_presentation
+from monosing.oracle import injective_dimension_profile
+from monosing.perfection import classify_stable_gproj, perfect_paths
+from monosing.presentation import parse_presentation, presentation_to_text
 
 
 def test_verdicts(z3r2, lin, her):
@@ -153,3 +159,16 @@ def test_gentle_agreement_small_corpus():
         g = gentle_check(pres)
         assert g.is_gentle
         assert g.gentle_one_gorenstein == is_one_gorenstein(pres).verdict
+
+
+def test_gentle_laws_from_the_literature():
+    # Geiss-Reiten (2005): gentle algebras are Gorenstein.  Kalck (2015): the
+    # CM-type of a gentle algebra is the total length of its relation cycles.
+    # gentle_check's cycles are used because gorenstein.relation_cycles raises
+    # NotOneGorenstein on gentle inputs that are not 1-Gorenstein.
+    for pres in gentle_corpus(seeded_rng(), 200):
+        prof = injective_dimension_profile(pres)
+        assert prof.decided and prof.gorenstein, presentation_to_text(pres)
+        cycles = gentle_check(pres).relation_cycles
+        assert len(classify_stable_gproj(pres)) == sum(len(c) for c in cycles), (
+            presentation_to_text(pres))
