@@ -63,23 +63,35 @@ def finite_corpus(rng, n, **kwargs):
     return [random_presentation(rng, **kwargs) for _ in range(n)]
 
 
-def gorenstein_corpus(rng, n, **kwargs):
-    """Presentations whose homological profile certifies Gorenstein."""
+def gorenstein_corpus(rng, n, undecided=None, **kwargs):
+    """Presentations whose homological profile certifies Gorenstein.
+
+    Draws whose profile stays undecided are skipped; when ``undecided`` is a
+    list, they are appended to it.
+    """
     out = []
     while len(out) < n:
         pres = random_presentation(rng, **kwargs)
         try:
             prof = injective_dimension_profile(pres)
         except UndecidedResolution:
+            prof = None
+        if prof is None or not prof.decided:
+            if undecided is not None:
+                undecided.append(pres)
             continue
-        if prof.decided and prof.gorenstein:
+        if prof.gorenstein:
             out.append(pres)
     return out
 
 
-def involution_corpus(rng, n, **kwargs):
+def involution_corpus(rng, n, undecided=None, **kwargs):
     """(presentation, involution) pairs passing the gluing chain test, with
-    both Gorenstein profiles decided."""
+    both Gorenstein profiles decided.
+
+    Pairs skipped because a profile stays undecided are appended to
+    ``undecided`` when it is a list.
+    """
     out = []
     while len(out) < n:
         pres = random_presentation(rng, **kwargs)
@@ -94,9 +106,10 @@ def involution_corpus(rng, n, **kwargs):
         if not finite:
             continue
         glued = glue(pres, E)
-        if not injective_dimension_profile(pres).decided:
-            continue
-        if not injective_dimension_profile(glued).decided:
+        if not (injective_dimension_profile(pres).decided
+                and injective_dimension_profile(glued).decided):
+            if undecided is not None:
+                undecided.append((pres, E))
             continue
         out.append((pres, E))
     return out

@@ -53,6 +53,10 @@ class Representation:
     names each basis vector by the word carrying a cyclic generator onto it,
     and ``gen`` marks that generator's (vertex, index); both enable the fast
     Hom solver for cyclic modules with simple top.
+
+    An arrow missing from ``mats`` acts by zero.  Builders leave out the
+    arrows with a zero-dimensional end; their matrix is filled in here, as
+    ``[]`` when it has no rows.
     """
 
     def __init__(self, pres, dims, mats, degrees=None, act_labels=None, gen=None, validate=True):
@@ -62,7 +66,8 @@ class Representation:
         for a in pres.quiver.arrows:
             m = mats.get(a.name)
             if m is None:
-                m = la.zeros(self.dims[a.target], self.dims[a.source])
+                rows = self.dims[a.target]
+                m = la.zeros(rows, self.dims[a.source]) if rows else []
             self.mats[a.name] = m
         if degrees is not None:
             degrees = {v: tuple(degrees.get(v, ())) for v in pres.quiver.vertices}
@@ -82,7 +87,10 @@ class Representation:
             for row in m:
                 if len(row) != self.dims[a.source]:
                     raise InternalInvariantViolation(f"matrix for {a.name} has wrong column count")
-        for f in self.pres.minimal:
+        dims = self.dims
+        for f, stops in _relation_stops(self.pres):
+            if not all(dims[v] for v in stops):
+                continue  # the word passes through a zero space, so it acts by zero
             m = self.act(f.arrows)
             if not la.is_zero_matrix(m):
                 raise InternalInvariantViolation(f"relation {f} acts nonzero")
@@ -119,6 +127,18 @@ class Representation:
         cache[word] = m
         return m
 
+
+def _relation_stops(pres):
+    """Each minimal relation with the vertices its word passes through."""
+    if "relation_stops" not in pres._cache:
+        q = pres.quiver
+        pres._cache["relation_stops"] = [
+            (f, {q.target(f.arrows[0])} | {q.source(a) for a in f.arrows})
+            for f in pres.minimal
+        ]
+    return pres._cache["relation_stops"]
+
+
 def _check_same_pres(M, N):
     if M.pres is not N.pres and M.pres != N.pres:
         raise PresentationMismatch("representations live over different presentations")
@@ -134,7 +154,8 @@ def _path_span(pres, elems):
     ``elems`` lists ``(tag, path)``; each path is placed at its target in list
     order, and an arrow prepends itself while the word stays nonzero (the
     longer word must then be listed under the same tag).  Returns
-    ``(dims, mats, by_vertex)`` with ``by_vertex[v]`` the elements placed at v.
+    ``(dims, mats, by_vertex)`` with ``by_vertex[v]`` the elements placed at v;
+    ``mats`` leaves out the arrows with a zero-dimensional end.
     """
     by_vertex = {v: [] for v in pres.quiver.vertices}
     index = {}
@@ -143,7 +164,7 @@ def _path_span(pres, elems):
         by_vertex[x.target].append((tag, x))
     dims = {v: len(by_vertex[v]) for v in by_vertex}
     mats = {}
-    for a in pres.quiver.arrows:
+    for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
         for j, (tag, x) in enumerate(by_vertex[a.source]):
             word = (a.name,) + x.arrows
@@ -151,6 +172,12 @@ def _path_span(pres, elems):
                 m[index[(tag, word)]][j] = 1
         mats[a.name] = m
     return dims, mats, by_vertex
+
+
+def _supported_arrows(pres, dims):
+    """The arrows whose source and target spaces are both nonzero."""
+    return [a for v in pres.quiver.vertices if dims[v]
+            for a in pres.quiver.arrows_from[v] if dims[a.target]]
 
 
 def path_module_rep(pres, p):
@@ -355,20 +382,28 @@ def syzygy_step(rep, dim_cap=None):
             if any(vec[j] != 0 for j in gen_positions):
                 raise InternalInvariantViolation("projective cover is not minimal")
     dims = {v: len(kernel[v]) for v in pres.quiver.vertices}
+    # the action on the kernel; an arrow into a zero kernel space must still
+    # send every kernel vector to zero, so closure is checked before skipping
     mats = {}
-    for a in pres.quiver.arrows:
-        src, tgt = a.source, a.target
-        m = la.zeros(dims[tgt], dims[src])
-        if dims[src] and layer.rep.dims[tgt]:
+    for src in pres.quiver.vertices:
+        if not dims[src]:
+            continue
+        for a in pres.quiver.arrows_from[src]:
+            tgt = a.target
+            if not layer.rep.dims[tgt]:
+                continue
             pa = layer.rep.mats[a.name]
             todo = []
             for j, vec in enumerate(kernel[src]):
                 img = la.mat_vec(pa, vec)
                 if any(x != 0 for x in img):
                     todo.append((j, img))
+            if todo and not kernel[tgt]:
+                raise InternalInvariantViolation("syzygy is not closed under the action")
+            if not dims[tgt]:
+                continue
+            m = la.zeros(dims[tgt], dims[src])
             if todo:
-                if not kernel[tgt]:
-                    raise InternalInvariantViolation("syzygy is not closed under the action")
                 kb = la.transpose(kernel[tgt])
                 sols = la.solve_many(kb, [img for _, img in todo])
                 for (j, _), sol in zip(todo, sols):
@@ -376,7 +411,7 @@ def syzygy_step(rep, dim_cap=None):
                         raise InternalInvariantViolation("syzygy is not closed under the action")
                     for i in range(dims[tgt]):
                         m[i][j] = sol[i]
-        mats[a.name] = m
+            mats[a.name] = m
     degrees = None
     if rep.degrees is not None:
         degrees = {}
@@ -707,7 +742,7 @@ def injective_summand_rep(pres, v):
         by_vertex[w.source].append(w)
     dims = {u: len(by_vertex[u]) for u in by_vertex}
     mats = {}
-    for a in pres.quiver.arrows:
+    for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
         for j, w in enumerate(by_vertex[a.source]):
             if w.arrows and w.arrows[-1] == a.name:

@@ -7,6 +7,15 @@ among the nonzero q with t(q) = s(p) and pq = 0.  Minimality is taken
 relative to the candidate set: a candidate is discarded when a proper factor
 on the relevant side is itself a candidate.
 
+Both sets are read off the minimal relations F.  For nonzero p and q the
+product pq is zero exactly when some relation w in F straddles the junction:
+w = w[:k] w[k:] with 1 <= k < len(w), w[:k] a tail of p's composition word
+(its first-traversed end) and w[k:] a head of q's (its last-traversed end).
+Both halves are nonzero because F is minimal, so a left-minimal q is exactly
+such a right half w[k:], and R(p) is the set of those halves with no proper
+left factor among them.  L(p) is the mirror image: the left halves w[:k]
+whose right half is a head of p, with no proper right factor among them.
+
 A pair (p, q) is perfect when both are nontrivial, pq = 0, R(p) = {q} and
 L(q) = {p}.  The partial successor map p -> q is then injective in both
 directions and its cycles are exactly the perfect paths; the module over the
@@ -21,49 +30,52 @@ from .errors import InternalInvariantViolation, TrivialPath, ZeroPath
 
 
 def annihilator_minimal(pres, p, side):
-    """L(p) (side="left") or R(p) (side="right"), canonically sorted."""
+    """L(p) (side="left") or R(p) (side="right"), canonically sorted.
+
+    Read off the relation splits: the candidates for R(p) are the right
+    halves w[k:] whose left half w[:k] is a tail of p's word, and a candidate
+    is dropped when one of its proper left factors is also a candidate.  L(p)
+    is the mirror image.
+    """
     if p.is_trivial:
         raise TrivialPath(f"{p} is trivial")
     if not pres.is_nonzero(p):
         raise ZeroPath(f"{p} is zero in the algebra")
-    basis = pres.basis()
-    out = []
-    if side == "right":
-        for q in basis.paths:
-            if q.is_trivial or q.target != p.source:
-                continue
-            if pres.word_is_nonzero(p.arrows + q.arrows):
-                continue
-            if _left_minimal(pres, p, q):
-                out.append(q)
-    elif side == "left":
-        for q in basis.paths:
-            if q.is_trivial or q.source != p.target:
-                continue
-            if pres.word_is_nonzero(q.arrows + p.arrows):
-                continue
-            if _right_minimal(pres, p, q):
-                out.append(q)
-    else:
+    pres.basis()  # raises InfiniteDimensional, as every basis-backed query does
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out.sort(key=pres.quiver.sort_key)
-    return out
+    far_half = _relation_splits(pres)[side]
+    word = p.arrows
+    cands = set()
+    for k in range(1, min(len(word), pres._rmax - 1) + 1):
+        # the part of p a straddling relation covers: a tail for R, a head for L
+        near = word[-k:] if side == "right" else word[:k]
+        cands.update(far_half.get(near, ()))
+    if side == "right":
+        out = [q for q in cands if not any(q[:i] in cands for i in range(1, len(q)))]
+    else:
+        out = [q for q in cands if not any(q[i:] in cands for i in range(1, len(q)))]
+    paths = [pres.quiver.subword_path(q) for q in out]
+    paths.sort(key=pres.quiver.sort_key)
+    return paths
 
 
-def _left_minimal(pres, p, q):
-    # q is in R(p)-candidates; discard if some proper left factor is too
-    for i in range(1, q.length):
-        if not pres.word_is_nonzero(p.arrows + q.arrows[:i]):
-            return False
-    return True
+def _relation_splits(pres):
+    """Both halves of every split w = w[:k] w[k:] of every minimal relation.
 
-
-def _right_minimal(pres, p, q):
-    # q is in L(p)-candidates; discard if some proper right factor is too
-    for i in range(1, q.length):
-        if not pres.word_is_nonzero(q.arrows[q.length - i :] + p.arrows):
-            return False
-    return True
+    ``["right"]`` maps a left half w[:k] to the right halves completing it to
+    a relation, and ``["left"]`` maps a right half w[k:] to the left halves.
+    F is minimal, so both halves of a split are nonzero paths.
+    """
+    if "relation_splits" not in pres._cache:
+        right, left = {}, {}
+        for f in pres.minimal:
+            w = f.arrows
+            for k in range(1, len(w)):
+                right.setdefault(w[:k], []).append(w[k:])
+                left.setdefault(w[k:], []).append(w[:k])
+        pres._cache["relation_splits"] = {"right": right, "left": left}
+    return pres._cache["relation_splits"]
 
 
 def perfect_pairs(pres):

@@ -188,20 +188,25 @@ class MonomialPresentation:
         self.generators = tuple(gens)
         self.minimal = _minimal_relations(self.generators)
         self._forbidden = {p.arrows for p in self.minimal}
-        self._rmax = max((p.length for p in self.minimal), default=1)
+        self._lengths = sorted({p.length for p in self.minimal})
+        self._rmax = max(self._lengths, default=1)
         self._cache = {}
 
     # -- zero-ness -------------------------------------------------------
 
     def word_is_nonzero(self, arrows):
-        """True iff no contiguous window of the composition word lies in F."""
+        """True iff no contiguous window of the composition word lies in F.
+
+        Each window of each distinct relation length is one set lookup, so
+        the cost does not grow with the number of relations.
+        """
         n = len(arrows)
-        for f in self._forbidden:
-            k = len(f)
+        forbidden = self._forbidden
+        for k in self._lengths:
             if k > n:
-                continue
+                break
             for i in range(n - k + 1):
-                if arrows[i : i + k] == f:
+                if arrows[i : i + k] in forbidden:
                     return False
         return True
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 
 import monosing
 from monosing.cli import main
-from monosing.presentation import parse_presentation
+from monosing.corpus import DEFAULT_SEED, gorenstein_corpus
+from monosing.oracle import injective_dimension_profile
+from monosing.presentation import parse_presentation, parse_presentation_file
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -83,6 +86,29 @@ def test_gorenstein_reports_undecided_profile(capsys, monkeypatch):
     assert code == 0
     assert "oracle        undecided (resolution cutoff reached)" in out
     assert "gorenstein=False" not in out
+
+
+def test_undecided_local_algebra(capsys):
+    # loc1 is the 1st draw of gorenstein_corpus at the default seed that the
+    # oracle leaves undecided; once the profile is decided the checks follow it
+    path = fixture_path("loc1")
+    pres = parse_presentation_file(path)
+    undecided = []
+    # the first undecided draw comes between the 41st and 42nd Gorenstein ones
+    gorenstein_corpus(random.Random(DEFAULT_SEED), 42, undecided=undecided)
+    assert undecided[0] == pres
+    prof = injective_dimension_profile(pres)
+    code, out, _ = run(capsys, "gorenstein", path)
+    assert code == 0
+    assert ("oracle        undecided (resolution cutoff reached)" in out) == (not prof.decided)
+    code, out, _ = run(capsys, "oracle", "--check", "gorenstein", path)
+    assert code == (0 if prof.decided else 1)
+    assert ("undecided" in out) == (not prof.decided)
+    code, out, err = run(capsys, "graded", path)
+    if not prof.decided:
+        assert code == 1 and out == "" and err.startswith("refused:")
+    else:
+        assert "cutoff" not in out + err
 
 
 @pytest.mark.parametrize("command", ["info", "basis", "perfect", "gproj", "gorenstein", "graded"])

@@ -39,6 +39,28 @@ def test_representation_validates_relations(z2r3):
         Representation(z2r3, {"1": 1, "2": 1}, {"a": [[1]], "b": [[1]]})
 
 
+def test_validation_on_part_of_a_larger_quiver(z6r3):
+    # supported on 1 -> 2 -> 3 -> 4 of the 6-cycle: the relation t1 t2 t3
+    # stays inside the support and acts as the identity
+    dims = {"1": 1, "2": 1, "3": 1, "4": 1}
+    with pytest.raises(InternalInvariantViolation, match="acts nonzero"):
+        Representation(z6r3, dims, {"t1": [[1]], "t2": [[1]], "t3": [[1]]})
+    M = Representation(z6r3, dims, {"t1": [[1]], "t2": [[1]], "t3": [[0]]})
+    # arrows with a zero-dimensional end are filled in by shape
+    assert M.mats["t4"] == [] and M.mats["t6"] == [[]]
+    assert M.mats["t5"] == []
+
+
+def test_validation_checks_shapes_at_zero_ends(z6r3):
+    dims = {"1": 1, "2": 1}
+    with pytest.raises(InternalInvariantViolation, match="row count"):
+        Representation(z6r3, dims, {"t1": [[1]], "t2": [[1]]})  # t2 lands in 0
+    with pytest.raises(InternalInvariantViolation, match="column count"):
+        Representation(z6r3, dims, {"t1": [[1]], "t6": [[1]]})  # t6 leaves 0
+    with pytest.raises(InternalInvariantViolation, match="row count"):
+        Representation(z6r3, dims, {"t1": [[1]], "t4": [[]]})  # t4 joins two 0s
+
+
 def test_path_module_reps(z3r2, z2r3):
     M = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))
     assert M.dims == {"1": 0, "2": 1, "3": 0}  # the simple at vertex 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monosing.corpus import random_presentation
+from monosing.corpus import random_gentle_presentation, random_presentation
 from monosing.errors import TrivialPath, ZeroPath
 from monosing.oracle import path_module_rep, stable_hom_dim, syzygy_rep
 from monosing.oracle import _iso_witness
@@ -12,6 +12,9 @@ from monosing.perfection import (
     perfect_pairs,
     perfect_paths,
 )
+from monosing.presentation import parse_presentation
+
+from conftest import FIXTURE_NAMES, load
 
 
 def tpath(pres, *names):
@@ -143,3 +146,66 @@ def test_syzygy_law_on_corpus():
             assert _iso_witness(Ap, Om) is not None, (str(p), str(q))
             pairs_seen += 1
     assert pairs_seen >= 20
+
+
+# -- annihilators against the basis scan -----------------------------------------
+
+
+def reference_annihilator(pres, p, side):
+    """L(p) or R(p) by scanning the whole basis for minimal killers of p."""
+    out = []
+    for q in pres.basis().paths:
+        if q.is_trivial:
+            continue
+        if side == "right":
+            if q.target != p.source or pres.word_is_nonzero(p.arrows + q.arrows):
+                continue
+            factors = [p.arrows + q.arrows[:i] for i in range(1, q.length)]
+        else:
+            if q.source != p.target or pres.word_is_nonzero(q.arrows + p.arrows):
+                continue
+            factors = [q.arrows[q.length - i :] + p.arrows for i in range(1, q.length)]
+        if all(pres.word_is_nonzero(w) for w in factors):
+            out.append(q)
+    out.sort(key=pres.quiver.sort_key)
+    return out
+
+
+def reference_perfect_pairs(pres):
+    pairs = []
+    for p in pres.basis().nontrivial():
+        r = reference_annihilator(pres, p, "right")
+        if len(r) == 1 and reference_annihilator(pres, r[0], "left") == [p]:
+            pairs.append((p, r[0]))
+    return pairs
+
+
+def nakayama(n, m):
+    lines = ["vertex " + " ".join(str(i + 1) for i in range(n))]
+    lines += [f"arrow t{i + 1} {i + 1} {(i + 1) % n + 1}" for i in range(n)]
+    lines += ["relation " + " ".join(f"t{(i + k) % n + 1}" for k in range(m))
+              for i in range(n)]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+def annihilator_inputs():
+    yield from (load(name) for name in FIXTURE_NAMES)
+    yield from (nakayama(n, m) for m in range(2, 49) for n in range(1, 48 // m + 1))
+    rng = random.Random(8086)
+    yield from (random_presentation(rng) for _ in range(200))
+    yield from (random_presentation(rng, max_vertices=5, max_arrows=8, max_rel_len=4)
+                for _ in range(100))
+    yield from (random_gentle_presentation(rng, max_vertices=10, max_arrows=16)
+                for _ in range(100))
+
+
+def test_annihilators_match_the_basis_scan():
+    cases = 0
+    for pres in annihilator_inputs():
+        for p in pres.basis().nontrivial():
+            for side in ("left", "right"):
+                assert annihilator_minimal(pres, p, side) == reference_annihilator(
+                    pres, p, side), (str(p), side)
+                cases += 1
+        assert perfect_pairs(pres) == reference_perfect_pairs(pres)
+    assert cases > 10000

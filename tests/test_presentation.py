@@ -10,6 +10,9 @@ from monosing.errors import (
 )
 from monosing.corpus import random_presentation
 from monosing.presentation import (
+    Arrow,
+    MonomialPresentation,
+    Quiver,
     minimal_relations,
     parse_presentation,
     presentation_to_json,
@@ -182,6 +185,36 @@ def test_is_nonzero_invariant_under_normalization():
         for w in words:
             assert fat.word_is_nonzero(w) == pres.word_is_nonzero(w)
         assert {f.arrows for f in fat.minimal} == {f.arrows for f in pres.minimal}
+
+
+def window_reference(pres, word):
+    """Nonzero iff no contiguous window of the word is a minimal relation."""
+    forbidden = {f.arrows for f in pres.minimal}
+    return not any(word[i:j] in forbidden
+                   for i in range(len(word)) for j in range(i + 1, len(word) + 1))
+
+
+def test_word_is_nonzero_matches_the_window_reference():
+    rng = random.Random(5150)
+    # one vertex, three loops: every word composes, relations of lengths 2-5
+    quiver = Quiver(["1"], [Arrow(x, "1", "1") for x in "xyz"])
+    shapes = [[], ["x x"], ["x y z y x"], ["x y", "z z z", "y x z y"],
+              ["x x x x", "y z y z y"]]
+    for rels in shapes:
+        pres = MonomialPresentation(
+            quiver, [quiver.path(r.split(), order="traversal") for r in rels])
+        shortest = min((len(r.split()) for r in rels), default=None)
+        assert pres.word_is_nonzero(())
+        if shortest is not None:
+            assert pres.word_is_nonzero(("x",) * (shortest - 1))
+        for _ in range(400):
+            word = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 9)))
+            assert pres.word_is_nonzero(word) == window_reference(pres, word), (rels, word)
+    for pres in corpus(25, seed=4242, require_finite=False):
+        names = [a.name for a in pres.quiver.arrows]
+        for _ in range(100):
+            word = tuple(rng.choice(names) for _ in range(rng.randint(0, 7)))
+            assert pres.word_is_nonzero(word) == window_reference(pres, word), word
 
 
 def test_determinism_of_basis_order():
