@@ -2,8 +2,8 @@
 
 Commands: info, basis, perfect, gproj, gorenstein, singcat, graded, glue,
 oracle.  Default output is aligned text; --json selects the documented JSON
-schemas.  Exit codes: 0 success, 1 analysis refusal (not 1-Gorenstein,
-infinite-dimensional, undecided resolution), 2 input errors.
+schemas.  Exit codes: 0 success, 1 analysis refusal (not 1-Gorenstein, not
+Gorenstein, infinite-dimensional), 2 input errors.
 
 Paths are printed in traversal order (first-traversed arrow first) with
 middle-dot separators; orbit categories print as D^b(A_r)/[tau^n].
@@ -14,14 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import oracle as oracle_mod
 from .errors import (
     InfiniteDimensional,
     MonosingError,
     NotGorenstein,
     NotOneGorenstein,
     ParseError,
-    UndecidedResolution,
 )
 from .gluing import Involution, bar_presentation, equivalence_report, glue
 from .gorenstein import (
@@ -142,10 +140,7 @@ def cmd_gorenstein(pres, args):
         lines.append(_kv("gentle", f"yes; cycle criterion {g.gentle_one_gorenstein}"))
     else:
         lines.append(_kv("gentle", f"no ({g.reason})"))
-    if prof.decided:
-        lines.append(_kv("oracle", f"gorenstein={prof.gorenstein} level={prof.level}"))
-    else:
-        lines.append(_kv("oracle", "undecided (resolution cutoff reached)"))
+    lines.append(_kv("oracle", f"gorenstein={prof.gorenstein} level={prof.level}"))
     _emit("\n".join(lines))
     return 0
 
@@ -233,17 +228,6 @@ def cmd_glue(pres, args):
 
 
 def cmd_oracle(pres, args):
-    """Run one oracle check; ``--cutoff`` overrides the dimension cap for this call only."""
-    saved = oracle_mod.DIM_CAP
-    if args.cutoff is not None:
-        oracle_mod.DIM_CAP = args.cutoff
-    try:
-        return _oracle_check(pres, args)
-    finally:
-        oracle_mod.DIM_CAP = saved
-
-
-def _oracle_check(pres, args):
     window = args.window if args.window is not None else 2 * pres.dimension()
     if args.check == "gorenstein":
         prof = injective_dimension_profile(pres)
@@ -254,11 +238,8 @@ def _oracle_check(pres, args):
             data["traces"] = resolution_trace_report(pres)
         if args.json:
             _emit(dumps_json(data))
-            return 0 if prof.decided else 1
-        if prof.decided:
-            lines = [_kv("gorenstein", f"{prof.gorenstein} (level {prof.level})")]
-        else:
-            lines = [_kv("gorenstein", "undecided (resolution cutoff reached)")]
+            return 0
+        lines = [_kv("gorenstein", f"{prof.gorenstein} (level {prof.level})")]
         if args.trace:
             for side, per_vertex in data["traces"].items():
                 for v, tr in per_vertex.items():
@@ -266,7 +247,7 @@ def _oracle_check(pres, args):
                                      f"{tr['status']} pd={tr['pd']} "
                                      f"syzygy dims {tr['syzygy_dims']}"))
         _emit("\n".join(lines))
-        return 0 if prof.decided else 1
+        return 0
     if args.check == "classification":
         report = crosscheck_classification(pres)
         if args.json:
@@ -319,8 +300,6 @@ def build_parser():
                            choices=["classification", "tilting", "gorenstein"])
             p.add_argument("--window", type=int, default=None,
                            help="Ext window (default 2 * dim A)")
-            p.add_argument("--cutoff", type=int, default=None,
-                           help="resolution dimension cap override")
             p.add_argument("--trace", action="store_true",
                            help="include per-vertex resolution traces")
     return parser
@@ -352,7 +331,7 @@ def main(argv=None):
         return 2
     try:
         return HANDLERS[args.command](pres, args)
-    except (NotOneGorenstein, NotGorenstein, InfiniteDimensional, UndecidedResolution) as e:
+    except (NotOneGorenstein, NotGorenstein, InfiniteDimensional) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
     except ParseError as e:

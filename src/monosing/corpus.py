@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 
-from .errors import UndecidedResolution
 from .gluing import Involution, glue, glue_is_finite_dimensional
 from .oracle import injective_dimension_profile
 from .presentation import Arrow, MonomialPresentation, Quiver
@@ -63,35 +62,18 @@ def finite_corpus(rng, n, **kwargs):
     return [random_presentation(rng, **kwargs) for _ in range(n)]
 
 
-def gorenstein_corpus(rng, n, undecided=None, **kwargs):
-    """Presentations whose homological profile certifies Gorenstein.
-
-    Draws whose profile stays undecided are skipped; when ``undecided`` is a
-    list, they are appended to it.
-    """
+def gorenstein_corpus(rng, n, **kwargs):
+    """Presentations whose homological profile certifies Gorenstein."""
     out = []
     while len(out) < n:
         pres = random_presentation(rng, **kwargs)
-        try:
-            prof = injective_dimension_profile(pres)
-        except UndecidedResolution:
-            prof = None
-        if prof is None or not prof.decided:
-            if undecided is not None:
-                undecided.append(pres)
-            continue
-        if prof.gorenstein:
+        if injective_dimension_profile(pres).gorenstein:
             out.append(pres)
     return out
 
 
-def involution_corpus(rng, n, undecided=None, **kwargs):
-    """(presentation, involution) pairs passing the gluing chain test, with
-    both Gorenstein profiles decided.
-
-    Pairs skipped because a profile stays undecided are appended to
-    ``undecided`` when it is a list.
-    """
+def involution_corpus(rng, n, **kwargs):
+    """(presentation, involution) pairs passing the gluing chain test."""
     out = []
     while len(out) < n:
         pres = random_presentation(rng, **kwargs)
@@ -105,12 +87,7 @@ def involution_corpus(rng, n, undecided=None, **kwargs):
         finite, _ = glue_is_finite_dimensional(pres, E)
         if not finite:
             continue
-        glued = glue(pres, E)
-        if not (injective_dimension_profile(pres).decided
-                and injective_dimension_profile(glued).decided):
-            if undecided is not None:
-                undecided.append((pres, E))
-            continue
+        glue(pres, E)  # validates the glued presentation
         out.append((pres, E))
     return out
 

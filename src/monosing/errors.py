@@ -87,4 +87,5 @@ class DegreeOutOfRange(MonosingError):
 
 
 class UndecidedResolution(MonosingError):
-    """A resolution hit the hard cutoff before its status could be certified."""
+    """A resolution whose status could not be certified; the oracle certifies
+    every resolution and no longer raises it, but callers may still catch it."""

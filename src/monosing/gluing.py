@@ -17,7 +17,7 @@ from .errors import InfiniteDimensional, InternalInvariantViolation, MonosingErr
 from .gorenstein import is_one_gorenstein, singularity_decomposition
 from .oracle import injective_dimension_profile
 from .perfection import perfect_paths
-from .presentation import Arrow, MonomialPresentation, Quiver
+from .presentation import Arrow, MonomialPresentation, Quiver, find_cycle
 
 
 class Involution:
@@ -88,34 +88,16 @@ def glue_is_finite_dimensional(pres, E):
     """
     basis = pres.basis()
     moved = [v for v in pres.quiver.vertices if E(v) != v]
+    order = {v: i for i, v in enumerate(moved)}
+    shortest = {}  # (x, y) -> the first segment from E(x) to y in basis order
+    for p in basis.nontrivial():
+        if p.source in order and p.target in order:
+            shortest.setdefault((E(p.source), p.target), p)
     edges = {x: [] for x in moved}
-    for x in moved:
-        for y in moved:
-            seg = [p for p in basis.between(E(x), y) if not p.is_trivial]
-            if seg:
-                edges[x].append((y, min(seg, key=pres.quiver.sort_key)))
-    color = {x: 0 for x in moved}
-
-    def dfs(x, trail):
-        # trail[i] = (node, segment used to enter it); trail[0] entered with None
-        color[x] = 1
-        for y, seg in edges[x]:
-            if color[y] == 1:
-                idx = next(i for i, (z, _) in enumerate(trail) if z == y)
-                return [s for (_, s) in trail[idx + 1 :]] + [seg]
-            if color[y] == 0:
-                got = dfs(y, trail + [(y, seg)])
-                if got is not None:
-                    return got
-        color[x] = 2
-        return None
-
-    for x in moved:
-        if color[x] == 0:
-            chain = dfs(x, [(x, None)])
-            if chain is not None:
-                return False, chain
-    return True, None
+    for (x, y), seg in sorted(shortest.items(), key=lambda item: order[item[0][1]]):
+        edges[x].append((seg, y))
+    chain, _ = find_cycle(moved, edges.__getitem__)
+    return chain is None, chain
 
 
 def glue(pres, E, validate=True):
@@ -191,7 +173,7 @@ def _side_info(pres):
     else:
         info["orbit_descriptors"] = None
     prof = injective_dimension_profile(pres)
-    info["oracle_gorenstein"] = prof.gorenstein if prof.decided else None
+    info["oracle_gorenstein"] = prof.gorenstein
     info["oracle_level"] = prof.level
     return info
 
@@ -200,8 +182,7 @@ def equivalence_report(pres, E):
     """Invariant comparison of S and S_E licensed by singularity equivalence.
 
     When both sides are 1-Gorenstein their orbit-descriptor multisets and
-    perfect-path counts must agree; the oracle Gorenstein verdicts must agree
-    whenever both resolve.
+    perfect-path counts must agree; the oracle Gorenstein verdicts must agree.
     """
     glued = glue(pres, E)
     s = _side_info(pres)
@@ -213,8 +194,5 @@ def equivalence_report(pres, E):
     else:
         agreement["orbit_multiset"] = None
         agreement["gp_count"] = None
-    if s["oracle_gorenstein"] is not None and se["oracle_gorenstein"] is not None:
-        agreement["gorenstein"] = s["oracle_gorenstein"] == se["oracle_gorenstein"]
-    else:
-        agreement["gorenstein"] = None
+    agreement["gorenstein"] = s["oracle_gorenstein"] == se["oracle_gorenstein"]
     return GluingReport(original=s, glued=se, agreement=agreement)

@@ -7,13 +7,23 @@ and the classification crosscheck.  Nothing here consults perfect pairs or
 minimal annihilator sets; the only shared foundation is the nonzero-path
 basis itself.
 
-Resolutions are minimal.  A resolution that survives 2 + (number of
-nontrivial basis paths) syzygy steps is certified infinite: beyond the first
-two steps the syzygies of a monomial algebra decompose into cyclic modules
-generated by paths, so a finite projective dimension is bounded by the
-longest strictly-descending chain of such modules.  A hard dimension cap
-guards against growth blowups; hitting it leaves the trace undecided
-(CutoffReached), which test corpora must filter out.
+Resolutions are minimal, and every full resolution ends certified, by one
+rule.  From the second syzygy on, every module over a monomial algebra is a
+direct sum of cyclic modules A e_v / (paths), each generated by a path
+(B. Zimmermann-Huisgen, Predicting syzygies over monomial relations algebras,
+Manuscripta Math. 70 (1991)).  The minimal cover P -> M built from M's top
+lifts g certifies such a split directly: the cover is onto, so its nonzero
+columns x.g span every vertex space, and when at every vertex their number
+equals dim M_v they are a basis.  M is then the direct sum of the cyclic
+modules A.g, each A e_v modulo the paths x with x.g = 0, and its class is
+keyed by v and the words x with x.g != 0.  Dense syzygy steps run until the
+syzygy dies (Finite), a cover certifies a split, or 2 + (number of
+nontrivial basis paths) steps have passed, a backstop certifying infinite pd
+since a finite one is bounded by the longest descending chain of classes.
+After a split each class is resolved once per presentation; its syzygy
+splits again, into the classes of the next step.  A cycle reachable in this
+class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
+number of dense steps before the split plus the longest class path.
 
 Over a Gorenstein algebra of level d a module of finite projective dimension
 has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  Checks that
@@ -34,15 +44,14 @@ from .errors import (
     MismatchDetected,
     NotGorenstein,
     PresentationMismatch,
-    UndecidedResolution,
 )
+from .presentation import find_cycle
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
-CUTOFF = "CutoffReached"
 DEPTH = "DepthReached"
 
-DIM_CAP = 260
+DIM_CAP = 260  # not read by the oracle; benchmarks/run.py checks it never changes
 
 
 class Representation:
@@ -152,8 +161,9 @@ def _path_span(pres, elems):
     """The 0/1 module spanned by tagged nonzero paths under left multiplication.
 
     ``elems`` lists ``(tag, path)``; each path is placed at its target in list
-    order, and an arrow prepends itself while the word stays nonzero (the
-    longer word must then be listed under the same tag).  Returns
+    order, and an arrow prepends itself when the longer word is listed under
+    the same tag and sends the path to zero otherwise, so a list closed under
+    right factors spans a quotient of the projectives.  Returns
     ``(dims, mats, by_vertex)`` with ``by_vertex[v]`` the elements placed at v;
     ``mats`` leaves out the arrows with a zero-dimensional end.
     """
@@ -167,9 +177,9 @@ def _path_span(pres, elems):
     for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
         for j, (tag, x) in enumerate(by_vertex[a.source]):
-            word = (a.name,) + x.arrows
-            if pres.word_is_nonzero(word):
-                m[index[(tag, word)]][j] = 1
+            i = index.get((tag, (a.name,) + x.arrows))
+            if i is not None:
+                m[i][j] = 1
         mats[a.name] = m
     return dims, mats, by_vertex
 
@@ -277,12 +287,11 @@ def top_lifts(rep):
     return lifts
 
 
-def projective_cover(rep, dim_cap=None):
+def projective_cover(rep):
     """(layer, cover matrices): minimal cover P -> M with P from top lifts.
 
     Images of the projective basis are grown one arrow at a time, so each
-    column costs a matrix-vector product.  Raises CapExceeded before building
-    a cover larger than ``dim_cap``.
+    column costs a matrix-vector product.
     """
     pres = rep.pres
     lifts = top_lifts(rep)
@@ -295,11 +304,6 @@ def projective_cover(rep, dim_cap=None):
             vec = [0] * rep.dims[v]
             vec[j] = 1
             gen_vectors.append(vec)
-    if dim_cap is not None:
-        basis = pres.basis()
-        total = sum(len(basis.from_vertex(v)) for v, _ in gens)
-        if total > dim_cap:
-            raise CapExceeded(total)
     layer = _build_projective(pres, gens)
     images = {}  # (gen index, word) -> vector in M at the word's target
     for gi, (v, _) in enumerate(gens):
@@ -362,18 +366,10 @@ def _kernel_blocks(rep, layer, cover):
     return kernel
 
 
-class CapExceeded(Exception):
-    """Internal: the next cover would exceed the dimension cap."""
-
-    def __init__(self, size):
-        self.size = size
-        super().__init__(f"cover dimension {size} exceeds the cap")
-
-
-def syzygy_step(rep, dim_cap=None):
+def syzygy_step(rep):
     """Minimal cover and its kernel; returns (layer, cover, kernel rep, kernel columns)."""
     pres = rep.pres
-    layer, cover = projective_cover(rep, dim_cap=dim_cap)
+    layer, cover = projective_cover(rep)
     kernel = _kernel_blocks(rep, layer, cover)
     # minimality: kernel must avoid the generator coordinates
     for v in pres.quiver.vertices:
@@ -441,40 +437,36 @@ class ResolutionTrace:
         return len(self.layers[k].gens) if k < len(self.layers) else 0
 
 
-def resolve(pres, rep, depth=None, dim_cap=None):
+def resolve(pres, rep, depth=None):
     """Minimal resolution of rep with its termination status.
 
-    Without ``depth`` it runs bound + 1 syzygy steps unless the syzygy dies
-    first, where bound = 2 + (number of nontrivial basis paths) is the sound
-    upper limit on finite projective dimensions over a monomial algebra.
-    ``Finite`` fixes pd; a resolution still alive past the bound is certified
-    infinite (``PeriodicityDetected``, with any observed dimension-vector
-    recurrence noted); ``CutoffReached`` (dimension cap) means undecided.
+    Without ``depth`` it takes dense syzygy steps until the syzygy dies
+    (``Finite``), a cover certifies a split into summand classes, which are
+    then walked (``Finite`` or ``PeriodicityDetected``, see the module
+    docstring), or the resolution is still alive after bound + 1 steps, where
+    bound = 2 + (number of nontrivial basis paths) is the sound upper limit
+    on finite projective dimensions over a monomial algebra
+    (``PeriodicityDetected``).  After a walk the layers stop at the split, so
+    they are a complete resolution only when their number is pd + 1.
 
-    With ``depth`` it stops after exactly that many steps.  A resolution
-    still alive there is ``DepthReached``: it shows Omega^depth != 0 and
-    certifies nothing more.  Over a Gorenstein algebra of level d every
-    finite pd is at most d, so there depth d + 1 decides whether pd is finite.
+    With ``depth`` it stops after exactly that many dense steps.  A
+    resolution still alive there is ``DepthReached``: it shows
+    Omega^depth != 0 and certifies nothing more.  Over a Gorenstein algebra
+    of level d every finite pd is at most d, so there depth d + 1 decides
+    whether pd is finite.
     """
-    if dim_cap is None:
-        dim_cap = DIM_CAP
     basis = pres.basis()
     bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
-    steps = bound + 1 if depth is None else depth
     trace = ResolutionTrace(module=rep)
     if rep.is_zero():
         trace.status, trace.pd = FINITE, 0
         return trace
     cur = rep
-    seen_dims = {}
     pending_lift = pending_kernel = None
-    for k in range(1, steps + 1):
-        try:
-            layer, cover, krep, kernel = syzygy_step(cur, dim_cap=dim_cap)
-        except CapExceeded as e:
-            trace.status = CUTOFF
-            trace.detail = f"cover dimension {e.size} at step {k} exceeds cap {dim_cap}"
-            return trace
+    k = 0
+    while depth is None or k < depth:
+        k += 1
+        layer, cover, krep, kernel = syzygy_step(cur)
         trace.layers.append(layer)
         if pending_kernel is not None:
             diffs = [
@@ -492,25 +484,72 @@ def resolve(pres, rep, depth=None, dim_cap=None):
         if krep.is_zero():
             trace.status, trace.pd = FINITE, k - 1
             return trace
-        key = tuple(sorted(krep.dims.items()))
-        if key in seen_dims:
-            trace.detail = f"dimension vector of step {k} first seen at step {seen_dims[key]}"
-        else:
-            seen_dims[key] = k
-        if krep.total_dim > dim_cap:
-            trace.status = CUTOFF
-            trace.detail = f"syzygy dimension {krep.total_dim} exceeds cap {dim_cap}"
-            return trace
+        if depth is None:
+            classes = _summand_classes(cur, layer, cover)
+            if classes is not None:
+                return _class_walk(pres, trace, classes, k)
+            if k > bound:
+                trace.status = PERIODIC
+                trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
+                                "syzygy classes over a monomial algebra must recur")
+                return trace
         cur = krep
-    if depth is not None:
-        trace.status = DEPTH
-        trace.detail = f"stopped after the requested {depth} steps. " + trace.detail
+    trace.status = DEPTH
+    trace.detail = f"stopped after the requested {depth} steps"
+    return trace
+
+
+def _summand_classes(rep, layer, cover):
+    """The class keys of rep's summands on its top lifts, or None when the
+    cover does not certify a split (see the module docstring)."""
+    words = [[] for _ in layer.gens]
+    for v in rep.pres.quiver.vertices:
+        m = cover[v]
+        nonzero = [col for col in range(len(layer.pbasis[v])) if any(row[col] for row in m)]
+        if len(nonzero) != rep.dims[v]:
+            return None
+        for col in nonzero:
+            gi, x = layer.pbasis[v][col]
+            words[gi].append(x.arrows)
+    return [(v, frozenset(ws)) for (v, _), ws in zip(layer.gens, words)]
+
+
+def _class_rep(pres, key):
+    """The cyclic module A e_v modulo the paths from v outside the key's words."""
+    v, words = key
+    elems = [(None, x) for x in pres.basis().from_vertex(v) if x.arrows in words]
+    dims, mats, by_vertex = _path_span(pres, elems)
+    degrees = {u: tuple(x.length for _, x in by_vertex[u]) for u in by_vertex}
+    return Representation(pres, dims, mats, degrees=degrees)
+
+
+def _class_children(pres, key):
+    """The summand classes of a class's syzygy, resolved once per presentation."""
+    memo = pres._cache.setdefault("class_children", {})
+    if key not in memo and len(key[1]) == len(pres.basis().from_vertex(key[0])):
+        memo[key] = []  # no path from v is killed: the class is projective
+    if key not in memo:
+        _, _, om, _ = syzygy_step(_class_rep(pres, key))
+        children = [] if om.is_zero() else _summand_classes(om, *projective_cover(om))
+        if children is None:
+            raise InternalInvariantViolation(f"the syzygy of the class at {key[0]} does not split")
+        memo[key] = children
+    return memo[key]
+
+
+def _class_walk(pres, trace, classes, k):
+    """Finish a trace whose step-k cover split into ``classes``."""
+    cycle, finished = find_cycle(
+        classes, lambda key: [(child, child) for child in _class_children(pres, key)])
+    if cycle is not None:
+        trace.status = PERIODIC
+        trace.detail = (f"Omega^{k - 1} splits into summand classes that reach "
+                        f"a cycle of {len(cycle)} classes")
         return trace
-    trace.status = PERIODIC
-    trace.detail = (
-        f"resolution alive after the finite-pd bound {bound}; "
-        "syzygy classes over a monomial algebra must recur. " + trace.detail
-    )
+    height = {}  # the pd of each class: children finish before their parents
+    for key in finished:
+        height[key] = 1 + max((height[c] for c in _class_children(pres, key)), default=-1)
+    trace.status, trace.pd = FINITE, k - 1 + max(height[key] for key in classes)
     return trace
 
 
@@ -684,6 +723,11 @@ def _hom_complex_matrix(pres, layer_from, diffs, layer_to, N):
     return m
 
 
+def _died(trace):
+    """Whether the trace's layers run until the syzygy dies: P_0 .. P_pd."""
+    return trace.status == FINITE and len(trace.layers) == trace.pd + 1
+
+
 def ext_dim(pres, M, N, k):
     """dim Ext^k_A(M, N) for k >= 1, from a minimal resolution of M."""
     if k < 1:
@@ -694,12 +738,9 @@ def ext_dim(pres, M, N, k):
 def _ext_from_trace(pres, trace, N, k):
     """Ext^k from P_k, P_{k+1} and their differentials; a trace that stopped
     short of P_{k+1} without dying is resolved again to depth k + 2."""
-    if trace.status == FINITE:
-        if trace.pd < k:
-            return 0
-    elif len(trace.layers) < k + 2:
-        if trace.status == CUTOFF:
-            raise UndecidedResolution("resolution hit the cutoff before depth " + str(k + 1))
+    if trace.status == FINITE and trace.pd < k:
+        return 0
+    if len(trace.layers) < k + 2 and not _died(trace):
         return _ext_from_trace(pres, resolve(pres, trace.module, depth=k + 2), N, k)
     nk = sum(N.dims[v] for (v, _) in trace.layers[k].gens)
     d_k = _hom_complex_matrix(pres, trace.layers[k], trace.differentials[k], trace.layers[k - 1], N)
@@ -730,7 +771,8 @@ class SideStatus:
 
 
 def injective_summand_rep(pres, v):
-    """The dual of the projective right module at v, as a left module."""
+    """The dual of the projective right module at v, as a left module, with
+    the dual of a path w in degree -len(w)."""
     basis = pres.basis()
     by_vertex = {u: [] for u in pres.quiver.vertices}
     index = {}
@@ -751,24 +793,19 @@ def injective_summand_rep(pres, v):
                 i = index[key][1]
                 m[i][j] = 1
         mats[a.name] = m
-    return Representation(pres, dims, mats)
+    degrees = {u: tuple(-w.length for w in by_vertex[u]) for u in by_vertex}
+    return Representation(pres, dims, mats, degrees=degrees)
 
 
 def _dual_regular_pd(pres):
     """pd of the dual regular module via its injective summands, with early
     exit as soon as one summand is certified infinite."""
     worst = 0
-    undecided = None
     for v in pres.quiver.vertices:
         tr = resolve(pres, injective_summand_rep(pres, v))
         if tr.status == PERIODIC:
             return SideStatus(PERIODIC, detail=f"summand at {v}: {tr.detail}")
-        if tr.status == CUTOFF:
-            undecided = SideStatus(CUTOFF, detail=f"summand at {v}: {tr.detail}")
-            continue
         worst = max(worst, tr.pd)
-    if undecided is not None:
-        return undecided
     return SideStatus(FINITE, length=worst)
 
 
@@ -776,7 +813,7 @@ def _dual_regular_pd(pres):
 class GorensteinProfile:
     id_of_regular: SideStatus  # pd of D(A_A) over A = inj.dim of the right regular module
     pd_of_dual: SideStatus  # pd of D(_AA) over A^op = inj.dim of the left regular module
-    decided: bool
+    decided: bool  # always True: every full resolution ends certified
     gorenstein: bool
     level: int = None
 
@@ -794,37 +831,34 @@ def injective_dimension_profile(pres):
     """Resolve the dual regular modules on both sides; Gorenstein iff both finite.
 
     One side certified infinite already decides the verdict, so the other is
-    skipped; a cutoff anywhere (without such a certificate) leaves the profile
-    undecided.
+    skipped.
     """
     if "profile" in pres._cache:
         return pres._cache["profile"]
     s1 = _dual_regular_pd(pres)
     if s1.status == PERIODIC:
         s2 = SideStatus("NotComputed", detail="the other side already certifies infinity")
-        decided, gor = True, False
     else:
         s2 = _dual_regular_pd(pres.opposite())
-        if s2.status == PERIODIC:
-            decided, gor = True, False
-        elif CUTOFF in (s1.status, s2.status):
-            decided, gor = False, False
-        else:
-            decided, gor = True, True
+    gor = s2.status == FINITE
     level = max(s1.length, s2.length) if gor else None
-    prof = GorensteinProfile(id_of_regular=s1, pd_of_dual=s2, decided=decided,
+    prof = GorensteinProfile(id_of_regular=s1, pd_of_dual=s2, decided=True,
                              gorenstein=gor, level=level)
     pres._cache["profile"] = prof
     return prof
 
 
 def resolution_trace_report(pres):
-    """Per-vertex resolution traces behind the profile, for diagnostics."""
+    """Per-vertex resolution traces behind the profile, for diagnostics; a
+    finite one lists every layer, P_0 .. P_pd."""
     out = {}
     for key, pr in (("id_of_regular", pres), ("pd_of_dual", pres.opposite())):
         side = {}
         for v in pr.quiver.vertices:
-            tr = resolve(pr, injective_summand_rep(pr, v))
+            M = injective_summand_rep(pr, v)
+            tr = resolve(pr, M)
+            if tr.status == FINITE and not _died(tr):
+                tr = resolve(pr, M, depth=tr.pd + 1)
             side[v] = {
                 "status": tr.status,
                 "pd": tr.pd,
@@ -837,12 +871,10 @@ def resolution_trace_report(pres):
 
 
 def global_dimension(pres):
-    """Max pd of the simples; None means infinite, raises if undecided."""
+    """Max pd of the simples; None means infinite."""
     worst = 0
     for v in pres.quiver.vertices:
         tr = resolve(pres, simple_rep(pres, v))
-        if tr.status == CUTOFF:
-            raise UndecidedResolution(f"resolution of the simple at {v} hit the cutoff")
         if tr.status == PERIODIC:
             return None
         worst = max(worst, tr.pd)
@@ -1006,8 +1038,6 @@ def verify_omega_T_ext_vanishing(pres, window):
         seen.add(key)
         # a finite pd is at most d, so Omega^{d+1} != 0 means infinite pd
         tr = resolve(pres, path_module_rep(pres, s.generator), depth=prof.level + 1)
-        if tr.status == CUTOFF:
-            raise UndecidedResolution(f"pd of the module on {s.generator} undecided")
         if tr.status == DEPTH:
             chosen.append(s.generator)
     if not chosen:

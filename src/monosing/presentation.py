@@ -251,35 +251,9 @@ class MonomialPresentation:
     def automaton_cycle(self):
         """A reachable automaton cycle as a traversal-order arrow word, or None."""
         states, edges = self.automaton()
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {s: WHITE for s in states}
-        for root in sorted(states, key=_state_key(self.quiver)):
-            if color[root] != WHITE:
-                continue
-            # stack entries: (state, edge iterator); trail[i] = arrow taken
-            # from stack[i] to stack[i+1]
-            stack = [(root, iter(edges.get(root, [])))]
-            color[root] = GRAY
-            trail = []
-            while stack:
-                state, it = stack[-1]
-                advanced = False
-                for arrow, nxt in it:
-                    if color[nxt] == GRAY:
-                        idx = next(i for i, (s, _) in enumerate(stack) if s == nxt)
-                        return tuple(trail[idx:]) + (arrow,)
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(edges.get(nxt, []))))
-                        trail.append(arrow)
-                        advanced = True
-                        break
-                if not advanced:
-                    color[state] = BLACK
-                    stack.pop()
-                    if trail:
-                        trail.pop()
-        return None
+        cycle, _ = find_cycle(sorted(states, key=_state_key(self.quiver)),
+                              lambda state: edges.get(state, []))
+        return None if cycle is None else tuple(cycle)
 
     def is_finite_dimensional(self):
         return self.automaton_cycle() is None
@@ -352,6 +326,42 @@ class MonomialPresentation:
 
     def __hash__(self):
         return hash((self.quiver, frozenset(p.arrows for p in self.minimal)))
+
+
+def find_cycle(roots, successors):
+    """Depth-first search from ``roots`` in order; returns (cycle, finished).
+
+    ``successors(node)`` lists ``(label, next node)`` pairs.  ``cycle`` is the
+    label list of the first cycle met (from the node it closes on), or None;
+    ``finished`` lists the nodes whose search ended, each after all of its
+    successors, so without a cycle it is a reverse topological order.  The
+    search keeps its own stack, so its depth is not bounded by recursion.
+    """
+    pos = {}  # node -> stack position while on the stack, None once finished
+    finished = []
+    for root in roots:
+        if root in pos:
+            continue
+        pos[root] = 0
+        stack = [(root, iter(successors(root)))]
+        trail = []  # trail[i]: the label taken from stack[i] to stack[i + 1]
+        while stack:
+            node, it = stack[-1]
+            for label, nxt in it:
+                if nxt not in pos:
+                    pos[nxt] = len(stack)
+                    stack.append((nxt, iter(successors(nxt))))
+                    trail.append(label)
+                    break
+                if pos[nxt] is not None:
+                    return trail[pos[nxt]:] + [label], finished
+            else:
+                pos[node] = None
+                finished.append(node)
+                stack.pop()
+                if trail:
+                    trail.pop()
+    return None, finished
 
 
 def _state_key(quiver):

@@ -44,10 +44,9 @@ def verdict(number, ok, text):
 
 
 @pytest.fixture(scope="module")
-def gorenstein_sweep():
-    """The 100 Gorenstein instances and the draws skipped as undecided."""
-    undecided = []
-    return gorenstein_corpus(seeded_rng(), 100, undecided=undecided), undecided
+def gorenstein_instances():
+    """The first 100 Gorenstein instances of the seeded corpus."""
+    return gorenstein_corpus(seeded_rng(), 100)
 
 
 def test_criterion_1_z3r2():
@@ -99,8 +98,7 @@ def test_criterion_4_gluing_example():
     verdict(4, ok, "Fig.9 -> Fig.10 gluing: 12 perfect paths, D^b(A_2)/[tau^6], flags true")
 
 
-def test_criterion_5_oracle_equivalence_sweep(gorenstein_sweep):
-    gorenstein_instances, undecided = gorenstein_sweep
+def test_criterion_5_oracle_equivalence_sweep(gorenstein_instances):
     mismatches = 0
     for pres in gorenstein_instances:
         report = crosscheck_classification(pres)  # raises MismatchDetected on failure
@@ -108,25 +106,21 @@ def test_criterion_5_oracle_equivalence_sweep(gorenstein_sweep):
             mismatches += 1
     ok = mismatches == 0 and len(gorenstein_instances) >= 100
     verdict(5, ok, f"classification crosscheck on {len(gorenstein_instances)} "
-                   f"Gorenstein instances, {mismatches} mismatches, "
-                   f"{len(undecided)} undecided draws skipped")
+                   f"Gorenstein instances, {mismatches} mismatches")
 
 
-def test_criterion_6_tilting_vanishing_sweep(gorenstein_sweep):
-    gorenstein_instances, undecided = gorenstein_sweep
+def test_criterion_6_tilting_vanishing_sweep(gorenstein_instances):
     failures = 0
     for pres in gorenstein_instances:
         if not verify_omega_T_ext_vanishing(pres, 2 * pres.dimension()):
             failures += 1
     ok = failures == 0
     verdict(6, ok, f"omega-T self-extension vanishing on {len(gorenstein_instances)} "
-                   f"instances, window 2*dim, {failures} failures, "
-                   f"{len(undecided)} undecided draws skipped")
+                   f"instances, window 2*dim, {failures} failures")
 
 
 def test_criterion_7_gorenstein_preservation_sweep():
-    undecided = []
-    pairs = involution_corpus(seeded_rng(), 50, undecided=undecided)
+    pairs = involution_corpus(seeded_rng(), 50)
     disagreements = 0
     for pres, E in pairs:
         glued = glue(pres, E)
@@ -136,7 +130,7 @@ def test_criterion_7_gorenstein_preservation_sweep():
             disagreements += 1
     ok = disagreements == 0 and len(pairs) >= 50
     verdict(7, ok, f"Gorenstein preservation under gluing on {len(pairs)} pairs, "
-                   f"{disagreements} disagreements, {len(undecided)} undecided pairs skipped")
+                   f"{disagreements} disagreements")
 
 
 def test_criterion_8_gentle_agreement_sweep():

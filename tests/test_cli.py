@@ -9,8 +9,8 @@ import pytest
 
 import monosing
 from monosing.cli import main
-from monosing.corpus import DEFAULT_SEED, gorenstein_corpus
-from monosing.oracle import injective_dimension_profile
+from monosing.corpus import DEFAULT_SEED, random_presentation
+from monosing.oracle import injective_dimension_profile, resolution_trace_report
 from monosing.presentation import parse_presentation, parse_presentation_file
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -65,50 +65,26 @@ def test_oracle_checks(capsys):
     assert code == 0 and "True" in out
 
 
-def test_oracle_cutoff_applies_to_one_call(capsys):
-    # --cutoff must not outlive its call: a leaked cap makes every later
-    # in-process call report glu as not Gorenstein
-    from monosing import oracle
-
-    code, out, _ = run(capsys, "oracle", "--check", "gorenstein", "--cutoff", "2",
-                       fixture_path("glu"))
-    assert code == 1 and "undecided (resolution cutoff reached)" in out
-    code, out, _ = run(capsys, "gorenstein", fixture_path("glu"))
-    assert code == 0 and "oracle        gorenstein=True level=1" in out
-    assert oracle.DIM_CAP == 260
-
-
-def test_gorenstein_reports_undecided_profile(capsys, monkeypatch):
-    from monosing import oracle
-
-    monkeypatch.setattr(oracle, "DIM_CAP", 2)
-    code, out, _ = run(capsys, "gorenstein", fixture_path("glu"))
-    assert code == 0
-    assert "oracle        undecided (resolution cutoff reached)" in out
-    assert "gorenstein=False" not in out
-
-
-def test_undecided_local_algebra(capsys):
-    # loc1 is the 1st draw of gorenstein_corpus at the default seed that the
-    # oracle leaves undecided; once the profile is decided the checks follow it
+def test_loc1_profile_is_decided(capsys):
+    # loc1 is draw 54 of random_presentation at the default corpus seed: a
+    # local algebra whose dual regular resolutions grow without end, which a
+    # dimension cap left undecided; the summand-class walk certifies
+    # infinite pd on both sides
     path = fixture_path("loc1")
     pres = parse_presentation_file(path)
-    undecided = []
-    # the first undecided draw comes between the 41st and 42nd Gorenstein ones
-    gorenstein_corpus(random.Random(DEFAULT_SEED), 42, undecided=undecided)
-    assert undecided[0] == pres
+    rng = random.Random(DEFAULT_SEED)
+    assert [random_presentation(rng) for _ in range(55)][54] == pres
     prof = injective_dimension_profile(pres)
+    assert prof.decided and not prof.gorenstein and prof.level is None
+    traces = resolution_trace_report(pres)
+    assert [tr["status"] for side in traces.values() for tr in side.values()] == \
+        ["PeriodicityDetected"] * 2
     code, out, _ = run(capsys, "gorenstein", path)
-    assert code == 0
-    assert ("oracle        undecided (resolution cutoff reached)" in out) == (not prof.decided)
+    assert code == 0 and "oracle        gorenstein=False level=None\n" in out
     code, out, _ = run(capsys, "oracle", "--check", "gorenstein", path)
-    assert code == (0 if prof.decided else 1)
-    assert ("undecided" in out) == (not prof.decided)
-    code, out, err = run(capsys, "graded", path)
-    if not prof.decided:
-        assert code == 1 and out == "" and err.startswith("refused:")
-    else:
-        assert "cutoff" not in out + err
+    assert code == 0 and out == "gorenstein    False (level None)\n"
+    code, out, _ = run(capsys, "graded", path)
+    assert code == 0 and out.startswith("singularity   not Gorenstein")
 
 
 @pytest.mark.parametrize("command", ["info", "basis", "perfect", "gproj", "gorenstein", "graded"])
@@ -206,6 +182,8 @@ def test_byte_determinism_across_hash_seeds():
         calls.append(["gorenstein", fixture_path(name), "--json"])
         for check in ("classification", "tilting"):
             calls.append(["oracle", fixture_path(name), "--check", check])
+    # loc1's profile walks summand classes keyed by frozensets
+    calls.append(["gorenstein", fixture_path("loc1"), "--json"])
     for argv in calls:
         procs = [subprocess.Popen([sys.executable, "-m", "monosing.cli", *argv],
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,

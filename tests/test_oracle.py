@@ -339,3 +339,87 @@ def test_truncated_trace_is_never_read_as_a_pd(z3r2, lin):
                     assert got == _ext_from_trace(pres, full, N, k)
                     nonzero += got != 0
     assert nonzero  # Ext^k(M, S) != 0 for some pair, so reading 0 would show
+
+
+def test_summand_classes_read_off_the_cover(z2r3):
+    from monosing.oracle import _summand_classes, projective_cover
+
+    # A.a over kZ_2/J^3 is A e_2 modulo the paths x with x.a = 0: e_2 and b
+    # survive, while b then a completes the relation a b a
+    Aa = path_module_rep(z2r3, z2r3.quiver.arrow_path("a"))
+    assert _summand_classes(Aa, *projective_cover(Aa)) == [("2", frozenset({(), ("b",)}))]
+    S = simple_rep(z2r3, "1")
+    assert _summand_classes(S, *projective_cover(S)) == [("1", frozenset({()}))]
+    # A e_1 / (x - y) with radical square zero: x and y send the generator
+    # to the same nonzero vector, so the three nonzero columns of the cover
+    # span a 2-dimensional space and certify no split
+    two_loops = parse_presentation(
+        "vertex 1\narrow x 1 1\narrow y 1 1\n"
+        "relation x x\nrelation x y\nrelation y x\nrelation y y\n"
+    )
+    M = Representation(two_loops, {"1": 2}, {"x": [[0, 0], [1, 0]], "y": [[0, 0], [1, 0]]})
+    assert _summand_classes(M, *projective_cover(M)) is None
+
+
+def dense_reference(pres, rep, cap=260):
+    """The rule the summand-class walk replaced: dense syzygy steps up to the
+    2 + #paths bound, and a dimension cap that leaves the resolution
+    undecided ("cap")."""
+    from monosing.oracle import syzygy_step, top_lifts
+
+    if rep.is_zero():
+        return FINITE, 0
+    basis = pres.basis()
+    bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
+    cur = rep
+    for k in range(1, bound + 2):
+        lifts = top_lifts(cur)
+        if sum(len(lifts[v]) * len(basis.from_vertex(v)) for v in lifts) > cap:
+            return "cap", None
+        _, _, cur, _ = syzygy_step(cur)
+        if cur.is_zero():
+            return FINITE, k - 1
+        if cur.total_dim > cap:
+            return "cap", None
+    return PERIODIC, None
+
+
+def test_class_walk_matches_the_dense_rule():
+    from monosing.corpus import random_presentation
+    from monosing.oracle import injective_summand_rep
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(60)]
+    outcomes = {}
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                for M in (injective_summand_rep(pr, v), simple_rep(pr, v)):
+                    expected = dense_reference(pr, M)
+                    tr = resolve(pr, M)
+                    if expected[0] == "cap":
+                        assert tr.status == PERIODIC
+                    else:
+                        assert (tr.status, tr.pd) == expected
+                    outcomes[expected[0]] = outcomes.get(expected[0], 0) + 1
+    assert set(outcomes) == {FINITE, PERIODIC, "cap"}, outcomes
+
+
+def test_an_ungraded_module_may_split_late():
+    # draw 371 at the default corpus seed: the injective summand at vertex 2
+    # first splits at Omega^2 with its degrees and only at Omega^3 without
+    # them, so the dense phase has no fixed number of steps
+    import random
+
+    from monosing.corpus import DEFAULT_SEED, random_presentation
+    from monosing.oracle import injective_summand_rep
+
+    rng = random.Random(DEFAULT_SEED)
+    pres = [random_presentation(rng) for _ in range(372)][371]
+    M = injective_summand_rep(pres, "2")
+    graded = resolve(pres, M)
+    ungraded = resolve(pres, Representation(pres, M.dims, M.mats))
+    assert len(graded.layers) == 3 and len(ungraded.layers) == 4
+    assert graded.status == ungraded.status == PERIODIC
+    assert dense_reference(pres, M) == (PERIODIC, None)
