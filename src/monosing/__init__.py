@@ -75,9 +75,6 @@ from .presentation import (
     Path,
     PathBasis,
     Quiver,
-    cyclic_module_basis,
-    enumerate_basis,
-    is_nonzero,
     minimal_relations,
     parse_presentation,
     parse_presentation_file,

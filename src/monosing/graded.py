@@ -83,27 +83,13 @@ def syzygy_of_T(pres):
     return [seen[k] for k in order]
 
 
-def path_module_is_projective(pres, p):
-    """Ap is projective iff its cover from the projective at t(p) is injective."""
-    module_basis, _ = pres.cyclic_module_basis(p)
-    return len(module_basis) == len(pres.basis().from_vertex(p.target))
-
-
-def survivor_key(pres, p):
-    """Isomorphism key of Ap: the set of left-acting words that survive."""
-    module_basis, _ = pres.cyclic_module_basis(p)
-    return (p.target, frozenset(w.arrows[: w.length - p.length] for w in module_basis))
-
-
 def basic_syzygy_summands(pres):
     """Syzygy-of-T summands with projectives dropped and duplicates merged."""
     out = []
     seen = set()
     for s in syzygy_of_T(pres):
-        if path_module_is_projective(pres, s.generator):
-            continue
-        key = survivor_key(pres, s.generator)
-        if key in seen:
+        key = pres.survivor_key(s.generator)
+        if pres.key_is_projective(key) or key in seen:
             continue
         seen.add(key)
         out.append(s)

@@ -26,12 +26,13 @@ class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
 number of dense steps before the split plus the longest class path.
 
 Over a Gorenstein algebra of level d a module of finite projective dimension
-has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  Checks that
-already hold a Gorenstein certificate therefore resolve only as deep as they
-read: the Gorenstein-projective test to depth d + 2 (not at all at level 0),
-and the tilting check's "stably nonzero" test to depth d + 1, where a
-nonzero Omega^{d+1} means infinite pd.  A resolution stopped at a requested
-depth is DepthReached, never PeriodicityDetected.
+has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  The
+Gorenstein-projective test therefore resolves only as deep as it reads, to
+depth d + 2 (not at all at level 0).  A resolution stopped at a requested
+depth is DepthReached, never PeriodicityDetected.  The graded tilting check
+resolves nothing itself: it walks the same summand classes, each with the
+degree of its generator, and drops the projective classes, which is where
+Omega^d of a summand of finite pd ends.
 """
 
 from __future__ import annotations
@@ -148,13 +149,18 @@ def _relation_stops(pres):
     return pres._cache["relation_stops"]
 
 
-def _check_same_pres(M, N):
+def _check_pair(M, N, degree_shift=None):
+    """One presentation for both, and degrees on both when maps are graded."""
     if M.pres is not N.pres and M.pres != N.pres:
         raise PresentationMismatch("representations live over different presentations")
+    if degree_shift is not None:
+        for side, rep in (("source", M), ("target", N)):
+            if rep.degrees is None:
+                raise ValueError(f"degree_shift needs graded modules; the {side} has no degrees")
 
 
 def zero_rep(pres):
-    return Representation(pres, {}, {}, validate=False)
+    return Representation(pres, {}, {}, degrees={}, validate=False)
 
 
 def _path_span(pres, elems):
@@ -191,15 +197,28 @@ def _supported_arrows(pres, dims):
 
 
 def path_module_rep(pres, p):
-    """The cyclic module on a nonzero path p, graded with its top in degree 0."""
-    basis, _ = pres.cyclic_module_basis(p)  # raises ZeroPath
-    dims, mats, by_vertex = _path_span(pres, [(None, w) for w in basis])
-    # w = q'p is reached from the generator by the acting word q'
-    labels = {v: tuple(w.arrows[: w.length - p.length] for _, w in by_vertex[v])
-              for v in by_vertex}
-    degrees = {v: tuple(len(act) for act in labels[v]) for v in labels}
-    gen = (p.target, by_vertex[p.target].index((None, p)))
-    return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=gen)
+    """The cyclic module on a nonzero path p, graded with its top in degree 0:
+    the class module of p's survivor key, since q'p sorts like q'."""
+    return _class_rep(pres, pres.survivor_key(p))  # raises ZeroPath
+
+
+def _class_rep(pres, key):
+    """The cyclic module A e_v modulo the paths from v outside the key's
+    words; x.g is labelled x, sits in degree len(x), and g = e_v comes first."""
+    v, words = key
+    elems = [(None, x) for x in pres.basis().from_vertex(v) if x.arrows in words]
+    dims, mats, by_vertex = _path_span(pres, elems)
+    labels = {u: tuple(x.arrows for _, x in by_vertex[u]) for u in by_vertex}
+    degrees = {u: tuple(map(len, labels[u])) for u in labels}
+    return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=(v, 0))
+
+
+def _class_module(pres, key):
+    """The class module of a survivor key, built once per presentation."""
+    memo = pres._cache.setdefault("class_modules", {})
+    if key not in memo:
+        memo[key] = _class_rep(pres, key)
+    return memo[key]
 
 
 def regular_rep(pres):
@@ -514,25 +533,20 @@ def _summand_classes(rep, layer, cover):
     return [(v, frozenset(ws)) for (v, _), ws in zip(layer.gens, words)]
 
 
-def _class_rep(pres, key):
-    """The cyclic module A e_v modulo the paths from v outside the key's words."""
-    v, words = key
-    elems = [(None, x) for x in pres.basis().from_vertex(v) if x.arrows in words]
-    dims, mats, by_vertex = _path_span(pres, elems)
-    degrees = {u: tuple(x.length for _, x in by_vertex[u]) for u in by_vertex}
-    return Representation(pres, dims, mats, degrees=degrees)
-
-
 def _class_children(pres, key):
-    """The summand classes of a class's syzygy, resolved once per presentation."""
+    """The summand classes of a class's syzygy as (class key, generator
+    degree) pairs, the class generated in degree 0; resolved once per
+    presentation.  A projective class has none."""
     memo = pres._cache.setdefault("class_children", {})
-    if key not in memo and len(key[1]) == len(pres.basis().from_vertex(key[0])):
-        memo[key] = []  # no path from v is killed: the class is projective
     if key not in memo:
-        _, _, om, _ = syzygy_step(_class_rep(pres, key))
-        children = [] if om.is_zero() else _summand_classes(om, *projective_cover(om))
-        if children is None:
-            raise InternalInvariantViolation(f"the syzygy of the class at {key[0]} does not split")
+        children = []
+        if not pres.key_is_projective(key):
+            _, _, om, _ = syzygy_step(_class_module(pres, key))
+            layer, cover = projective_cover(om)
+            classes = _summand_classes(om, layer, cover)
+            if classes is None:
+                raise InternalInvariantViolation(f"the syzygy of the class at {key[0]} does not split")
+            children = [(c, d) for c, (_, d) in zip(classes, layer.gens)]
         memo[key] = children
     return memo[key]
 
@@ -540,7 +554,7 @@ def _class_children(pres, key):
 def _class_walk(pres, trace, classes, k):
     """Finish a trace whose step-k cover split into ``classes``."""
     cycle, finished = find_cycle(
-        classes, lambda key: [(child, child) for child in _class_children(pres, key)])
+        classes, lambda key: [(child, child) for child, _ in _class_children(pres, key)])
     if cycle is not None:
         trace.status = PERIODIC
         trace.detail = (f"Omega^{k - 1} splits into summand classes that reach "
@@ -548,7 +562,7 @@ def _class_walk(pres, trace, classes, k):
         return trace
     height = {}  # the pd of each class: children finish before their parents
     for key in finished:
-        height[key] = 1 + max((height[c] for c in _class_children(pres, key)), default=-1)
+        height[key] = 1 + max((height[c] for c, _ in _class_children(pres, key)), default=-1)
     trace.status, trace.pd = FINITE, k - 1 + max(height[key] for key in classes)
     return trace
 
@@ -562,7 +576,7 @@ def hom_basis(M, N, degree_shift=None):
     With ``degree_shift`` s, restricts to maps sending degree d to degree
     d + s (both representations must carry degrees).
     """
-    _check_same_pres(M, N)
+    _check_pair(M, N, degree_shift)
     pres = M.pres
     unknowns = []  # (vertex, i, j)
     index = {}
@@ -574,8 +588,6 @@ def hom_basis(M, N, degree_shift=None):
                         continue
                 index[(v, i, j)] = len(unknowns)
                 unknowns.append((v, i, j))
-    if not unknowns:
-        return []
     rows = []
     for a in pres.quiver.arrows:
         u, w = a.source, a.target
@@ -594,11 +606,8 @@ def hom_basis(M, N, degree_shift=None):
                         used = True
                 if used:
                     rows.append(row)
-    vecs = la.nullspace(rows) if rows else [
-        [1 if k == i else 0 for k in range(len(unknowns))] for i in range(len(unknowns))
-    ]
     out = []
-    for vec in vecs:
+    for vec in la.nullspace(rows, len(unknowns)):
         fam = {v: la.zeros(N.dims[v], M.dims[v]) for v in pres.quiver.vertices}
         for val, (v, i, j) in zip(vec, unknowns):
             fam[v][i][j] = val
@@ -606,15 +615,17 @@ def hom_basis(M, N, degree_shift=None):
     return out
 
 
-def hom_basis_from_cyclic(M, N):
+def hom_basis_from_cyclic(M, N, degree_shift=None):
     """Hom(M, N) for cyclic M with simple top, via generator images.
 
-    Requires M.gen and M.act_labels.  Returns (image space basis, builder)
-    where builder(y) materializes the full vertex-matrix family.
+    Requires M.gen and M.act_labels.  With ``degree_shift`` s, the image of
+    the generator is kept in degree deg(gen) + s, so the maps send degree d
+    to degree d + s.  Returns (image space basis, builder) where builder(y)
+    materializes the full vertex-matrix family.
     """
-    _check_same_pres(M, N)
+    _check_pair(M, N, degree_shift)
     pres = M.pres
-    v0, _ = M.gen
+    v0, j0 = M.gen
     basis = pres.basis()
     survivors = {(v, lab) for v in pres.quiver.vertices for lab in M.act_labels[v]}
     rows = []
@@ -624,12 +635,11 @@ def hom_basis_from_cyclic(M, N):
         mat = N.act(x.arrows) if not x.is_trivial else la.identity(N.dims[v0])
         for r in mat:
             rows.append(list(r))
-    if N.dims[v0] == 0:
-        ys = []
-    elif rows:
-        ys = la.nullspace(rows)
-    else:
-        ys = [[1 if k == i else 0 for k in range(N.dims[v0])] for i in range(N.dims[v0])]
+    if degree_shift is not None:
+        top = M.degrees[v0][j0] + degree_shift
+        rows += [[int(k == i) for k in range(N.dims[v0])]
+                 for i, d in enumerate(N.degrees[v0]) if d != top]
+    ys = la.nullspace(rows, N.dims[v0])
 
     def build(y):
         fam = {}
@@ -654,8 +664,8 @@ def hom_dim(M, N):
 
 
 def _hom_family_basis(M, N, degree_shift=None):
-    if degree_shift is None and M.gen is not None and M.act_labels is not None:
-        ys, build = hom_basis_from_cyclic(M, N)
+    if M.gen is not None and M.act_labels is not None:
+        ys, build = hom_basis_from_cyclic(M, N, degree_shift)
         return [build(y) for y in ys]
     return hom_basis(M, N, degree_shift=degree_shift)
 
@@ -668,7 +678,6 @@ def stable_hom_dim(M, N, degree_shift=None):
     cover projection.  With ``degree_shift`` s, both Hom spaces keep only
     the maps sending degree d to degree d + s (M and N must carry degrees).
     """
-    _check_same_pres(M, N)
     vertices = M.pres.quiver.vertices
     homs = _hom_family_basis(M, N, degree_shift)
     if not homs:
@@ -960,14 +969,12 @@ def crosscheck_classification(pres):
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("crosscheck requires a Gorenstein certificate")
-    basis = pres.basis()
     reps = []
-    for p in basis.paths:
-        if p.is_trivial:
+    for p in pres.basis().nontrivial():
+        key = pres.survivor_key(p)
+        if pres.key_is_projective(key):
             continue
-        M = path_module_rep(pres, p)
-        if M.total_dim == len(basis.from_vertex(p.target)):
-            continue  # projective: the cover is an isomorphism
+        M = _class_module(pres, key)
         if gorenstein_projective_test(pres, M):
             reps.append((p, M))
     classes = []
@@ -1013,52 +1020,58 @@ def _stable_hom0_dim(X, Y):
     return stable_hom_dim(X, Y, degree_shift=0)
 
 
+def _omega_classes(pres, summands):
+    """The graded syzygy of a direct sum of shifted classes, as a set of
+    (class key, generator degree) pairs with the projective classes dropped."""
+    return {(c, d + s) for key, d in summands for c, s in _class_children(pres, key)
+            if not pres.key_is_projective(c)}
+
+
+def _class_stable_hom(pres, ys, xs):
+    """dim of degree-preserving stable Hom between direct sums of shifted
+    classes, summed over class pairs: a class generated in degree d maps to
+    one generated in d0 by maps of degree shift d - d0, fixed by the image of
+    the generator, so a target that is zero at the source's vertex adds 0."""
+    total = 0
+    for c0, d0 in xs:
+        N = _class_module(pres, c0)
+        for c, d in ys:
+            if N.dims[c[0]]:
+                total += stable_hom_dim(_class_module(pres, c), N, degree_shift=d - d0)
+    return total
+
+
 def verify_omega_T_ext_vanishing(pres, window):
     """Vanishing of the singularity-category self-extensions of the graded
     tilting candidate's syzygy over the given shift window.
 
-    Builds W as the direct sum of the stably nonzero (infinite projective
-    dimension) summands of the syzygy of the truncation sum, stabilizes by the
-    Gorenstein level d, and checks that the degree-preserving stable Hom from
-    the (d+k)-th graded syzygy of W to the d-th vanishes for 1 <= k <= window.
-    Generator degrees grow strictly along minimal graded syzygies, so the scan
-    exits early as soon as they clear W's top degree.
+    The syzygy W of the truncation sum has one summand A.p per nontrivial
+    nonzero path p, all generated in one degree.  Each Omega^j W is a set of
+    (class key, generator degree) pairs without the projective classes: they
+    add nothing to a stable Hom, and at level d Omega^d of a summand of
+    finite pd is projective or zero.  The degree-preserving stable Hom from
+    Omega^k X0 to X0 = Omega^d W must vanish for 1 <= k <= window.  Generator
+    degrees grow strictly along minimal graded syzygies, so the scan exits
+    early as soon as they clear X0's top degree.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         return False
-    from .graded import syzygy_of_T
-
-    chosen = []
-    seen = set()
-    for s in syzygy_of_T(pres):
-        key = (s.generator.source, s.generator.arrows)
-        if key in seen:
-            continue
-        seen.add(key)
-        # a finite pd is at most d, so Omega^{d+1} != 0 means infinite pd
-        tr = resolve(pres, path_module_rep(pres, s.generator), depth=prof.level + 1)
-        if tr.status == DEPTH:
-            chosen.append(s.generator)
-    if not chosen:
-        return True
-    W = direct_sum(pres, [path_module_rep(pres, p) for p in chosen])
-    cur = W
+    X0 = {(key, 0) for key in map(pres.survivor_key, pres.basis().nontrivial())
+          if not pres.key_is_projective(key)}
     for _ in range(prof.level):
-        _, _, cur, _ = syzygy_step(cur)
-    X0 = cur
-    if X0.is_zero():
+        X0 = _omega_classes(pres, X0)
+    if not X0:
         return True
-    maxdeg = max(d for v in pres.quiver.vertices for d in X0.degrees[v])
+    maxdeg = max(d + max(map(len, words)) for (_, words), d in X0)
     Y = X0
-    for k in range(1, window + 1):
-        _, _, Y, _ = syzygy_step(Y)
-        if Y.is_zero():
+    for _ in range(window):
+        Y = _omega_classes(pres, Y)
+        if not Y:
             return True
-        gen_degs = [Y.degrees[v][j] for v, top in top_lifts(Y).items() for j in top]
-        if gen_degs and min(gen_degs) > maxdeg:
+        if min(d for _, d in Y) > maxdeg:
             return True  # generator degrees only grow; all later Homs vanish
-        if stable_hom_dim(Y, X0, degree_shift=0) != 0:
+        if _class_stable_hom(pres, Y, X0):
             return False
     return True
 

@@ -309,6 +309,18 @@ class MonomialPresentation:
             vec[q.target] += 1
         return out, vec
 
+    def survivor_key(self, p):
+        """Isomorphism key of Ap: its top vertex t(p) and the left-acting
+        words q' with q'p nonzero.  Raises ZeroPath when p is zero."""
+        module_basis, _ = self.cyclic_module_basis(p)
+        return (p.target, frozenset(w.arrows[: w.length - p.length] for w in module_basis))
+
+    def key_is_projective(self, key):
+        """Whether the cyclic module with this survivor key is projective: no
+        path from its vertex kills the generator."""
+        v, words = key
+        return len(words) == len(self.basis().from_vertex(v))
+
     def opposite(self):
         """The opposite presentation: arrows and relation words reversed."""
         arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
@@ -396,18 +408,6 @@ def _minimal_relations(generators):
 def minimal_relations(pres):
     """The set F of minimal paths of the ideal, as a canonically sorted tuple."""
     return tuple(sorted(pres.minimal, key=pres.quiver.sort_key))
-
-
-def is_nonzero(pres, p):
-    return pres.is_nonzero(p)
-
-
-def enumerate_basis(pres):
-    return pres.basis()
-
-
-def cyclic_module_basis(pres, p):
-    return pres.cyclic_module_basis(p)
 
 
 class PathBasis:

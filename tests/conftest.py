@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from monosing.presentation import parse_presentation_file
+from monosing.presentation import parse_presentation, parse_presentation_file
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -12,6 +12,15 @@ FIXTURE_NAMES = ["z3r2", "z2r3", "lin", "her", "glu", "z6r3"]
 
 def load(name):
     return parse_presentation_file(FIXTURES / f"{name}.quiver")
+
+
+def nakayama(n, m):
+    """kZ_n/J^m: the n-cycle with every path of length m as a relation."""
+    lines = ["vertex " + " ".join(str(i + 1) for i in range(n))]
+    lines += [f"arrow t{i + 1} {i + 1} {(i + 1) % n + 1}" for i in range(n)]
+    lines += ["relation " + " ".join(f"t{(i + k) % n + 1}" for k in range(m))
+              for i in range(n)]
+    return parse_presentation("\n".join(lines) + "\n")
 
 
 @pytest.fixture

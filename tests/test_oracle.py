@@ -26,7 +26,7 @@ from monosing.oracle import (
 )
 from monosing.presentation import parse_presentation
 
-from conftest import FIXTURE_NAMES, load
+from conftest import FIXTURE_NAMES, load, nakayama
 
 
 def tpath(pres, *names):
@@ -423,3 +423,136 @@ def test_an_ungraded_module_may_split_late():
     assert len(graded.layers) == 3 and len(ungraded.layers) == 4
     assert graded.status == ungraded.status == PERIODIC
     assert dense_reference(pres, M) == (PERIODIC, None)
+
+
+def test_degree_shift_needs_graded_modules(z3r2):
+    M = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))
+    ungraded = Representation(z3r2, M.dims, M.mats)
+    with pytest.raises(ValueError, match="the source has no degrees"):
+        stable_hom_dim(ungraded, M, degree_shift=0)
+    with pytest.raises(ValueError, match="the target has no degrees"):
+        stable_hom_dim(M, ungraded, degree_shift=0)
+    assert stable_hom_dim(ungraded, M) == stable_hom_dim(M, M, degree_shift=0) == 1
+
+
+def path_builder_reference(pres, p):
+    """The cyclic module on p built from its basis {q'p}, as path_module_rep
+    did before it became the class module of p's survivor key."""
+    from monosing.oracle import _path_span
+
+    basis, _ = pres.cyclic_module_basis(p)
+    dims, mats, by_vertex = _path_span(pres, [(None, w) for w in basis])
+    labels = {v: tuple(w.arrows[: w.length - p.length] for _, w in by_vertex[v])
+              for v in by_vertex}
+    degrees = {v: tuple(len(act) for act in labels[v]) for v in labels}
+    gen = (p.target, by_vertex[p.target].index((None, p)))
+    return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=gen)
+
+
+def test_path_module_rep_matches_the_path_builder():
+    from monosing.corpus import random_presentation
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(100)]
+    checked = 0
+    for pres in presentations:
+        for p in pres.basis():
+            M, R = path_module_rep(pres, p), path_builder_reference(pres, p)
+            assert (M.dims, M.mats, M.degrees, M.act_labels, M.gen) == \
+                   (R.dims, R.mats, R.degrees, R.act_labels, R.gen), (str(p), pres.quiver.vertices)
+            checked += 1
+        q = next(iter(pres.basis()))
+        assert path_module_rep(pres, q) is not path_module_rep(pres, q)  # a fresh module each call
+    assert checked > 400
+
+
+def test_graded_cyclic_hom_matches_hom_basis():
+    from monosing.oracle import hom_basis, hom_basis_from_cyclic
+
+    nonzero = 0
+    for name in FIXTURE_NAMES:
+        pres = load(name)
+        modules = [path_module_rep(pres, p) for p in pres.basis()]
+        for M in modules:
+            for N in modules:
+                for s in range(-2, 3):
+                    ys, build = hom_basis_from_cyclic(M, N, degree_shift=s)
+                    assert len(ys) == len(hom_basis(M, N, degree_shift=s))
+                    for y in ys:  # every built family is a graded module map
+                        fam = build(y)
+                        for v in pres.quiver.vertices:
+                            for i, row in enumerate(fam[v]):
+                                for j, x in enumerate(row):
+                                    assert not x or N.degrees[v][i] == M.degrees[v][j] + s
+                    nonzero += bool(ys) and s != 0
+    assert nonzero > 100
+
+
+def dense_tilting_reference(pres, extra):
+    """The tilting check's former dense procedure: W is the direct sum of the
+    path modules A.p of infinite pd, one per nontrivial nonzero path, and
+    Omega^d W .. Omega^(d+extra) W come from dense graded syzygy steps."""
+    from monosing.oracle import direct_sum, syzygy_step
+
+    d = injective_dimension_profile(pres).level
+    chosen = [p for p in pres.basis().nontrivial()
+              if resolve(pres, path_module_rep(pres, p), depth=d + 1).status == DEPTH]
+    cur = direct_sum(pres, [path_module_rep(pres, p) for p in chosen])
+    for _ in range(d):
+        _, _, cur, _ = syzygy_step(cur)
+    out = [cur]
+    for _ in range(extra):
+        _, _, cur, _ = syzygy_step(cur)
+        out.append(cur)
+    return out
+
+
+def class_omega(pres, summands):
+    """Omega of a multiset of (class key, generator degree) summands, with
+    the projective classes dropped."""
+    from collections import Counter
+
+    from monosing.oracle import _class_children
+
+    out = Counter()
+    for (key, d), mult in summands.items():
+        for c, s in _class_children(pres, key):
+            if not pres.key_is_projective(c):
+                out[(c, d + s)] += mult
+    return out
+
+
+def test_tilting_class_pairs_match_the_dense_stable_hom():
+    from collections import Counter
+
+    from monosing.oracle import _class_stable_hom, _omega_classes
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    presentations += [nakayama(n, m) for m in range(2, 5) for n in range(1, 9)]
+    presentations += gorenstein_corpus(seeded_rng(), 100)
+    checked = nonzero = 0
+    for pres in presentations:
+        prof = injective_dimension_profile(pres)
+        if not prof.gorenstein:
+            continue
+        dense = dense_tilting_reference(pres, 3)
+        # the same direct sums as multisets of (class key, generator degree)
+        cur = Counter((key, 0) for key in map(pres.survivor_key, pres.basis().nontrivial())
+                      if not pres.key_is_projective(key))
+        for _ in range(prof.level):
+            nxt = class_omega(pres, cur)
+            assert set(nxt) == _omega_classes(pres, set(cur))
+            cur = nxt
+        classes = [cur]
+        for _ in range(3):
+            classes.append(class_omega(pres, classes[-1]))
+        X0 = list(classes[0].elements())
+        for Y_dense, Y in zip(dense, classes):
+            for shift in (0, -1, -2, 1):
+                want = stable_hom_dim(Y_dense, dense[0], degree_shift=shift)
+                got = _class_stable_hom(pres, [(c, d + shift) for c, d in Y.elements()], X0)
+                assert got == want, (pres.quiver.vertices, shift)
+                nonzero += want != 0
+        checked += 1
+    assert checked >= 100 and nonzero >= 200, (checked, nonzero)

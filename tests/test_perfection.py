@@ -12,9 +12,7 @@ from monosing.perfection import (
     perfect_pairs,
     perfect_paths,
 )
-from monosing.presentation import parse_presentation
-
-from conftest import FIXTURE_NAMES, load
+from conftest import FIXTURE_NAMES, load, nakayama
 
 
 def tpath(pres, *names):
@@ -178,14 +176,6 @@ def reference_perfect_pairs(pres):
         if len(r) == 1 and reference_annihilator(pres, r[0], "left") == [p]:
             pairs.append((p, r[0]))
     return pairs
-
-
-def nakayama(n, m):
-    lines = ["vertex " + " ".join(str(i + 1) for i in range(n))]
-    lines += [f"arrow t{i + 1} {i + 1} {(i + 1) % n + 1}" for i in range(n)]
-    lines += ["relation " + " ".join(f"t{(i + k) % n + 1}" for k in range(m))
-              for i in range(n)]
-    return parse_presentation("\n".join(lines) + "\n")
 
 
 def annihilator_inputs():
