@@ -266,6 +266,18 @@ def cmd_oracle(pres, args):
     raise ParseError(f"unknown oracle check {args.check!r}")
 
 
+def _window(text):
+    """The tilting check's shift window: a positive integer, since the check
+    tests shifts 1 .. window and an empty range would pass vacuously."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="monosing",
@@ -298,8 +310,8 @@ def build_parser():
         if name == "oracle":
             p.add_argument("--check", required=True,
                            choices=["classification", "tilting", "gorenstein"])
-            p.add_argument("--window", type=int, default=None,
-                           help="Ext window (default 2 * dim A)")
+            p.add_argument("--window", type=_window, default=None,
+                           help="Ext window, at least 1 (default 2 * dim A)")
             p.add_argument("--trace", action="store_true",
                            help="include per-vertex resolution traces")
     return parser

@@ -57,7 +57,7 @@ def is_one_gorenstein(pres):
     return verdict
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationCycle:
     """A repetition-free arrow cycle whose r-windows are all relations."""
 
@@ -87,11 +87,13 @@ class OrbitCategoryDescriptor:
 
 
 def relation_cycles(pres):
-    """The relation cycles of a 1-Gorenstein presentation.
+    """The relation cycles of a 1-Gorenstein presentation, as a tuple
+    computed once per presentation.
 
-    Raises NotOneGorenstein otherwise, and InternalInvariantViolation whenever
-    one of the guaranteed structural laws fails (uniform relation length,
-    repetition-freeness, window membership in F, arrow disjointness).
+    Raises NotOneGorenstein otherwise, on every call, and
+    InternalInvariantViolation whenever one of the guaranteed structural laws
+    fails (uniform relation length, repetition-freeness, window membership in
+    F, arrow disjointness).
     """
     verdict = is_one_gorenstein(pres)
     if not verdict:
@@ -99,6 +101,8 @@ def relation_cycles(pres):
         raise NotOneGorenstein(
             f"not 1-Gorenstein: relation {f} factors as ({p})({q}) with {p} not perfect"
         )
+    if "relation_cycles" in pres._cache:
+        return pres._cache["relation_cycles"]
     graph = perfect_paths(pres)
     key = pres.quiver.sort_key
     grouped = {}  # canonical primitive word -> dict(r=, members=set())
@@ -144,7 +148,8 @@ def relation_cycles(pres):
     total = sum(len(c.members) for c in cycles)
     if total != len(graph.perfect_set()):
         raise InternalInvariantViolation("perfect paths not partitioned by relation cycles")
-    return cycles
+    pres._cache["relation_cycles"] = tuple(cycles)
+    return pres._cache["relation_cycles"]
 
 
 def _primitive_word(word):

@@ -25,6 +25,13 @@ splits again, into the classes of the next step.  A cycle reachable in this
 class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
 number of dense steps before the split plus the longest class path.
 
+Every module carries its support, the vertices with a nonzero space, and
+all per-module work follows it: builders, validation, covers, kernels and
+the split test walk the support and the arrows between its vertices, never
+the whole quiver, so a module on k vertices costs the same on any quiver.
+Without a requested depth each step asks the cover for a split before it
+takes the kernel, so the step that certifies a split builds no kernel.
+
 Over a Gorenstein algebra of level d a module of finite projective dimension
 has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  The
 Gorenstein-projective test therefore resolves only as deep as it reads, to
@@ -58,6 +65,11 @@ DIM_CAP = 260  # not read by the oracle; benchmarks/run.py checks it never chang
 class Representation:
     """Vertex spaces and arrow matrices (target-dim x source-dim) over Q.
 
+    ``support`` lists the vertices with a nonzero space, in quiver order;
+    every per-module loop of the oracle walks it and the arrows between its
+    vertices, never the whole quiver.  ``dims`` still answers for every
+    vertex (0 off the support).
+
     ``degrees`` optionally tags every basis vector with an integer degree
     (arrow action must then raise degree by one).  ``act_labels`` optionally
     names each basis vector by the word carrying a cyclic generator onto it,
@@ -65,52 +77,53 @@ class Representation:
     Hom solver for cyclic modules with simple top.
 
     An arrow missing from ``mats`` acts by zero.  Builders leave out the
-    arrows with a zero-dimensional end; their matrix is filled in here, as
-    ``[]`` when it has no rows.
+    arrows with a zero-dimensional end; their matrix is made on first read,
+    as ``[]`` when it has no rows.
     """
 
     def __init__(self, pres, dims, mats, degrees=None, act_labels=None, gen=None, validate=True):
         self.pres = pres
-        self.dims = {v: dims.get(v, 0) for v in pres.quiver.vertices}
-        self.mats = {}
-        for a in pres.quiver.arrows:
-            m = mats.get(a.name)
-            if m is None:
-                rows = self.dims[a.target]
-                m = la.zeros(rows, self.dims[a.source]) if rows else []
-            self.mats[a.name] = m
-        if degrees is not None:
-            degrees = {v: tuple(degrees.get(v, ())) for v in pres.quiver.vertices}
-        self.degrees = degrees
-        if act_labels is not None:
-            act_labels = {v: tuple(act_labels.get(v, ())) for v in pres.quiver.vertices}
-        self.act_labels = act_labels
+        q = pres.quiver
+        self.support = tuple(sorted([v for v, n in dims.items() if n], key=q.vertex_index))
+        self.dims = dict.fromkeys(q.vertices, 0)
+        self.dims.update({v: dims[v] for v in self.support})
+        self.mats = _ArrowMatrices(self.dims, q.arrow_by_name, mats)
+        self.degrees = None if degrees is None else self._on_support(degrees)
+        self.act_labels = None if act_labels is None else self._on_support(act_labels)
         self.gen = gen
         if validate:
             self._validate()
 
+    def _on_support(self, per_vertex):
+        """A vertex -> tuple map over the whole quiver, empty off the support."""
+        full = dict.fromkeys(self.pres.quiver.vertices, ())
+        full.update({v: tuple(per_vertex.get(v, ())) for v in self.support})
+        return full
+
     def _validate(self):
-        for a in self.pres.quiver.arrows:
-            m = self.mats[a.name]
-            if len(m) != self.dims[a.target]:
-                raise InternalInvariantViolation(f"matrix for {a.name} has wrong row count")
-            for row in m:
-                if len(row) != self.dims[a.source]:
-                    raise InternalInvariantViolation(f"matrix for {a.name} has wrong column count")
+        arrows = self.pres.quiver.arrow_by_name
         dims = self.dims
-        for f, stops in _relation_stops(self.pres):
-            if not all(dims[v] for v in stops):
-                continue  # the word passes through a zero space, so it acts by zero
-            m = self.act(f.arrows)
-            if not la.is_zero_matrix(m):
-                raise InternalInvariantViolation(f"relation {f} acts nonzero")
+        for name, m in self.mats.items():  # every matrix given, zero ends included
+            a = arrows[name]
+            if len(m) != dims[a.target]:
+                raise InternalInvariantViolation(f"matrix for {name} has wrong row count")
+            for row in m:
+                if len(row) != dims[a.source]:
+                    raise InternalInvariantViolation(f"matrix for {name} has wrong column count")
+        relations = _relations_at(self.pres)
+        for v in self.support:
+            for f, stops in relations.get(v, ()):
+                if not all(dims[u] for u in stops):
+                    continue  # the word passes through a zero space, so it acts by zero
+                if not la.is_zero_matrix(self.act(f.arrows)):
+                    raise InternalInvariantViolation(f"relation {f} acts nonzero")
 
     @property
     def total_dim(self):
-        return sum(self.dims.values())
+        return sum(self.dims[v] for v in self.support)
 
     def is_zero(self):
-        return self.total_dim == 0
+        return not self.support
 
     def dim_vector(self):
         return dict(self.dims)
@@ -138,15 +151,35 @@ class Representation:
         return m
 
 
-def _relation_stops(pres):
-    """Each minimal relation with the vertices its word passes through."""
-    if "relation_stops" not in pres._cache:
+class _ArrowMatrices(dict):
+    """Arrow name -> matrix of a representation.  An arrow left out acts by
+    zero, and its matrix is made on first read."""
+
+    __slots__ = ("_dims", "_arrows")
+
+    def __init__(self, dims, arrows, mats):
+        super().__init__(mats)
+        self._dims = dims
+        self._arrows = arrows
+
+    def __missing__(self, name):
+        a = self._arrows[name]
+        rows = self._dims[a.target]
+        m = self[name] = la.zeros(rows, self._dims[a.source]) if rows else []
+        return m
+
+
+def _relations_at(pres):
+    """The minimal relations by the vertex their word ends at, each with the
+    vertices the word passes through; built once per presentation."""
+    if "relations_at" not in pres._cache:
         q = pres.quiver
-        pres._cache["relation_stops"] = [
-            (f, {q.target(f.arrows[0])} | {q.source(a) for a in f.arrows})
-            for f in pres.minimal
-        ]
-    return pres._cache["relation_stops"]
+        index = {}
+        for f in pres.minimal:
+            end = q.target(f.arrows[0])
+            index.setdefault(end, []).append((f, {end} | {q.source(a) for a in f.arrows}))
+        pres._cache["relations_at"] = index
+    return pres._cache["relations_at"]
 
 
 def _check_pair(M, N, degree_shift=None):
@@ -170,15 +203,17 @@ def _path_span(pres, elems):
     order, and an arrow prepends itself when the longer word is listed under
     the same tag and sends the path to zero otherwise, so a list closed under
     right factors spans a quotient of the projectives.  Returns
-    ``(dims, mats, by_vertex)`` with ``by_vertex[v]`` the elements placed at v;
-    ``mats`` leaves out the arrows with a zero-dimensional end.
+    ``(dims, mats, by_vertex)`` over the support only, with ``by_vertex[v]``
+    the elements placed at v; ``mats`` leaves out the arrows with a
+    zero-dimensional end.
     """
-    by_vertex = {v: [] for v in pres.quiver.vertices}
+    by_vertex = {}
     index = {}
     for tag, x in elems:
-        index[(tag, x.arrows)] = len(by_vertex[x.target])
-        by_vertex[x.target].append((tag, x))
-    dims = {v: len(by_vertex[v]) for v in by_vertex}
+        placed = by_vertex.setdefault(x.target, [])
+        index[(tag, x.arrows)] = len(placed)
+        placed.append((tag, x))
+    dims = {v: len(placed) for v, placed in by_vertex.items()}
     mats = {}
     for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
@@ -191,9 +226,10 @@ def _path_span(pres, elems):
 
 
 def _supported_arrows(pres, dims):
-    """The arrows whose source and target spaces are both nonzero."""
-    return [a for v in pres.quiver.vertices if dims[v]
-            for a in pres.quiver.arrows_from[v] if dims[a.target]]
+    """The arrows whose source and target spaces are both nonzero; ``dims``
+    lists the nonzero spaces only."""
+    arrows_from = pres.quiver.arrows_from
+    return [a for v in dims for a in arrows_from[v] if a.target in dims]
 
 
 def path_module_rep(pres, p):
@@ -208,8 +244,8 @@ def _class_rep(pres, key):
     v, words = key
     elems = [(None, x) for x in pres.basis().from_vertex(v) if x.arrows in words]
     dims, mats, by_vertex = _path_span(pres, elems)
-    labels = {u: tuple(x.arrows for _, x in by_vertex[u]) for u in by_vertex}
-    degrees = {u: tuple(map(len, labels[u])) for u in labels}
+    labels = {u: tuple(x.arrows for _, x in placed) for u, placed in by_vertex.items()}
+    degrees = {u: tuple(map(len, words)) for u, words in labels.items()}
     return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=(v, 0))
 
 
@@ -224,7 +260,7 @@ def _class_module(pres, key):
 def regular_rep(pres):
     """The left regular module: basis all nonzero paths grouped by target."""
     dims, mats, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
-    degrees = {v: tuple(w.length for _, w in by_vertex[v]) for v in by_vertex}
+    degrees = {v: tuple(w.length for _, w in placed) for v, placed in by_vertex.items()}
     return Representation(pres, dims, mats, degrees=degrees)
 
 
@@ -242,24 +278,25 @@ def simple_rep(pres, v):
 def direct_sum(pres, reps):
     if not reps:
         return zero_rep(pres)
-    dims = {v: sum(r.dims[v] for r in reps) for v in pres.quiver.vertices}
+    dims = {}
+    for r in reps:
+        for v in r.support:
+            dims[v] = dims.get(v, 0) + r.dims[v]
     mats = {}
-    for a in pres.quiver.arrows:
-        blocks = [r.mats[a.name] for r in reps]
+    for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
         ri = ci = 0
-        for r, b in zip(reps, blocks):
-            for i in range(r.dims[a.target]):
-                for j in range(r.dims[a.source]):
-                    m[ri + i][ci + j] = b[i][j]
-            ri += r.dims[a.target]
-            ci += r.dims[a.source]
+        for r in reps:
+            rows, cols = r.dims[a.target], r.dims[a.source]
+            if rows and cols:
+                for i, row in enumerate(r.mats[a.name]):
+                    m[ri + i][ci:ci + cols] = row
+            ri += rows
+            ci += cols
         mats[a.name] = m
     degrees = None
     if all(r.degrees is not None for r in reps):
-        degrees = {
-            v: tuple(d for r in reps for d in r.degrees[v]) for v in pres.quiver.vertices
-        }
+        degrees = {v: tuple(d for r in reps for d in r.degrees[v]) for v in dims}
     return Representation(pres, dims, mats, degrees=degrees, validate=False)
 
 
@@ -271,38 +308,38 @@ class ProjectiveLayer:
     """One term of a minimal resolution: P = direct sum of Ae_v with shifts."""
 
     gens: list  # [(vertex, degree)]
-    pbasis: dict  # vertex -> list of (gen index, path)
+    pbasis: dict  # vertex of P's support -> list of (gen index, path)
     rep: object  # Representation of P
+    tops: list = None  # per generator of a cover: the (vertex, index) of the basis vector it lifts
 
 
 def _build_projective(pres, gens):
     basis = pres.basis()
     elems = [(gi, x) for gi, (v, _) in enumerate(gens) for x in basis.from_vertex(v)]
     dims, mats, pbasis = _path_span(pres, elems)
-    degrees = {
-        v: tuple(gens[gi][1] + x.length for gi, x in pbasis[v]) for v in pbasis
-    }
+    degrees = {v: tuple(gens[gi][1] + x.length for gi, x in placed)
+               for v, placed in pbasis.items()}
     rep = Representation(pres, dims, mats, degrees=degrees, validate=False)
     return ProjectiveLayer(gens=list(gens), pbasis=pbasis, rep=rep)
 
 
 def top_lifts(rep):
-    """Standard-basis lifts of top(M) = M/rad M, per vertex, homogeneous."""
+    """Standard-basis lifts of top(M) = M/rad M, per support vertex, homogeneous."""
+    dims = rep.dims
+    arrows_into = rep.pres.quiver.arrows_into
     lifts = {}
-    for v in rep.pres.quiver.vertices:
-        n = rep.dims[v]
-        if n == 0:
-            lifts[v] = []
+    for v in rep.support:
+        n = dims[v]
+        into = [rep.mats[a.name] for a in arrows_into[v] if dims[a.source]]
+        if not into:
+            lifts[v] = list(range(n))  # nothing reaches v: every basis vector is a top
             continue
-        rad_cols = []
-        for a in rep.pres.quiver.arrows_into[v]:
-            m = rep.mats[a.name]
-            for j in range(rep.dims[a.source]):
-                rad_cols.append([m[i][j] for i in range(n)])
-        stacked = [[col[i] for col in rad_cols] + [1 if k == i else 0 for k in range(n)]
+        # row i of [images of the arrows into v | identity]: a basis vector is
+        # a top lift when its identity column pivots past the radical's columns
+        stacked = [[x for m in into for x in m[i]] + [int(k == i) for k in range(n)]
                    for i in range(n)]
-        pivots = la.pivot_columns(stacked)
-        lifts[v] = [p - len(rad_cols) for p in pivots if p >= len(rad_cols)]
+        rad = len(stacked[0]) - n
+        lifts[v] = [p - rad for p in la.pivot_columns(stacked) if p >= rad]
     return lifts
 
 
@@ -310,32 +347,30 @@ def projective_cover(rep):
     """(layer, cover matrices): minimal cover P -> M with P from top lifts.
 
     Images of the projective basis are grown one arrow at a time, so each
-    column costs a matrix-vector product.
+    column costs a matrix-vector product.  ``cover`` has one block per
+    vertex of P's support, which contains M's since the cover is onto.
     """
     pres = rep.pres
     lifts = top_lifts(rep)
     gens = []
-    gen_vectors = []
-    for v in pres.quiver.vertices:
+    tops = []
+    for v in rep.support:
         for j in lifts[v]:
-            d = rep.degrees[v][j] if rep.degrees is not None else 0
-            gens.append((v, d))
-            vec = [0] * rep.dims[v]
-            vec[j] = 1
-            gen_vectors.append(vec)
+            gens.append((v, rep.degrees[v][j] if rep.degrees is not None else 0))
+            tops.append((v, j))
     layer = _build_projective(pres, gens)
+    layer.tops = tops
     images = {}  # (gen index, word) -> vector in M at the word's target
-    for gi, (v, _) in enumerate(gens):
-        images[(gi, ())] = gen_vectors[gi]
-    for v in pres.quiver.vertices:
-        for gi, x in layer.pbasis[v]:
-            if x.is_trivial:
-                continue
-            key = (gi, x.arrows)
-            if key in images:
+    for gi, (v, j) in enumerate(tops):
+        vec = [0] * rep.dims[v]
+        vec[j] = 1
+        images[(gi, ())] = vec
+    for placed in layer.pbasis.values():
+        for gi, x in placed:
+            word = x.arrows
+            if (gi, word) in images:
                 continue
             stackw = []
-            word = x.arrows
             while (gi, word) not in images:
                 stackw.append(word)
                 word = word[1:]
@@ -345,37 +380,28 @@ def projective_cover(rep):
                 base = la.mat_vec(rep.mats[word[0]], base)
                 images[(gi, word)] = base
     cover = {}
-    for v in pres.quiver.vertices:
-        m = la.zeros(rep.dims[v], layer.rep.dims[v])
-        for col, (gi, x) in enumerate(layer.pbasis[v]):
-            img = images[(gi, x.arrows)]
-            for i in range(rep.dims[v]):
-                m[i][col] = img[i]
-        cover[v] = m
+    for v, placed in layer.pbasis.items():
+        columns = [images[(gi, x.arrows)] for gi, x in placed]
+        cover[v] = [list(row) for row in zip(*columns)]
     return layer, cover
 
 
 def _kernel_blocks(rep, layer, cover):
-    """Homogeneous kernel basis of the cover, per vertex."""
-    pres = rep.pres
+    """Homogeneous kernel basis of the cover, per vertex of P's support."""
     kernel = {}
-    for v in pres.quiver.vertices:
+    for v in layer.rep.support:
         ncols = layer.rep.dims[v]
-        if ncols == 0:
-            kernel[v] = []
-            continue
         if rep.degrees is None:
             groups = {None: list(range(ncols))}
         else:
             groups = {}
-            for j in range(ncols):
-                groups.setdefault(layer.rep.degrees[v][j], []).append(j)
+            for j, d in enumerate(layer.rep.degrees[v]):
+                groups.setdefault(d, []).append(j)
         cols = []
         m = cover[v]
-        nrows = rep.dims[v]
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
             idx = groups[dkey]
-            sub = [[m[i][j] for j in idx] for i in range(nrows)]
+            sub = [[row[j] for j in idx] for row in m]
             for vec in la.nullspace(sub, len(idx)):
                 full = [0] * ncols
                 for pos, j in enumerate(idx):
@@ -385,24 +411,25 @@ def _kernel_blocks(rep, layer, cover):
     return kernel
 
 
-def syzygy_step(rep):
-    """Minimal cover and its kernel; returns (layer, cover, kernel rep, kernel columns)."""
+def syzygy_step(rep, covered=None):
+    """Minimal cover and its kernel; returns (layer, cover, kernel rep, kernel columns).
+
+    ``covered`` is the ``projective_cover(rep)`` pair when the caller has it.
+    """
     pres = rep.pres
-    layer, cover = projective_cover(rep)
+    layer, cover = covered or projective_cover(rep)
     kernel = _kernel_blocks(rep, layer, cover)
     # minimality: kernel must avoid the generator coordinates
-    for v in pres.quiver.vertices:
-        gen_positions = [j for j, (gi, x) in enumerate(layer.pbasis[v]) if x.is_trivial]
+    for v, placed in layer.pbasis.items():
+        gen_positions = [j for j, (gi, x) in enumerate(placed) if x.is_trivial]
         for vec in kernel[v]:
             if any(vec[j] != 0 for j in gen_positions):
                 raise InternalInvariantViolation("projective cover is not minimal")
-    dims = {v: len(kernel[v]) for v in pres.quiver.vertices}
+    dims = {v: len(cols) for v, cols in kernel.items() if cols}
     # the action on the kernel; an arrow into a zero kernel space must still
     # send every kernel vector to zero, so closure is checked before skipping
     mats = {}
-    for src in pres.quiver.vertices:
-        if not dims[src]:
-            continue
+    for src in dims:
         for a in pres.quiver.arrows_from[src]:
             tgt = a.target
             if not layer.rep.dims[tgt]:
@@ -415,7 +442,7 @@ def syzygy_step(rep):
                     todo.append((j, img))
             if todo and not kernel[tgt]:
                 raise InternalInvariantViolation("syzygy is not closed under the action")
-            if not dims[tgt]:
+            if tgt not in dims:
                 continue
             m = la.zeros(dims[tgt], dims[src])
             if todo:
@@ -430,12 +457,10 @@ def syzygy_step(rep):
     degrees = None
     if rep.degrees is not None:
         degrees = {}
-        for v in pres.quiver.vertices:
-            degs = []
-            for vec in kernel[v]:
-                j = next(i for i, x in enumerate(vec) if x != 0)
-                degs.append(layer.rep.degrees[v][j])
-            degrees[v] = tuple(degs)
+        for v in dims:
+            pdeg = layer.rep.degrees[v]
+            degrees[v] = tuple(pdeg[next(i for i, x in enumerate(vec) if x != 0)]
+                               for vec in kernel[v])
     krep = Representation(pres, dims, mats, degrees=degrees, validate=False)
     return layer, cover, krep, kernel
 
@@ -459,20 +484,22 @@ class ResolutionTrace:
 def resolve(pres, rep, depth=None):
     """Minimal resolution of rep with its termination status.
 
-    Without ``depth`` it takes dense syzygy steps until the syzygy dies
-    (``Finite``), a cover certifies a split into summand classes, which are
-    then walked (``Finite`` or ``PeriodicityDetected``, see the module
-    docstring), or the resolution is still alive after bound + 1 steps, where
-    bound = 2 + (number of nontrivial basis paths) is the sound upper limit
-    on finite projective dimensions over a monomial algebra
-    (``PeriodicityDetected``).  After a walk the layers stop at the split, so
-    they are a complete resolution only when their number is pd + 1.
+    Without ``depth`` it covers the module and first asks whether the cover
+    certifies a split into summand classes, which are then walked
+    (``Finite`` or ``PeriodicityDetected``, see the module docstring);
+    otherwise it takes the kernel, a dense syzygy step, until the syzygy
+    dies (``Finite``) or the resolution is still alive after bound + 1
+    steps, where bound = 2 + (number of nontrivial basis paths) is the sound
+    upper limit on finite projective dimensions over a monomial algebra
+    (``PeriodicityDetected``).  After a walk the layers stop at the split
+    and the syzygies one step before it, so the layers are a complete
+    resolution only when their number is pd + 1.
 
-    With ``depth`` it stops after exactly that many dense steps.  A
-    resolution still alive there is ``DepthReached``: it shows
-    Omega^depth != 0 and certifies nothing more.  Over a Gorenstein algebra
-    of level d every finite pd is at most d, so there depth d + 1 decides
-    whether pd is finite.
+    With ``depth`` it takes exactly that many dense steps, each through
+    ``syzygy_step``.  A resolution still alive there is ``DepthReached``: it
+    shows Omega^depth != 0 and certifies nothing more.  Over a Gorenstein
+    algebra of level d every finite pd is at most d, so there depth d + 1
+    decides whether pd is finite.
     """
     basis = pres.basis()
     bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
@@ -481,37 +508,29 @@ def resolve(pres, rep, depth=None):
         trace.status, trace.pd = FINITE, 0
         return trace
     cur = rep
-    pending_lift = pending_kernel = None
+    kernel = None
     k = 0
     while depth is None or k < depth:
         k += 1
-        layer, cover, krep, kernel = syzygy_step(cur)
+        layer, cover = projective_cover(cur)
         trace.layers.append(layer)
-        if pending_kernel is not None:
-            diffs = [
-                (v, pending_kernel[v][pending_lift[gi]])
-                for gi, (v, _) in enumerate(layer.gens)
-            ]
-            trace.differentials.append(diffs)
-        else:
-            trace.differentials.append(None)
-        # the next layer's generators lift these kernel columns
-        lifts = top_lifts(krep)
-        pending_lift = [j for v in pres.quiver.vertices for j in lifts[v]]
-        pending_kernel = kernel
-        trace.syzygies.append(krep)
-        if krep.is_zero():
-            trace.status, trace.pd = FINITE, k - 1
-            return trace
+        # each generator lifts a basis vector of the last kernel
+        trace.differentials.append(
+            None if kernel is None else [(v, kernel[v][j]) for v, j in layer.tops])
         if depth is None:
             classes = _summand_classes(cur, layer, cover)
             if classes is not None:
                 return _class_walk(pres, trace, classes, k)
-            if k > bound:
-                trace.status = PERIODIC
-                trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
-                                "syzygy classes over a monomial algebra must recur")
-                return trace
+        _, _, krep, kernel = syzygy_step(cur, (layer, cover))
+        trace.syzygies.append(krep)
+        if krep.is_zero():
+            trace.status, trace.pd = FINITE, k - 1
+            return trace
+        if depth is None and k > bound:
+            trace.status = PERIODIC
+            trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
+                            "syzygy classes over a monomial algebra must recur")
+            return trace
         cur = krep
     trace.status = DEPTH
     trace.detail = f"stopped after the requested {depth} steps"
@@ -522,13 +541,12 @@ def _summand_classes(rep, layer, cover):
     """The class keys of rep's summands on its top lifts, or None when the
     cover does not certify a split (see the module docstring)."""
     words = [[] for _ in layer.gens]
-    for v in rep.pres.quiver.vertices:
-        m = cover[v]
-        nonzero = [col for col in range(len(layer.pbasis[v])) if any(row[col] for row in m)]
+    for v, placed in layer.pbasis.items():
+        nonzero = [col for col, column in enumerate(zip(*cover[v])) if any(column)]
         if len(nonzero) != rep.dims[v]:
             return None
         for col in nonzero:
-            gi, x = layer.pbasis[v][col]
+            gi, x = placed[col]
             words[gi].append(x.arrows)
     return [(v, frozenset(ws)) for (v, _), ws in zip(layer.gens, words)]
 
@@ -580,7 +598,7 @@ def hom_basis(M, N, degree_shift=None):
     pres = M.pres
     unknowns = []  # (vertex, i, j)
     index = {}
-    for v in pres.quiver.vertices:
+    for v in M.support:
         for i in range(N.dims[v]):
             for j in range(M.dims[v]):
                 if degree_shift is not None:
@@ -588,24 +606,27 @@ def hom_basis(M, N, degree_shift=None):
                         continue
                 index[(v, i, j)] = len(unknowns)
                 unknowns.append((v, i, j))
-    rows = []
-    for a in pres.quiver.arrows:
-        u, w = a.source, a.target
-        Na, Ma = N.mats[a.name], M.mats[a.name]
-        for i in range(N.dims[w]):
-            for j in range(M.dims[u]):
-                row = [0] * len(unknowns)
-                used = False
-                for t in range(N.dims[u]):
-                    if Na[i][t] and (u, t, j) in index:
-                        row[index[(u, t, j)]] += Na[i][t]
-                        used = True
-                for t in range(M.dims[w]):
-                    if Ma[t][j] and (w, i, t) in index:
-                        row[index[(w, i, t)]] -= Ma[t][j]
-                        used = True
-                if used:
-                    rows.append(row)
+    rows = []  # per arrow u -> w, i in N_w and j in M_u: the square commutes
+    for u in M.support:
+        for a in pres.quiver.arrows_from[u]:
+            w = a.target
+            if not N.dims[w]:
+                continue
+            Na, Ma = N.mats[a.name], M.mats[a.name]
+            for i in range(N.dims[w]):
+                for j in range(M.dims[u]):
+                    row = [0] * len(unknowns)
+                    used = False
+                    for t in range(N.dims[u]):
+                        if Na[i][t] and (u, t, j) in index:
+                            row[index[(u, t, j)]] += Na[i][t]
+                            used = True
+                    for t in range(M.dims[w]):
+                        if Ma[t][j] and (w, i, t) in index:
+                            row[index[(w, i, t)]] -= Ma[t][j]
+                            used = True
+                    if used:
+                        rows.append(row)
     out = []
     for vec in la.nullspace(rows, len(unknowns)):
         fam = {v: la.zeros(N.dims[v], M.dims[v]) for v in pres.quiver.vertices}
@@ -627,7 +648,7 @@ def hom_basis_from_cyclic(M, N, degree_shift=None):
     pres = M.pres
     v0, j0 = M.gen
     basis = pres.basis()
-    survivors = {(v, lab) for v in pres.quiver.vertices for lab in M.act_labels[v]}
+    survivors = {(v, lab) for v in M.support for lab in M.act_labels[v]}
     rows = []
     for x in basis.from_vertex(v0):
         if (x.target, x.arrows) in survivors:
@@ -678,16 +699,14 @@ def stable_hom_dim(M, N, degree_shift=None):
     cover projection.  With ``degree_shift`` s, both Hom spaces keep only
     the maps sending degree d to degree d + s (M and N must carry degrees).
     """
-    vertices = M.pres.quiver.vertices
     homs = _hom_family_basis(M, N, degree_shift)
     if not homs:
         return 0
     layer, cover = projective_cover(N)
+    common = [v for v in M.support if N.dims[v]]  # a map is zero off these vertices
     image = []
     for g in _hom_family_basis(M, layer.rep, degree_shift):
-        comp = {v: la.mat_mul(cover[v], g[v]) if N.dims[v] and layer.rep.dims[v]
-                else la.zeros(N.dims[v], M.dims[v]) for v in vertices}
-        image.append([x for v in vertices for row in comp[v] for x in row])
+        image.append([x for v in common for row in la.mat_mul(cover[v], g[v]) for x in row])
     if not image:
         return len(homs)
     # rank of the factoring subspace inside Hom(M, N)
@@ -782,28 +801,32 @@ class SideStatus:
 def injective_summand_rep(pres, v):
     """The dual of the projective right module at v, as a left module, with
     the dual of a path w in degree -len(w)."""
-    basis = pres.basis()
-    by_vertex = {u: [] for u in pres.quiver.vertices}
+    by_vertex = {}
     index = {}
-    for w in basis:
-        if w.target != v:
-            continue
-        key = (w.source, w.arrows)
-        index[key] = (w.source, len(by_vertex[w.source]))
-        by_vertex[w.source].append(w)
-    dims = {u: len(by_vertex[u]) for u in by_vertex}
+    for w in _paths_into(pres).get(v, ()):
+        placed = by_vertex.setdefault(w.source, [])
+        index[(w.source, w.arrows)] = len(placed)
+        placed.append(w)
+    dims = {u: len(placed) for u, placed in by_vertex.items()}
     mats = {}
     for a in _supported_arrows(pres, dims):
         m = la.zeros(dims[a.target], dims[a.source])
         for j, w in enumerate(by_vertex[a.source]):
             if w.arrows and w.arrows[-1] == a.name:
-                rest = w.arrows[:-1]
-                key = (a.target, rest)
-                i = index[key][1]
-                m[i][j] = 1
+                m[index[(a.target, w.arrows[:-1])]][j] = 1
         mats[a.name] = m
-    degrees = {u: tuple(-w.length for w in by_vertex[u]) for u in by_vertex}
+    degrees = {u: tuple(-w.length for w in placed) for u, placed in by_vertex.items()}
     return Representation(pres, dims, mats, degrees=degrees)
+
+
+def _paths_into(pres):
+    """The basis paths by target vertex, in basis order; built once per presentation."""
+    if "paths_into" not in pres._cache:
+        index = {}
+        for w in pres.basis():
+            index.setdefault(w.target, []).append(w)
+        pres._cache["paths_into"] = index
+    return pres._cache["paths_into"]
 
 
 def _dual_regular_pd(pres):
@@ -858,21 +881,25 @@ def injective_dimension_profile(pres):
 
 
 def resolution_trace_report(pres):
-    """Per-vertex resolution traces behind the profile, for diagnostics; a
-    finite one lists every layer, P_0 .. P_pd."""
+    """Per-vertex resolution traces behind the profile, for diagnostics.
+
+    The ranks and syzygy dimensions come from dense steps: P_0 .. P_pd and
+    Omega^1 .. Omega^(pd+1) = 0 for a finite trace, and every step up to and
+    including the one whose cover certified the split (or the backstop) for
+    an infinite one.
+    """
     out = {}
     for key, pr in (("id_of_regular", pres), ("pd_of_dual", pres.opposite())):
         side = {}
         for v in pr.quiver.vertices:
             M = injective_summand_rep(pr, v)
             tr = resolve(pr, M)
-            if tr.status == FINITE and not _died(tr):
-                tr = resolve(pr, M, depth=tr.pd + 1)
+            dense = resolve(pr, M, depth=tr.pd + 1 if tr.status == FINITE else len(tr.layers))
             side[v] = {
                 "status": tr.status,
                 "pd": tr.pd,
-                "projective_ranks": [len(layer.gens) for layer in tr.layers],
-                "syzygy_dims": [s.total_dim for s in tr.syzygies],
+                "projective_ranks": [len(layer.gens) for layer in dense.layers],
+                "syzygy_dims": [s.total_dim for s in dense.syzygies],
                 "detail": tr.detail,
             }
         out[key] = side
@@ -906,10 +933,8 @@ def is_torsionless(M):
     pres = M.pres
     A = _regular(pres)
     fams = _hom_family_basis(M, A)
-    for v in pres.quiver.vertices:
+    for v in M.support:
         n = M.dims[v]
-        if n == 0:
-            continue
         rows = []
         for fam in fams:
             rows.extend(fam[v])
@@ -953,7 +978,7 @@ def _iso_witness(M, N):
     ys, build = hom_basis_from_cyclic(M, N)
     for y in ys:
         fam = build(y)
-        if all(la.is_invertible(fam[v]) for v in M.pres.quiver.vertices):
+        if all(la.is_invertible(fam[v]) for v in M.support):
             return fam
     return None
 
@@ -1052,8 +1077,11 @@ def verify_omega_T_ext_vanishing(pres, window):
     finite pd is projective or zero.  The degree-preserving stable Hom from
     Omega^k X0 to X0 = Omega^d W must vanish for 1 <= k <= window.  Generator
     degrees grow strictly along minimal graded syzygies, so the scan exits
-    early as soon as they clear X0's top degree.
+    early as soon as they clear X0's top degree.  A window below 1 would
+    test nothing and raises ValueError.
     """
+    if window < 1:
+        raise ValueError(f"the tilting window must be at least 1, got {window}")
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         return False

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -192,3 +193,67 @@ def test_byte_determinism_across_hash_seeds():
         runs = [(proc.communicate(timeout=60)[0], proc.returncode) for proc in procs]
         assert runs[0][1] == 0 and runs[0][0], argv
         assert runs[0] == runs[1], argv
+
+
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_tilting_window_below_one_is_rejected(capsys, window):
+    # the check tests shifts 1 .. window, so a window below 1 would pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", fixture_path("z3r2"), "--check", "tilting", "--window", window])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--window" in err
+
+
+# sha256 of `oracle --check gorenstein --trace` stdout, plain and --json
+TRACE_SHA256 = {
+    "z3r2": ("a051c9fe0cf83430f389e65500ad81b8a28bcf0698de4e9add41c5fa9096d835",
+             "244987464055fa1bc1a165e9cac5f64f00e60dcb0267d0e0f6113c0b3d69050a"),
+    "z2r3": ("5dd454cb02fba232002d1ceb6b0d61039f8620842113c2884c25c7568603b5d6",
+             "faecad4617bdd7f49a54a49f774e987f4818c81248e0476883d2ca982918344e"),
+    "lin": ("0e6bc6dc4cb1ac558a7e50bd0c5facd834c8b2a50d3060f3dfd44b0fc8e01590",
+            "86342682129f44ca7186e8b241cf8daec4a3e306284c36187bab01a3ad9f00f1"),
+    "her": ("e64be322c07f2efe88273ed29cc66c4afe8a574d6d9995bb8ab1796b5d85b840",
+            "6141c14c0a94795846babe1dd931eea5d3b73b4da42a2b77ad5f2e3a9ca9de8f"),
+    "glu": ("c333a0f825bc22b8f1d81a952de21be0ebf2336454f7701bea3c0ac991cf2d23",
+            "4d3161d2e42b752b08b32efcf156f1a9dbf1c6e9876ad5aa6479bd4fd7d3788b"),
+    "z6r3": ("0bfe58a0dedd28e6791ba016544bef1eb626faea845bc21598e67ec119ccad1c",
+             "f4d7435c3e18497c33fa0e4af5b63430d00b83751628b045a12f49bf88a1dca4"),
+    "loc1": ("33f9e758bdced2a416f4805905e16ef9f05ce259a644dc683f7cf3953d1e3fa6",
+             "21dfac00890ac794132664cc0ffa2054d3842ecb30277da866a5a36872c60735"),
+    "z12r3": ("9f44fa5b766a1aad312d437f03806aa0454eb61735f7e24d8529872893293d7b",
+              "11ed6c16d5492f679db6747511dbbe26922eeb3da5244b75155fea910bb1af22"),
+}
+
+
+def test_trace_report_lists_every_dense_step(tmp_path, capsys):
+    # resolve stops at a certified split without taking that step's kernel;
+    # the report still prints P_0 .. P_pd and Omega^1 .. Omega^(pd+1) = 0 for
+    # a finite trace, and the bytes it printed before
+    from conftest import nakayama
+
+    from monosing.presentation import presentation_to_text
+
+    paths = {name: fixture_path(name) for name in FIXTURE_NAMES + ["loc1"]}
+    paths["z12r3"] = tmp_path / "z12r3.quiver"
+    paths["z12r3"].write_text(presentation_to_text(nakayama(12, 3)), encoding="utf-8")
+    finite = 0
+    for name, path in paths.items():
+        report = resolution_trace_report(parse_presentation_file(path))
+        for side in report.values():
+            for tr in side.values():
+                if tr["status"] == "Finite":
+                    assert len(tr["projective_ranks"]) == tr["pd"] + 1, (name, tr)
+                    assert len(tr["syzygy_dims"]) == tr["pd"] + 1, (name, tr)
+                    assert tr["syzygy_dims"][-1] == 0, (name, tr)
+                    finite += 1
+                else:
+                    assert tr["syzygy_dims"] and all(tr["syzygy_dims"]), (name, tr)
+        digests = []
+        for extra in ([], ["--json"]):
+            code, out, _ = run(capsys, "oracle", str(path), "--check", "gorenstein", "--trace",
+                               *extra)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert tuple(digests) == TRACE_SHA256[name], name
+    assert finite > 40

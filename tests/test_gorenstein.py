@@ -172,3 +172,29 @@ def test_gentle_laws_from_the_literature():
         cycles = gentle_check(pres).relation_cycles
         assert len(classify_stable_gproj(pres)) == sum(len(c) for c in cycles), (
             presentation_to_text(pres))
+
+
+def test_relation_cycles_are_computed_once_per_presentation(glu, lin, monkeypatch, capsys):
+    # one `gorenstein` call reads the cycles three times (JSON builder,
+    # singularity decomposition, text lines); the cycle scan runs once
+    import monosing.gorenstein as gorenstein
+    from monosing.cli import cmd_gorenstein
+
+    scans = []
+    real = gorenstein._canonical_rotation
+
+    def counting(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gorenstein, "_canonical_rotation", counting)
+    cmd_gorenstein(glu, type("Args", (), {"json": False})())
+    assert "cycle" in capsys.readouterr().out
+    once = len(scans)
+    assert once > 0
+    cycles = relation_cycles(glu)
+    assert isinstance(cycles, tuple) and relation_cycles(glu) is cycles
+    assert len(scans) == once
+    for _ in range(2):  # the refusal is not memoized away
+        with pytest.raises(NotOneGorenstein):
+            relation_cycles(lin)

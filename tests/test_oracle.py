@@ -556,3 +556,189 @@ def test_tilting_class_pairs_match_the_dense_stable_hom():
                 nonzero += want != 0
         checked += 1
     assert checked >= 100 and nonzero >= 200, (checked, nonzero)
+
+
+def test_resolution_work_follows_the_support(monkeypatch):
+    # the injective summand at vertex 1 of Z_n R_3 lives on three vertices;
+    # building and resolving it must cost the same on 6 vertices as on 96
+    from monosing import linalg
+    from monosing.oracle import injective_summand_rep
+
+    def work(pres):
+        counts = {"zeros": 0, "builds": 0}
+        real_zeros, real_init = linalg.zeros, Representation.__init__
+
+        def zeros(*args):
+            counts["zeros"] += 1
+            return real_zeros(*args)
+
+        def init(self, *args, **kwargs):
+            counts["builds"] += 1
+            real_init(self, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "zeros", zeros)
+            m.setattr(Representation, "__init__", init)
+            tr = resolve(pres, injective_summand_rep(pres, "1"))
+        assert (tr.status, tr.pd) == (FINITE, 0)
+        return counts
+
+    small, large = work(nakayama(6, 3)), work(nakayama(96, 3))
+    assert small == large and small["builds"] > 0
+
+
+def dense_cover_reference(rep):
+    """top_lifts, _build_projective and projective_cover as they were before
+    modules carried their support: every vertex and arrow of the quiver."""
+    from monosing import linalg as la
+    from monosing.oracle import ProjectiveLayer
+
+    pres = rep.pres
+    q = pres.quiver
+    gens = []
+    for v in q.vertices:
+        n = rep.dims[v]
+        if n == 0:
+            continue
+        rad_cols = []
+        for a in q.arrows_into[v]:
+            m = rep.mats[a.name]
+            for j in range(rep.dims[a.source]):
+                rad_cols.append([m[i][j] for i in range(n)])
+        stacked = [[col[i] for col in rad_cols] + [1 if k == i else 0 for k in range(n)]
+                   for i in range(n)]
+        for p in la.pivot_columns(stacked):
+            if p >= len(rad_cols):
+                j = p - len(rad_cols)
+                gens.append((v, rep.degrees[v][j] if rep.degrees is not None else 0, j))
+    pbasis = {v: [] for v in q.vertices}
+    index = {}
+    for gi, (v, _, _) in enumerate(gens):
+        for x in pres.basis().from_vertex(v):
+            index[(gi, x.arrows)] = len(pbasis[x.target])
+            pbasis[x.target].append((gi, x))
+    dims = {v: len(pbasis[v]) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        m = la.zeros(dims[a.target], dims[a.source])
+        for j, (gi, x) in enumerate(pbasis[a.source]):
+            i = index.get((gi, (a.name,) + x.arrows))
+            if i is not None:
+                m[i][j] = 1
+        mats[a.name] = m
+    degrees = {v: tuple(gens[gi][1] + x.length for gi, x in pbasis[v]) for v in q.vertices}
+    P = Representation(pres, dims, mats, degrees=degrees, validate=False)
+    images = {}
+    for gi, (v, _, j) in enumerate(gens):
+        images[(gi, ())] = [int(i == j) for i in range(rep.dims[v])]
+    cover = {}
+    for v in q.vertices:
+        m = la.zeros(rep.dims[v], dims[v])
+        for col, (gi, x) in enumerate(pbasis[v]):
+            word = x.arrows
+            stack = []
+            while (gi, word) not in images:
+                stack.append(word)
+                word = word[1:]
+            while stack:
+                word = stack.pop()
+                images[(gi, word)] = la.mat_vec(rep.mats[word[0]], images[(gi, word[1:])])
+            for i, val in enumerate(images[(gi, x.arrows)]):
+                m[i][col] = val
+        cover[v] = m
+    layer = ProjectiveLayer(gens=[(v, d) for v, d, _ in gens], pbasis=pbasis, rep=P)
+    return layer, cover
+
+
+def dense_syzygy_reference(rep):
+    """syzygy_step as it was before modules carried their support."""
+    from monosing import linalg as la
+
+    pres = rep.pres
+    q = pres.quiver
+    layer, cover = dense_cover_reference(rep)
+    P = layer.rep
+    kernel = {}
+    for v in q.vertices:
+        groups = {}
+        for j in range(P.dims[v]):
+            groups.setdefault(P.degrees[v][j] if rep.degrees is not None else None, []).append(j)
+        kernel[v] = []
+        for dkey in sorted(groups, key=lambda x: (x is not None, x)):
+            idx = groups[dkey]
+            sub = [[row[j] for j in idx] for row in cover[v]]
+            for vec in la.nullspace(sub, len(idx)):
+                full = [0] * P.dims[v]
+                for pos, j in enumerate(idx):
+                    full[j] = vec[pos]
+                kernel[v].append(full)
+        for vec in kernel[v]:  # minimality
+            assert not any(vec[j] for j, (_, x) in enumerate(layer.pbasis[v]) if x.is_trivial)
+    dims = {v: len(kernel[v]) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        m = la.zeros(dims[a.target], dims[a.source])
+        for j, vec in enumerate(kernel[a.source]):
+            img = la.mat_vec(P.mats[a.name], vec)
+            if any(img):
+                (sol,) = la.solve_many(la.transpose(kernel[a.target]), [img])
+                for i in range(dims[a.target]):
+                    m[i][j] = sol[i]
+        mats[a.name] = m
+    degrees = None
+    if rep.degrees is not None:
+        degrees = {v: tuple(P.degrees[v][next(i for i, x in enumerate(vec) if x)]
+                            for vec in kernel[v]) for v in q.vertices}
+    return Representation(pres, dims, mats, degrees=degrees, validate=False)
+
+
+def module_data(M):
+    arrows = M.pres.quiver.arrows
+    return M.dims, {a.name: M.mats[a.name] for a in arrows}, M.degrees
+
+
+def test_support_walks_match_the_dense_steps():
+    # dense steps over the whole quiver, with the rule resolve used before it
+    # took the cover's split before the kernel: the kernel dies (Finite) or
+    # the size cap is hit; the syzygies resolve(depth=...) builds must be the
+    # dense ones, and the status and pd must agree wherever the cap decides
+    from monosing.corpus import random_presentation
+    from monosing.oracle import injective_summand_rep
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(50)]
+    outcomes = {}
+    compared = 0
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                for M in (injective_summand_rep(pr, v), simple_rep(pr, v)):
+                    syzygies = []
+                    cur = M
+                    while cur.total_dim <= 60 and len(syzygies) < 8:
+                        cur = dense_syzygy_reference(cur)
+                        syzygies.append(cur)
+                        if cur.is_zero():
+                            break
+                    cut = resolve(pr, M, depth=len(syzygies))
+                    assert [module_data(S) for S in cut.syzygies] == \
+                           [module_data(S) for S in syzygies[:len(cut.syzygies)]]
+                    compared += len(cut.syzygies)
+                    tr = resolve(pr, M)
+                    if syzygies[-1].is_zero():
+                        assert len(cut.syzygies) == len(syzygies)
+                        assert (tr.status, tr.pd) == (FINITE, len(syzygies) - 1)
+                        outcomes[FINITE] = outcomes.get(FINITE, 0) + 1
+                    else:
+                        assert cut.status == DEPTH and tr.status in (FINITE, PERIODIC)
+                        outcomes[tr.status] = outcomes.get(tr.status, 0) + 1
+    assert outcomes.get(FINITE, 0) > 300 and outcomes.get(PERIODIC, 0) > 80, outcomes
+    assert compared > 1000, compared
+
+
+def test_tilting_window_must_be_positive(z3r2):
+    # shifts 1 .. window are tested, so a window below 1 would pass vacuously
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_omega_T_ext_vanishing(z3r2, window)
