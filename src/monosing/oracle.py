@@ -32,6 +32,17 @@ the whole quiver, so a module on k vertices costs the same on any quiver.
 Without a requested depth each step asks the cover for a split before it
 takes the kernel, so the step that certifies a split builds no kernel.
 
+Hom from a cyclic module M (``gen`` and ``act_labels`` set: class modules
+and simples) is decided by generator images.  A map M -> N is fixed by the
+image y in N_{v0} of the generator g, and y is one iff x.y = 0 for every
+path x with x.g = 0; graded maps of shift s take as unknowns only the
+coordinates of N_{v0} in degree deg(g) + s.  The stable Hom is
+len(ys) - rank{cover[v0] . y_P}, where y_P runs over the generator images of
+Hom(M, P_N) and P_N -> N is N's minimal cover, made once per module.  The
+torsionless test ranks the images A.act(lab) . y of M's basis labels under
+every generator image y into A.  Neither builds map families; the dense
+family path is left for sources without a generator.
+
 Over a Gorenstein algebra of level d a module of finite projective dimension
 has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  The
 Gorenstein-projective test therefore resolves only as deep as it reads, to
@@ -73,8 +84,8 @@ class Representation:
     ``degrees`` optionally tags every basis vector with an integer degree
     (arrow action must then raise degree by one).  ``act_labels`` optionally
     names each basis vector by the word carrying a cyclic generator onto it,
-    and ``gen`` marks that generator's (vertex, index); both enable the fast
-    Hom solver for cyclic modules with simple top.
+    and ``gen`` marks that generator's (vertex, index); with both set, Hom
+    from the module is decided by generator images.
 
     An arrow missing from ``mats`` acts by zero.  Builders leave out the
     arrows with a zero-dimensional end; their matrix is made on first read,
@@ -386,6 +397,16 @@ def projective_cover(rep):
     return layer, cover
 
 
+def _module_cover(rep):
+    """``projective_cover(rep)``, made once per module and kept on it: a
+    class module is built once per presentation, so the class walk's
+    syzygy step and every stable Hom into the class share one cover."""
+    covered = getattr(rep, "_cover", None)
+    if covered is None:
+        covered = rep._cover = projective_cover(rep)
+    return covered
+
+
 def _kernel_blocks(rep, layer, cover):
     """Homogeneous kernel basis of the cover, per vertex of P's support."""
     kernel = {}
@@ -559,7 +580,8 @@ def _class_children(pres, key):
     if key not in memo:
         children = []
         if not pres.key_is_projective(key):
-            _, _, om, _ = syzygy_step(_class_module(pres, key))
+            M = _class_module(pres, key)
+            _, _, om, _ = syzygy_step(M, _module_cover(M))
             layer, cover = projective_cover(om)
             classes = _summand_classes(om, layer, cover)
             if classes is None:
@@ -592,7 +614,9 @@ def hom_basis(M, N, degree_shift=None):
     """Basis of Hom(M, N) as vertex-matrix families.
 
     With ``degree_shift`` s, restricts to maps sending degree d to degree
-    d + s (both representations must carry degrees).
+    d + s (both representations must carry degrees).  This is the dense
+    path, for sources without a generator; ``hom_basis_from_cyclic`` decides
+    Hom from a cyclic source.
     """
     _check_pair(M, N, degree_shift)
     pres = M.pres
@@ -629,63 +653,102 @@ def hom_basis(M, N, degree_shift=None):
                         rows.append(row)
     out = []
     for vec in la.nullspace(rows, len(unknowns)):
-        fam = {v: la.zeros(N.dims[v], M.dims[v]) for v in pres.quiver.vertices}
+        fam = _Family(M, N, {})
         for val, (v, i, j) in zip(vec, unknowns):
-            fam[v][i][j] = val
+            if val:
+                fam[v][i][j] = val
         out.append(fam)
     return out
+
+
+class _Family(dict):
+    """Vertex -> matrix of a map M -> N, given on part of M's support; any
+    other vertex holds the zero matrix, made on first read."""
+
+    __slots__ = ("_rows", "_cols")
+
+    def __init__(self, M, N, mats):
+        super().__init__(mats)
+        self._rows = N.dims
+        self._cols = M.dims
+
+    def __missing__(self, v):
+        rows = self._rows[v]
+        m = self[v] = la.zeros(rows, self._cols[v]) if rows else []
+        return m
+
+
+def _is_cyclic(M):
+    return M.gen is not None and M.act_labels is not None
+
+
+def _generator(M):
+    """The (vertex, index) of a cyclic source's generator."""
+    if not _is_cyclic(M):
+        raise ValueError("Hom by generator images needs a cyclic source; "
+                         "the source has no generator (gen and act_labels)")
+    return M.gen
 
 
 def hom_basis_from_cyclic(M, N, degree_shift=None):
     """Hom(M, N) for cyclic M with simple top, via generator images.
 
-    Requires M.gen and M.act_labels.  With ``degree_shift`` s, the image of
-    the generator is kept in degree deg(gen) + s, so the maps send degree d
-    to degree d + s.  Returns (image space basis, builder) where builder(y)
-    materializes the full vertex-matrix family.
+    Requires M.gen and M.act_labels (ValueError otherwise); every path
+    outside the labels kills the generator g, as in the class modules and
+    simples built here.  A map is fixed by y = f(g) in N_{v0}, and y is such
+    an image iff x.y = 0 for every path x with x.g = 0.  The killed paths
+    whose right factor x[1:] survives suffice: every other killed path is a
+    left multiple of one.  With ``degree_shift`` s only the coordinates of
+    N_{v0} in degree deg(g) + s are unknowns, so the maps send degree d to
+    degree d + s, and with no such coordinate the basis is empty at no
+    further cost.  Returns (image space basis, builder) where builder(y)
+    makes the vertex-matrix family on M's support.
     """
     _check_pair(M, N, degree_shift)
-    pres = M.pres
-    v0, j0 = M.gen
-    basis = pres.basis()
-    survivors = {(v, lab) for v in M.support for lab in M.act_labels[v]}
-    rows = []
-    for x in basis.from_vertex(v0):
-        if (x.target, x.arrows) in survivors:
-            continue
-        mat = N.act(x.arrows) if not x.is_trivial else la.identity(N.dims[v0])
-        for r in mat:
-            rows.append(list(r))
-    if degree_shift is not None:
+    v0, j0 = _generator(M)
+    if degree_shift is None:
+        free = list(range(N.dims[v0]))
+    else:
         top = M.degrees[v0][j0] + degree_shift
-        rows += [[int(k == i) for k in range(N.dims[v0])]
-                 for i, d in enumerate(N.degrees[v0]) if d != top]
-    ys = la.nullspace(rows, N.dims[v0])
+        free = [i for i, d in enumerate(N.degrees[v0]) if d == top]
+    ys = []
+    if free:
+        survivors = {lab for v in M.support for lab in M.act_labels[v]}
+        rows = []
+        for x in M.pres.basis().from_vertex(v0):
+            if x.arrows not in survivors and x.arrows[1:] in survivors:
+                for r in N.act(x.arrows):
+                    row = [r[i] for i in free]
+                    if any(row):
+                        rows.append(row)
+        for vec in la.nullspace(rows, len(free)):
+            y = [0] * N.dims[v0]
+            for i, val in zip(free, vec):
+                y[i] = val
+            ys.append(y)
 
     def build(y):
         fam = {}
-        for v in pres.quiver.vertices:
-            m = la.zeros(N.dims[v], M.dims[v])
-            for j, lab in enumerate(M.act_labels[v]):
-                img = y if not lab else la.mat_vec(N.act(lab), y)
-                for i in range(N.dims[v]):
-                    m[i][j] = img[i]
-            fam[v] = m
-        return fam
+        for v in M.support:
+            if N.dims[v]:
+                columns = [la.mat_vec(N.act(lab), y) if lab else y for lab in M.act_labels[v]]
+                fam[v] = [list(row) for row in zip(*columns)]
+        return _Family(M, N, fam)
 
     return ys, build
 
 
 def hom_dim(M, N):
     """dim Hom_A(M, N)."""
-    if M.gen is not None and M.act_labels is not None:
+    if _is_cyclic(M):
         ys, _ = hom_basis_from_cyclic(M, N)
         return len(ys)
     return len(hom_basis(M, N))
 
 
 def _hom_family_basis(M, N, degree_shift=None):
-    if M.gen is not None and M.act_labels is not None:
+    """Hom(M, N) as vertex-matrix families, from a source of any kind."""
+    if _is_cyclic(M):
         ys, build = hom_basis_from_cyclic(M, N, degree_shift)
         return [build(y) for y in ys]
     return hom_basis(M, N, degree_shift=degree_shift)
@@ -695,14 +758,26 @@ def stable_hom_dim(M, N, degree_shift=None):
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
     A map factors through a projective iff it factors through the minimal
-    cover of N, so the quotient is by the image of Hom(M, P_N) under the
-    cover projection.  With ``degree_shift`` s, both Hom spaces keep only
-    the maps sending degree d to degree d + s (M and N must carry degrees).
+    cover P_N -> N, so the quotient is by the image of Hom(M, P_N) under the
+    cover projection.  From a cyclic source a map is fixed by its generator
+    image, so the answer is len(ys) - rank{cover[v0] . y_P}, over the
+    generator images ys of Hom(M, N) and y_P of Hom(M, P_N); no family is
+    built.  Other sources compose map families.  With ``degree_shift`` s,
+    both Hom spaces keep only the maps sending degree d to degree d + s (M
+    and N must carry degrees).
     """
+    if _is_cyclic(M):
+        ys, _ = hom_basis_from_cyclic(M, N, degree_shift)
+        if not ys:
+            return 0
+        layer, cover = _module_cover(N)
+        y_ps, _ = hom_basis_from_cyclic(M, layer.rep, degree_shift)
+        at_top = cover[M.gen[0]]
+        return len(ys) - la.rank([la.mat_vec(at_top, y) for y in y_ps])
     homs = _hom_family_basis(M, N, degree_shift)
     if not homs:
         return 0
-    layer, cover = projective_cover(N)
+    layer, cover = _module_cover(N)
     common = [v for v in M.support if N.dims[v]]  # a map is zero off these vertices
     image = []
     for g in _hom_family_basis(M, layer.rep, degree_shift):
@@ -929,9 +1004,22 @@ def _regular(pres):
 
 def is_torsionless(M):
     """Does the evaluation into the double dual embed M, i.e. do maps to A
-    jointly have zero kernel?"""
-    pres = M.pres
-    A = _regular(pres)
+    jointly have zero kernel?
+
+    For a cyclic M the map with generator image y sends the basis vector
+    labelled lab to A.act(lab) . y, so at each support vertex the joint
+    kernel is zero iff the rows [A.act(lab) . y over every y], one per
+    label, have full rank; no family is built.
+    """
+    A = _regular(M.pres)
+    if _is_cyclic(M):
+        ys, _ = hom_basis_from_cyclic(M, A)
+        for v in M.support:
+            rows = [[x for y in ys for x in (la.mat_vec(A.act(lab), y) if lab else y)]
+                    for lab in M.act_labels[v]]
+            if la.rank(rows) < M.dims[v]:
+                return False
+        return True
     fams = _hom_family_basis(M, A)
     for v in M.support:
         n = M.dims[v]
@@ -973,6 +1061,7 @@ def _iso_witness(M, N):
     rad N form a subspace, so an invertible map exists iff some Hom-basis map
     is invertible: scanning the basis is an exact test.
     """
+    _generator(M)
     if M.dims != N.dims:
         return None
     ys, build = hom_basis_from_cyclic(M, N)

@@ -435,6 +435,17 @@ def test_degree_shift_needs_graded_modules(z3r2):
     assert stable_hom_dim(ungraded, M) == stable_hom_dim(M, M, degree_shift=0) == 1
 
 
+def test_hom_by_generator_images_needs_a_generator(z3r2):
+    from monosing.oracle import _iso_witness, hom_basis_from_cyclic
+
+    A = regular_rep(z3r2)  # no gen and no act_labels
+    for call in (hom_basis_from_cyclic, _iso_witness):
+        with pytest.raises(ValueError, match="no generator"):
+            call(A, regular_rep(z3r2))
+    assert not oracle._is_cyclic(A)
+    assert stable_hom_dim(A, A) == 0 and hom_dim(A, A) >= 1  # the family path serves it
+
+
 def path_builder_reference(pres, p):
     """The cyclic module on p built from its basis {q'p}, as path_module_rep
     did before it became the class module of p's survivor key."""
@@ -556,6 +567,120 @@ def test_tilting_class_pairs_match_the_dense_stable_hom():
                 nonzero += want != 0
         checked += 1
     assert checked >= 100 and nonzero >= 200, (checked, nonzero)
+
+
+def family_stable_hom_reference(M, N, degree_shift=None):
+    """stable_hom_dim as it was before Hom from a cyclic source went by
+    generator images: families of Hom(M, N) and Hom(M, P_N), composed with
+    the cover of N, here from the dense hom_basis."""
+    from monosing import linalg as la
+    from monosing.oracle import hom_basis, projective_cover
+
+    homs = hom_basis(M, N, degree_shift=degree_shift)
+    if not homs:
+        return 0
+    layer, cover = projective_cover(N)
+    common = [v for v in M.support if N.dims[v]]
+    image = [[x for v in common for row in la.mat_mul(cover[v], g[v]) for x in row]
+             for g in hom_basis(M, layer.rep, degree_shift=degree_shift)]
+    if not image:
+        return len(homs)
+    return len(homs) - la.rank(image)
+
+
+def family_torsionless_reference(M):
+    """is_torsionless as it was before: one family per map M -> A, stacked
+    at each support vertex."""
+    from monosing import linalg as la
+    from monosing.oracle import hom_basis
+
+    fams = hom_basis(M, regular_rep(M.pres))
+    for v in M.support:
+        rows = [row for fam in fams for row in fam[v]]
+        if not rows or la.rank(rows) < M.dims[v]:
+            return False
+    return True
+
+
+def test_generator_images_match_the_family_path():
+    from monosing.corpus import random_presentation
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(50)]
+    presentations += [nakayama(n, m) for n, m in ((1, 4), (3, 3), (2, 5), (5, 4))]
+    counts = {"pairs": 0, "nonzero": 0, "torsionless": 0, "not torsionless": 0}
+    for pres in presentations:
+        keys = dict.fromkeys(pres.survivor_key(p) for p in pres.basis())
+        # class modules embed in A; the simples give torsionless tests that fail
+        modules = [oracle._class_module(pres, key) for key in keys]
+        modules += [simple_rep(pres, v) for v in pres.quiver.vertices]
+        for M in modules:
+            want = family_torsionless_reference(M)
+            assert is_torsionless(M) == want, (pres.quiver.vertices, M.gen)
+            counts["torsionless" if want else "not torsionless"] += 1
+            for N in modules:
+                for s in (None, -2, -1, 0, 1, 2):
+                    want = family_stable_hom_reference(M, N, s)
+                    assert stable_hom_dim(M, N, s) == want, (pres.quiver.vertices, M.gen, s)
+                    counts["pairs"] += 1
+                    counts["nonzero"] += want != 0
+    assert counts["pairs"] > 20000 and counts["nonzero"] > 1000, counts
+    assert counts["torsionless"] > 300 and counts["not torsionless"] > 30, counts
+
+
+def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
+    from collections import Counter
+
+    from monosing import linalg
+    from monosing.oracle import hom_basis_from_cyclic
+
+    # no coordinate of N_{v0} in the required degree: nothing to solve
+    z3r2 = load("z3r2")
+    M = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))
+    real_act, real_nullspace, real_zeros = Representation.act, linalg.nullspace, linalg.zeros
+    calls = Counter()
+
+    def act(self, word):
+        calls["act"] += 1
+        return real_act(self, word)
+
+    def nullspace(*args):
+        calls["nullspace"] += 1
+        return real_nullspace(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Representation, "act", act)
+        m.setattr(linalg, "nullspace", nullspace)
+        assert set(M.degrees[M.gen[0]]) == {0}
+        ys, _ = hom_basis_from_cyclic(M, M, degree_shift=3)
+        assert ys == [] and stable_hom_dim(M, M, degree_shift=3) == 0
+        assert calls == Counter()
+        assert stable_hom_dim(M, M, degree_shift=0) == 1 and calls["nullspace"] > 0
+
+    # a map family is filled on its source's support; other vertices read as zero
+    def build_zeros(pres):
+        M = oracle._class_module(pres, pres.survivor_key(tpath(pres, "t1")))
+        (y,), build = hom_basis_from_cyclic(M, M)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "zeros", lambda *args: calls.update(["zeros"]) or real_zeros(*args))
+            fam = build(y)
+        assert M.support == ("2", "3") and fam["2"] == fam["3"] == [[1]]
+        assert fam["1"] == [] and fam["4"] == []
+        return calls["zeros"]
+
+    assert build_zeros(nakayama(6, 3)) == build_zeros(nakayama(96, 3))
+
+    # one tilting check covers each class module at most once: the class
+    # walk's syzygy step and every stable Hom into the class share its cover
+    pres = nakayama(12, 4)
+    injective_dimension_profile(pres)
+    covered = counting(monkeypatch, "projective_cover")
+    assert verify_omega_T_ext_vanishing(pres, 2 * pres.dimension())
+    per_module = Counter(id(args[0]) for args in covered)
+    classes = pres._cache["class_modules"].values()
+    assert max(per_module[id(M)] for M in classes) == 1
 
 
 def test_resolution_work_follows_the_support(monkeypatch):
