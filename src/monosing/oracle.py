@@ -25,6 +25,12 @@ splits again, into the classes of the next step.  A cycle reachable in this
 class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
 number of dense steps before the split plus the longest class path.
 
+A class's syzygy is read off its certified cover P_v -> M, with no kernel
+solve and no second cover: once the cover's nonzero columns are the key's
+words, the killed paths of P_v are a kernel basis, each killed path y.x
+falls under its shortest killed right factor x, and Omega M is the direct
+sum of the A.x, the classes (t(x), {y : y.x killed}) in degree len(x).
+
 Every module carries its support, the vertices with a nonzero space, and
 all per-module work follows it: builders, validation, covers, kernels and
 the split test walk the support and the arrows between its vertices, never
@@ -399,8 +405,8 @@ def projective_cover(rep):
 
 def _module_cover(rep):
     """``projective_cover(rep)``, made once per module and kept on it: a
-    class module is built once per presentation, so the class walk's
-    syzygy step and every stable Hom into the class share one cover."""
+    class module is built once per presentation, so the class walk's step
+    and every stable Hom into the class share one cover."""
     covered = getattr(rep, "_cover", None)
     if covered is None:
         covered = rep._cover = projective_cover(rep)
@@ -575,18 +581,38 @@ def _summand_classes(rep, layer, cover):
 def _class_children(pres, key):
     """The summand classes of a class's syzygy as (class key, generator
     degree) pairs, the class generated in degree 0; resolved once per
-    presentation.  A projective class has none."""
+    presentation.  A projective class has none.
+
+    The syzygy is read off the class module's certified cover P_v -> M:
+    once the cover's nonzero columns are certified to be the key's words,
+    the kernel has the killed paths of P_v as a basis.  Each killed path
+    y.x falls under its shortest killed right factor x, and the paths under
+    x span A.x, so the syzygy is the direct sum of the A.x.  A.x is the
+    class (t(x), {y : y.x killed}) generated in degree len(x).  The classes
+    come in the order a dense syzygy step and its cover would list them:
+    by t(x) in quiver order, then in canonical path order.
+    """
     memo = pres._cache.setdefault("class_children", {})
     if key not in memo:
         children = []
         if not pres.key_is_projective(key):
             M = _class_module(pres, key)
-            _, _, om, _ = syzygy_step(M, _module_cover(M))
-            layer, cover = projective_cover(om)
-            classes = _summand_classes(om, layer, cover)
-            if classes is None:
-                raise InternalInvariantViolation(f"the syzygy of the class at {key[0]} does not split")
-            children = [(c, d) for c, (_, d) in zip(classes, layer.gens)]
+            if _summand_classes(M, *_module_cover(M)) != [key]:
+                raise InternalInvariantViolation(f"the cover of the class at {key[0]} is not certified")
+            v, words = key
+            paths = pres.basis().from_vertex(v)  # canonical order: x before y.x
+            killed = {z.arrows for z in paths} - words
+            shortest = {}  # killed word -> its shortest killed right factor
+            groups = {}  # shortest killed right factor -> (its path, the words y)
+            for z in paths:
+                word = z.arrows
+                if word in killed:
+                    x = shortest[word] = shortest.get(word[1:], word)
+                    if x == word:
+                        groups[x] = (z, set())
+                    groups[x][1].add(word[:len(word) - len(x)])
+            tops = sorted(groups.values(), key=lambda g: pres.quiver.vertex_index(g[0].target))
+            children = [((x.target, frozenset(ys)), x.length) for x, ys in tops]
         memo[key] = children
     return memo[key]
 

@@ -113,14 +113,15 @@ class PerfectPairGraph:
     successor: dict
     cycles: list  # list of tuples of Paths, each rotated to its least member
 
+    def __post_init__(self):
+        self._cycle_of = {p: cyc for cyc in self.cycles for p in cyc}
+        self._perfect = frozenset(self._cycle_of)
+
     def perfect_set(self):
-        return {p for cyc in self.cycles for p in cyc}
+        return self._perfect
 
     def cycle_of(self, p):
-        for cyc in self.cycles:
-            if p in cyc:
-                return cyc
-        return None
+        return self._cycle_of.get(p)
 
 
 def perfect_paths(pres):

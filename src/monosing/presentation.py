@@ -322,12 +322,18 @@ class MonomialPresentation:
         return len(words) == len(self.basis().from_vertex(v))
 
     def opposite(self):
-        """The opposite presentation: arrows and relation words reversed."""
-        arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
-        q = Quiver(self.quiver.vertices, arrows)
-        # the opposite of the word alpha_n...alpha_1 is alpha_1...alpha_n
-        gens = [q.subword_path(tuple(reversed(g.arrows))) for g in self.generators]
-        return MonomialPresentation(q, gens)
+        """The opposite presentation: arrows and relation words reversed.
+
+        Built once per presentation, so every caller shares the opposite's
+        automaton, basis and oracle caches.
+        """
+        if "opposite" not in self._cache:
+            arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
+            q = Quiver(self.quiver.vertices, arrows)
+            # the opposite of the word alpha_n...alpha_1 is alpha_1...alpha_n
+            gens = [q.subword_path(tuple(reversed(g.arrows))) for g in self.generators]
+            self._cache["opposite"] = MonomialPresentation(q, gens)
+        return self._cache["opposite"]
 
     def __eq__(self, other):
         if not isinstance(other, MonomialPresentation):
@@ -385,22 +391,24 @@ def _state_key(quiver):
 
 
 def _minimal_relations(generators):
-    """Generators containing no other generator as a proper subpath."""
+    """Generators containing no other generator as a proper subpath.
+
+    Each shorter window of a generator is one lookup in the word set, as in
+    ``word_is_nonzero``, so the cost does not grow with the number of
+    generators.
+    """
     words = {g.arrows for g in generators}
+    lengths = sorted({len(w) for w in words if w})
     keep = []
     seen = set()
     for g in generators:
-        if g.arrows in seen:
+        word = g.arrows
+        if word in seen:
             continue
-        seen.add(g.arrows)
-        has_proper = False
-        for w in words:
-            if len(w) >= g.length or not w:
-                continue
-            if any(g.arrows[i : i + len(w)] == w for i in range(g.length - len(w) + 1)):
-                has_proper = True
-                break
-        if not has_proper:
+        seen.add(word)
+        n = len(word)
+        if not any(word[i : i + k] in words
+                   for k in lengths if k < n for i in range(n - k + 1)):
             keep.append(g)
     return tuple(keep)
 

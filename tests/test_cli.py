@@ -257,3 +257,25 @@ def test_trace_report_lists_every_dense_step(tmp_path, capsys):
             digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
         assert tuple(digests) == TRACE_SHA256[name], name
     assert finite > 40
+
+
+def test_trace_shares_the_profiles_opposite(capsys, monkeypatch):
+    # the profile and the trace report resolve the same opposite presentation,
+    # so `oracle --check gorenstein --trace` builds it once
+    from monosing.presentation import MonomialPresentation
+
+    pres = parse_presentation_file(fixture_path("z2r3"))
+    assert pres.opposite() is pres.opposite()
+    built = []
+    real_init = MonomialPresentation.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialPresentation, "__init__", init)
+    for name in ("z2r3", "glu"):
+        built.clear()
+        code, _, _ = run(capsys, "oracle", fixture_path(name), "--check", "gorenstein", "--trace")
+        assert code == 0
+        assert len(built) == 2, name  # the parsed file and its opposite

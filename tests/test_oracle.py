@@ -673,7 +673,7 @@ def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
     assert build_zeros(nakayama(6, 3)) == build_zeros(nakayama(96, 3))
 
     # one tilting check covers each class module at most once: the class
-    # walk's syzygy step and every stable Hom into the class share its cover
+    # walk's step and every stable Hom into the class share its cover
     pres = nakayama(12, 4)
     injective_dimension_profile(pres)
     covered = counting(monkeypatch, "projective_cover")
@@ -867,3 +867,80 @@ def test_tilting_window_must_be_positive(z3r2):
     for window in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
             verify_omega_T_ext_vanishing(z3r2, window)
+
+
+def dense_class_children_reference(pres, key):
+    """The class walk's step as it was before the children were read off
+    the class module's cover: a dense syzygy step, then a second cover that
+    must certify the syzygy's split."""
+    from monosing.oracle import _summand_classes, projective_cover, syzygy_step
+
+    if pres.key_is_projective(key):
+        return []
+    M = oracle._class_rep(pres, key)
+    _, _, om, _ = syzygy_step(M)
+    layer, cover = projective_cover(om)
+    classes = _summand_classes(om, layer, cover)
+    assert classes is not None
+    return [(c, d) for c, (_, d) in zip(classes, layer.gens)]
+
+
+def test_class_children_match_the_dense_step():
+    # the same children, in the same order and with the same degrees, over
+    # every class reachable from the path modules on both sides
+    from monosing.corpus import random_gentle_presentation, random_presentation
+    from monosing.oracle import _class_children
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(100)]
+    presentations += [random_gentle_presentation(rng) for _ in range(25)]
+    presentations += [nakayama(n, m) for m in range(2, 7) for n in range(1, 9)]
+    classes = splits = 0
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            todo = list(dict.fromkeys(pr.survivor_key(p) for p in pr.basis()))
+            seen = set(todo)
+            while todo:
+                key = todo.pop()
+                children = _class_children(pr, key)
+                assert children == dense_class_children_reference(pr, key), (pr.quiver.vertices, key)
+                classes += 1
+                splits += len(children) > 1
+                for child, _ in children:
+                    if child not in seen:
+                        seen.add(child)
+                        todo.append(child)
+    assert classes > 2000 and splits > 40, (classes, splits)
+
+
+def test_class_children_certify_the_cover(z2r3):
+    from monosing.oracle import _class_children
+
+    # A.a over kZ_2/J^3 is the class (2, {e_2, b}), whose syzygy is A.ab,
+    # the simple at 2 in degree 2; b sends the generator to the basis
+    # vector labelled b, and with that entry zeroed the cover no longer has
+    # the key's words as its nonzero columns
+    key = z2r3.survivor_key(z2r3.quiver.arrow_path("a"))
+    assert key == ("2", frozenset({(), ("b",)}))
+    assert _class_children(load("z2r3"), key) == [(("2", frozenset({()})), 2)]
+    M = oracle._class_rep(z2r3, key)
+    assert M.mats["b"] == [[1]]
+    M.mats["b"][0][0] = 0
+    z2r3._cache.setdefault("class_modules", {})[key] = M
+    with pytest.raises(InternalInvariantViolation, match="not certified"):
+        _class_children(z2r3, key)
+
+
+def test_class_walk_takes_no_dense_step(monkeypatch):
+    from monosing import linalg
+
+    pres = nakayama(12, 4)
+    steps = counting(monkeypatch, "syzygy_step")
+    solves = []
+    real_solve_many = linalg.solve_many
+    monkeypatch.setattr(linalg, "solve_many",
+                        lambda *args: solves.append(args) or real_solve_many(*args))
+    assert verify_omega_T_ext_vanishing(pres, 2 * pres.dimension())
+    assert len(pres._cache["class_children"]) > 10
+    assert steps == [] and solves == []

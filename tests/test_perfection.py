@@ -73,6 +73,27 @@ def test_perfect_cycles(z3r2, lin, glu):
     assert lengths == [1] * 6 + [2] * 6
 
 
+def test_cycle_lookup_matches_the_cycle_scan():
+    # cycle_of and perfect_set read one index built with the graph; the
+    # answers must be those of a scan over the cycles
+    from monosing.corpus import seeded_rng
+
+    rng = seeded_rng()
+    corpus = [load(name) for name in FIXTURE_NAMES] + [nakayama(6, 3), nakayama(5, 4)]
+    corpus += [random_presentation(rng) for _ in range(60)]
+    corpus += [random_gentle_presentation(rng) for _ in range(30)]
+    perfect = 0
+    for pres in corpus:
+        g = perfect_paths(pres)
+        assert g.perfect_set() is g.perfect_set()
+        assert g.perfect_set() == {p for cyc in g.cycles for p in cyc}
+        for p in pres.basis():
+            want = next((cyc for cyc in g.cycles if p in cyc), None)
+            assert g.cycle_of(p) == want
+            perfect += want is not None
+    assert perfect > 50, perfect
+
+
 def test_symmetric_certification(z2r3, glu):
     for pres in (z2r3, glu):
         for p, q in perfect_pairs(pres):

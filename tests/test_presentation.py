@@ -90,6 +90,65 @@ def test_minimal_relations_incomparable(z3r2):
     assert len(minimal_relations(z3r2)) == 3
 
 
+def pairwise_minimal_reference(generators):
+    """The minimal-relation rule as a pairwise comparison of generators."""
+    words = {g.arrows for g in generators}
+    keep = []
+    seen = set()
+    for g in generators:
+        if g.arrows in seen:
+            continue
+        seen.add(g.arrows)
+        has_proper = False
+        for w in words:
+            if len(w) >= g.length or not w:
+                continue
+            if any(g.arrows[i : i + len(w)] == w for i in range(g.length - len(w) + 1)):
+                has_proper = True
+                break
+        if not has_proper:
+            keep.append(g)
+    return tuple(keep)
+
+
+def test_minimal_relations_match_the_pairwise_rule():
+    from monosing.corpus import random_gentle_presentation, seeded_rng
+    from monosing.presentation import _minimal_relations
+
+    # duplicates keep their first copy; equal-length words never subsume
+    # each other, and a word inside a longer one drops the longer one
+    q = Quiver(["1"], [Arrow("x", "1", "1"), Arrow("y", "1", "1")])
+    w = q.subword_path
+    gens = [w(("x", "y", "x")), w(("x", "y")), w(("y", "x")), w(("x", "y")), w(("y", "y")),
+            w(("y", "x", "y", "y")), w(("x", "x", "y"))]
+    assert [g.arrows for g in _minimal_relations(gens)] == \
+           [("x", "y"), ("y", "x"), ("y", "y")]
+    assert _minimal_relations(gens) == pairwise_minimal_reference(gens)
+    # the seeded corpora, with shuffled extra words of lengths 2..4 on the
+    # same quivers, so that many generators contain others
+    rng = seeded_rng()
+    corpus = [random_presentation(rng) for _ in range(100)]
+    corpus += [random_gentle_presentation(rng) for _ in range(30)]
+    dropped = 0
+    for pres in corpus:
+        assert _minimal_relations(pres.generators) == \
+               pairwise_minimal_reference(pres.generators)
+        quiver = pres.quiver
+        layer = [(name,) for name in quiver.arrow_by_name]
+        long = []
+        for _ in range(3):
+            layer = [(a.name,) + word for word in layer
+                     for a in quiver.arrows_from[quiver.target(word[0])]]
+            long += layer
+        if not long:
+            continue
+        gens = [quiver.subword_path(rng.choice(long)) for _ in range(rng.randint(1, 12))]
+        got = _minimal_relations(gens)
+        assert got == pairwise_minimal_reference(gens), gens
+        dropped += len(gens) - len(got)
+    assert dropped > 100, dropped
+
+
 def test_is_nonzero(z2r3):
     ab = paths_of(z2r3, "b", "a")  # composition a.b
     assert z2r3.is_nonzero(ab)
