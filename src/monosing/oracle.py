@@ -49,6 +49,19 @@ torsionless test ranks the images A.act(lab) . y of M's basis labels under
 every generator image y into A.  Neither builds map families; the dense
 family path is left for sources without a generator.
 
+Three kinds of module are classes from the start and are never built for
+their pd.  A cyclic injective summand D(e_v A) is the class
+(s(w), {initial factors of w}), w a longest path into v: it is cyclic exactly
+when the paths into v number len(w) + 1, so that each is a final factor of
+w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
+its one-generator cover would certify at step 1, which is exactly what
+``resolve`` reports; the profile builds and resolves only the non-cyclic
+summands, and the global dimension builds nothing.  The path module A.p is
+the class of p's survivor key, and the crosscheck's torsionless step first
+certifies g -> p from the path basis: x.p = 0 for every path x killing g
+and x.p != 0 for every label x make it an injective map into A, and only
+when that fails does the rank test run.
+
 Over a Gorenstein algebra of level d a module of finite projective dimension
 has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  The
 Gorenstein-projective test therefore resolves only as deep as it reads, to
@@ -930,12 +943,42 @@ def _paths_into(pres):
     return pres._cache["paths_into"]
 
 
+def _injective_summand_key(pres, v):
+    """The class key of D(e_v A) when it is cyclic, else None.
+
+    D(e_v A) has the duals of the paths into v as its basis, and a word x
+    sends the dual of w to the dual of w with its initial factor x removed
+    (zero when x is no initial factor of w).  Let w be a longest path into
+    v.  Its final factors are len(w) + 1 paths into v, so when there are no
+    others, the dual of w generates and D(e_v A) is the class
+    (s(w), {initial factors of w}).  Otherwise a second path into v is no
+    final factor of w and D(e_v A) has two top elements.
+    """
+    paths = _paths_into(pres)[v]  # basis order: a longest path comes last
+    w = paths[-1]
+    if len(paths) != w.length + 1:
+        return None
+    return (w.source, frozenset(w.arrows[k:] for k in range(w.length + 1)))
+
+
+def _class_trace(pres, key):
+    """The resolution of the class module of ``key`` as ``resolve`` reports
+    it: the cover by one generator certifies the split at step 1, so status,
+    pd and detail come from the class walk, with no module built here."""
+    return _class_walk(pres, ResolutionTrace(module=None), [key], 1)
+
+
 def _dual_regular_pd(pres):
     """pd of the dual regular module via its injective summands, with early
-    exit as soon as one summand is certified infinite."""
+    exit as soon as one summand is certified infinite.  A cyclic summand is
+    walked as its class; only the others are built and resolved."""
     worst = 0
     for v in pres.quiver.vertices:
-        tr = resolve(pres, injective_summand_rep(pres, v))
+        key = _injective_summand_key(pres, v)
+        if key is None:
+            tr = resolve(pres, injective_summand_rep(pres, v))
+        else:
+            tr = _class_trace(pres, key)
         if tr.status == PERIODIC:
             return SideStatus(PERIODIC, detail=f"summand at {v}: {tr.detail}")
         worst = max(worst, tr.pd)
@@ -1008,10 +1051,11 @@ def resolution_trace_report(pres):
 
 
 def global_dimension(pres):
-    """Max pd of the simples; None means infinite."""
+    """Max pd of the simples, each walked as its class (v, {e_v}); None
+    means infinite."""
     worst = 0
     for v in pres.quiver.vertices:
-        tr = resolve(pres, simple_rep(pres, v))
+        tr = _class_trace(pres, (v, frozenset({()})))
         if tr.status == PERIODIC:
             return None
         worst = max(worst, tr.pd)
@@ -1059,11 +1103,29 @@ def is_torsionless(M):
     return True
 
 
-def gorenstein_projective_test(pres, M):
+def _embeds_by_path(M, p):
+    """Whether the generator image g -> p is an injective map M -> A,
+    certified from the path basis; False for a source without a generator.
+
+    It is a homomorphism when x.p = 0 for every path x with x.g = 0, and it
+    is injective when x.p != 0 for every label x: distinct words x give
+    distinct basis paths x.p.  Then M embeds in A and is torsionless.
+    """
+    if not _is_cyclic(M) or p.target != M.gen[0]:
+        return False
+    pres = M.pres
+    labels = {lab for v in M.support for lab in M.act_labels[v]}
+    return all((x.arrows in labels) == pres.word_is_nonzero(x.arrows + p.arrows)
+               for x in pres.basis().from_vertex(p.target))
+
+
+def gorenstein_projective_test(pres, M, path=None):
     """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check.
 
     Ext^k reads the resolution only through P_{k+1}, so M is resolved to
-    depth level + 2, and not at all at level 0.
+    depth level + 2, and not at all at level 0.  With ``path`` p, for the
+    class module M = A.p, the torsionless check first asks whether g -> p
+    embeds M in A, and runs the full rank test only when it does not.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
@@ -1076,6 +1138,8 @@ def gorenstein_projective_test(pres, M):
         trace = resolve(pres, M, depth=d + 2)
         if any(_ext_from_trace(pres, trace, A, k) for k in range(1, d + 1)):
             return False
+    if path is not None and _embeds_by_path(M, path):
+        return True
     return is_torsionless(M)
 
 
@@ -1115,7 +1179,7 @@ def crosscheck_classification(pres):
         if pres.key_is_projective(key):
             continue
         M = _class_module(pres, key)
-        if gorenstein_projective_test(pres, M):
+        if gorenstein_projective_test(pres, M, path=p):
             reps.append((p, M))
     classes = []
     for p, M in reps:

@@ -151,9 +151,10 @@ class Quiver:
 
     def sort_key(self, p):
         """Canonical path order: (length, traversal-order arrow indices)."""
-        if p.is_trivial:
+        a = p.arrows
+        if not a:
             return (0, (self._vertex_index[p.source],))
-        return (p.length, tuple(self._arrow_index[a] for a in p.traversal))
+        return (len(a), tuple(map(self._arrow_index.__getitem__, reversed(a))))
 
     def vertex_index(self, v):
         return self._vertex_index[v]

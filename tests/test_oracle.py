@@ -293,9 +293,13 @@ def test_gp_test_resolves_only_to_level_plus_two(z3r2, her, glu, monkeypatch):
         assert len(steps) <= 3
 
 
-def test_crosscheck_builds_the_regular_module_once(z3r2, monkeypatch):
+def test_crosscheck_builds_the_regular_module_once(z3r2, glu, monkeypatch):
+    # at level 0 the path-image certificate decides every torsionless step,
+    # so no regular module is built; at level 1 Ext into A needs it, once
     builds = counting(monkeypatch, "regular_rep")
     assert crosscheck_classification(z3r2)["homological_classes"] == 3
+    assert len(builds) == 0
+    assert crosscheck_classification(glu)["homological_classes"] == 12
     assert len(builds) == 1
 
 
@@ -944,3 +948,165 @@ def test_class_walk_takes_no_dense_step(monkeypatch):
     assert verify_omega_T_ext_vanishing(pres, 2 * pres.dimension())
     assert len(pres._cache["class_children"]) > 10
     assert steps == [] and solves == []
+
+
+def class_rule_corpus():
+    """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
+    from monosing.corpus import random_gentle_presentation, random_presentation
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(100)]
+    presentations += [random_gentle_presentation(rng) for _ in range(25)]
+    presentations += [nakayama(n, m) for m in range(2, 7) for n in range(1, 9)]
+    return presentations
+
+
+def injective_summand_reference(pres, v):
+    """D(e_v A) as the dense builder makes it: the duals of the paths into
+    v, an arrow a sending the dual of w to the dual of w without the arrow
+    a it traverses first."""
+    by_vertex = {}
+    for w in pres.basis():
+        if w.target == v:
+            by_vertex.setdefault(w.source, []).append(w.arrows)
+    dims = {u: len(words) for u, words in by_vertex.items()}
+    mats = {}
+    for a in pres.quiver.arrows:
+        if a.source in dims and a.target in dims:
+            m = [[0] * dims[a.source] for _ in range(dims[a.target])]
+            for j, w in enumerate(by_vertex[a.source]):
+                if w and w[-1] == a.name:
+                    m[by_vertex[a.target].index(w[:-1])][j] = 1
+            mats[a.name] = m
+    return Representation(pres, dims, mats)
+
+
+def dual_regular_pd_reference(pres):
+    """The profile side as it was before cyclic summands became classes:
+    every summand built and resolved."""
+    worst = 0
+    for v in pres.quiver.vertices:
+        tr = resolve(pres, injective_summand_reference(pres, v))
+        if tr.status == PERIODIC:
+            return oracle.SideStatus(PERIODIC, detail=f"summand at {v}: {tr.detail}")
+        worst = max(worst, tr.pd)
+    return oracle.SideStatus(FINITE, length=worst)
+
+
+def summand_rule_mismatches(rule, presentations, counts):
+    """The (presentation, vertex) pairs where ``rule(pres, v)``, a class key
+    of D(e_v A) or None, disagrees with the dense reference: a key must be
+    given exactly for a summand with a one-dimensional top, its class module
+    must be isomorphic to D(e_v A), and its class walk must report the
+    status, pd and detail of resolving D(e_v A)."""
+    from monosing.oracle import _class_module, _class_trace, _iso_witness, top_lifts
+
+    bad = []
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                D = injective_summand_reference(pr, v)
+                key = rule(pr, v)
+                cyclic = sum(map(len, top_lifts(D).values())) == 1
+                counts["cyclic" if cyclic else "not cyclic"] += 1
+                if key is None:
+                    if cyclic:
+                        bad.append((pr, v))
+                    continue
+                ref = resolve(pr, D)
+                tr = _class_trace(pr, key)
+                if ((tr.status, tr.pd, tr.detail) != (ref.status, ref.pd, ref.detail)
+                        or _iso_witness(_class_module(pr, key),
+                                        oracle.injective_summand_rep(pr, v)) is None):
+                    bad.append((pr, v))
+    return bad
+
+
+def test_cyclic_injective_summands_are_read_as_classes():
+    from monosing.oracle import _dual_regular_pd, _injective_summand_key, _paths_into
+
+    presentations = class_rule_corpus()
+    counts = {"cyclic": 0, "not cyclic": 0}
+    assert summand_rule_mismatches(_injective_summand_key, presentations, counts) == []
+    assert counts["cyclic"] > 800 and counts["not cyclic"] > 80, counts
+    statuses = set()
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            side = _dual_regular_pd(pr)
+            assert side.to_json() == dual_regular_pd_reference(pr).to_json()
+            statuses.add(side.status)
+    assert statuses == {FINITE, PERIODIC}
+
+    def without_the_count_check(pres, v):
+        w = _paths_into(pres)[v][-1]
+        return (w.source, frozenset(w.arrows[k:] for k in range(w.length + 1)))
+
+    # the longest path alone does not make the summand cyclic
+    assert summand_rule_mismatches(without_the_count_check, presentations[:20],
+                                   dict.fromkeys(counts, 0))
+
+
+def test_global_dimension_walks_the_simples_as_classes():
+    finite = infinite = 0
+    for pres in class_rule_corpus():
+        traces = [resolve(pres, simple_rep(pres, v)) for v in pres.quiver.vertices]
+        want = None if any(tr.status == PERIODIC for tr in traces) else max(tr.pd for tr in traces)
+        assert global_dimension(pres) == want, pres.quiver.vertices
+        finite += want is not None
+        infinite += want is None
+    assert finite > 50 and infinite > 50, (finite, infinite)
+
+
+def test_nakayama_crosscheck_runs_no_rank_test_and_builds_no_summand(monkeypatch):
+    pres = nakayama(12, 4)
+    rank_tests = counting(monkeypatch, "is_torsionless")
+    summands = counting(monkeypatch, "injective_summand_rep")
+    assert crosscheck_classification(pres)["homological_classes"] == 12 * 3
+    assert rank_tests == [] and summands == []
+
+
+def test_path_image_certificate_agrees_with_the_rank_test():
+    from monosing.oracle import _class_module, _embeds_by_path
+
+    certified = refused = 0
+    for pres in class_rule_corpus():
+        by_target = {}
+        for p in pres.basis().nontrivial():
+            by_target.setdefault(p.target, []).append(p)
+        for p in pres.basis().nontrivial():
+            key = pres.survivor_key(p)
+            if pres.key_is_projective(key):
+                continue
+            M = _class_module(pres, key)
+            assert _embeds_by_path(M, p) and is_torsionless(M), (pres.quiver.vertices, str(p))
+            certified += 1
+            # a path at the same vertex with another survivor key is no
+            # embedding of M, and a path elsewhere cannot carry the generator
+            for q in pres.basis().nontrivial():
+                if q.target != p.target or pres.survivor_key(q) != key:
+                    assert not _embeds_by_path(M, q)
+                    refused += 1
+        for v in pres.quiver.vertices:  # g -> e_v embeds S_v only when S_v = A e_v
+            S = simple_rep(pres, v)
+            assert _embeds_by_path(S, pres.quiver.trivial_path(v)) == \
+                (len(pres.basis().from_vertex(v)) == 1)
+    assert certified > 500 and refused > 5000, (certified, refused)
+
+
+def test_gp_test_without_a_certificate_runs_the_rank_test(z3r2, lin, monkeypatch):
+    rank_tests = counting(monkeypatch, "is_torsionless")
+    # the source simple of lin is decided by Ext^2(S_1, A) != 0 first
+    assert not gorenstein_projective_test(lin, simple_rep(lin, "1"))
+    assert rank_tests == []
+    # no path given: the rank test decides
+    assert gorenstein_projective_test(z3r2, simple_rep(z3r2, "1"))
+    assert len(rank_tests) == 1
+    # a path that does not embed A.a1 (a2 kills a1, but not a2): the rank
+    # test decides
+    a1, a2 = z3r2.quiver.arrow_path("a1"), z3r2.quiver.arrow_path("a2")
+    M = path_module_rep(z3r2, a1)
+    assert gorenstein_projective_test(z3r2, M, path=a2)
+    assert len(rank_tests) == 2
+    assert gorenstein_projective_test(z3r2, M, path=a1)
+    assert len(rank_tests) == 2

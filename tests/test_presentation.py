@@ -310,3 +310,29 @@ def test_automaton_soundness_against_capped_search():
         states, _ = pres.automaton()
         long_path = has_nonzero_path_longer_than(pres, len(states))
         assert (pres.automaton_cycle() is not None) == long_path
+
+
+def sort_key_reference(quiver, p):
+    """Quiver.sort_key as it was: (length, traversal-order arrow indices)."""
+    if p.is_trivial:
+        return (0, (quiver.vertex_index(p.source),))
+    return (p.length, tuple(quiver.arrow_index(a) for a in p.traversal))
+
+
+def test_sort_key_matches_the_traversal_reference():
+    from conftest import FIXTURE_NAMES, load, nakayama
+    from monosing.corpus import random_gentle_presentation, seeded_rng
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(100)]
+    presentations += [random_gentle_presentation(rng) for _ in range(25)]
+    presentations += [nakayama(n, m) for m in range(2, 7) for n in range(1, 9)]
+    checked = 0
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            q = pr.quiver
+            for p in list(pr.basis()) + list(pr.minimal):
+                assert q.sort_key(p) == sort_key_reference(q, p), str(p)
+                checked += 1
+    assert checked > 3000, checked
