@@ -16,10 +16,11 @@ lifts g certifies such a split directly: the cover is onto, so its nonzero
 columns x.g span every vertex space, and when at every vertex their number
 equals dim M_v they are a basis.  M is then the direct sum of the cyclic
 modules A.g, each A e_v modulo the paths x with x.g = 0, and its class is
-keyed by v and the words x with x.g != 0.  Dense syzygy steps run until the
-syzygy dies (Finite), a cover certifies a split, or 2 + (number of
-nontrivial basis paths) steps have passed, a backstop certifying infinite pd
-since a finite one is bounded by the longest descending chain of classes.
+keyed by v and the words x with x.g != 0.  Dense syzygy steps run until a
+cover certifies a split or 2 + (number of nontrivial basis paths) steps have
+passed, a backstop certifying infinite pd since a finite one is bounded by
+the longest descending chain of classes.  A finite resolution always ends in
+a split: the cover of a projective syzygy is an isomorphism.
 After a split each class is resolved once per presentation; its syzygy
 splits again, into the classes of the next step.  A cycle reachable in this
 class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
@@ -35,8 +36,8 @@ Every module carries its support, the vertices with a nonzero space, and
 all per-module work follows it: builders, validation, covers, kernels and
 the split test walk the support and the arrows between its vertices, never
 the whole quiver, so a module on k vertices costs the same on any quiver.
-Without a requested depth each step asks the cover for a split before it
-takes the kernel, so the step that certifies a split builds no kernel.
+Each step asks the cover for a split before it takes the kernel, so the
+step that certifies a split builds no kernel.
 
 Hom from a cyclic module M (``gen`` and ``act_labels`` set: class modules
 and simples) is decided by generator images.  A map M -> N is fixed by the
@@ -62,11 +63,12 @@ certifies g -> p from the path basis: x.p = 0 for every path x killing g
 and x.p != 0 for every label x make it an injective map into A, and only
 when that fails does the rank test run.
 
-Over a Gorenstein algebra of level d a module of finite projective dimension
-has pd <= d, since Ext^{pd M}(M, A) != 0 and Ext^{>d}(-, A) = 0.  The
-Gorenstein-projective test therefore resolves only as deep as it reads, to
-depth d + 2 (not at all at level 0).  A resolution stopped at a requested
-depth is DepthReached, never PeriodicityDetected.  The graded tilting check
+Ext has one rule: Ext^1(X, N) = hom(Omega X, N) - hom(P_X, N) + hom(X, N)
+for the minimal cover P_X -> X, and Ext^k(M, N) = Ext^1(Omega^(k-1) M, N).
+Omega^(k-1) M is a dense syzygy of the trace before its split and a
+multiset of classes after it; the syzygy of a class is the direct sum of
+its children.  A class module splits at its first cover, so the
+Gorenstein-projective test on it takes no dense step.  The graded tilting check
 resolves nothing itself: it walks the same summand classes, each with the
 degree of its generator, and drops the projective classes, which is where
 Omega^d of a summand of finite pd ends.
@@ -74,6 +76,7 @@ Omega^d of a summand of finite pd ends.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import linalg as la
@@ -87,7 +90,6 @@ from .presentation import find_cycle
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
-DEPTH = "DepthReached"
 
 DIM_CAP = 260  # not read by the oracle; benchmarks/run.py checks it never changes
 
@@ -212,10 +214,15 @@ def _relations_at(pres):
     return pres._cache["relations_at"]
 
 
+def _check_presentation(pres, rep):
+    """A module of another presentation must not be read as one of ``pres``."""
+    if rep.pres is not pres and rep.pres != pres:
+        raise PresentationMismatch("representations live over different presentations")
+
+
 def _check_pair(M, N, degree_shift=None):
     """One presentation for both, and degrees on both when maps are graded."""
-    if M.pres is not N.pres and M.pres != N.pres:
-        raise PresentationMismatch("representations live over different presentations")
+    _check_presentation(M.pres, N)
     if degree_shift is not None:
         for side, rep in (("source", M), ("target", N)):
             if rep.degrees is None:
@@ -511,36 +518,27 @@ class ResolutionTrace:
 
     module: object
     layers: list = field(default_factory=list)  # ProjectiveLayer per step
-    differentials: list = field(default_factory=list)  # step k>=1: gen -> (vertex, vector in P_{k-1})
     syzygies: list = field(default_factory=list)  # Omega^k representations, k >= 1
+    classes: list = None  # the split: class keys of Omega^len(syzygies), set by _class_walk
     status: str = None
     pd: int = None
     detail: str = ""
 
-    def projective_rank(self, k):
-        return len(self.layers[k].gens) if k < len(self.layers) else 0
 
-
-def resolve(pres, rep, depth=None):
+def resolve(pres, rep):
     """Minimal resolution of rep with its termination status.
 
-    Without ``depth`` it covers the module and first asks whether the cover
-    certifies a split into summand classes, which are then walked
-    (``Finite`` or ``PeriodicityDetected``, see the module docstring);
-    otherwise it takes the kernel, a dense syzygy step, until the syzygy
-    dies (``Finite``) or the resolution is still alive after bound + 1
-    steps, where bound = 2 + (number of nontrivial basis paths) is the sound
-    upper limit on finite projective dimensions over a monomial algebra
-    (``PeriodicityDetected``).  After a walk the layers stop at the split
-    and the syzygies one step before it, so the layers are a complete
-    resolution only when their number is pd + 1.
-
-    With ``depth`` it takes exactly that many dense steps, each through
-    ``syzygy_step``.  A resolution still alive there is ``DepthReached``: it
-    shows Omega^depth != 0 and certifies nothing more.  Over a Gorenstein
-    algebra of level d every finite pd is at most d, so there depth d + 1
-    decides whether pd is finite.
+    It covers the module and first asks whether the cover certifies a split
+    into summand classes, which are then walked (``Finite`` or
+    ``PeriodicityDetected``, see the module docstring); otherwise it takes
+    the kernel, a dense syzygy step, until the resolution is still alive
+    after bound + 1 steps, where bound = 2 + (number of nontrivial basis
+    paths) is the sound upper limit on finite projective dimensions over a
+    monomial algebra (``PeriodicityDetected``).  After a walk the layers
+    stop at the split and the syzygies one step before it.  A module of
+    another presentation raises PresentationMismatch.
     """
+    _check_presentation(pres, rep)
     basis = pres.basis()
     bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
     trace = ResolutionTrace(module=rep)
@@ -548,33 +546,21 @@ def resolve(pres, rep, depth=None):
         trace.status, trace.pd = FINITE, 0
         return trace
     cur = rep
-    kernel = None
     k = 0
-    while depth is None or k < depth:
+    while True:
         k += 1
         layer, cover = projective_cover(cur)
         trace.layers.append(layer)
-        # each generator lifts a basis vector of the last kernel
-        trace.differentials.append(
-            None if kernel is None else [(v, kernel[v][j]) for v, j in layer.tops])
-        if depth is None:
-            classes = _summand_classes(cur, layer, cover)
-            if classes is not None:
-                return _class_walk(pres, trace, classes, k)
-        _, _, krep, kernel = syzygy_step(cur, (layer, cover))
-        trace.syzygies.append(krep)
-        if krep.is_zero():
-            trace.status, trace.pd = FINITE, k - 1
-            return trace
-        if depth is None and k > bound:
+        classes = _summand_classes(cur, layer, cover)
+        if classes is not None:
+            return _class_walk(pres, trace, classes, k)
+        _, _, cur, _ = syzygy_step(cur, (layer, cover))
+        trace.syzygies.append(cur)
+        if k > bound:
             trace.status = PERIODIC
             trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
                             "syzygy classes over a monomial algebra must recur")
             return trace
-        cur = krep
-    trace.status = DEPTH
-    trace.detail = f"stopped after the requested {depth} steps"
-    return trace
 
 
 def _summand_classes(rep, layer, cover):
@@ -632,6 +618,7 @@ def _class_children(pres, key):
 
 def _class_walk(pres, trace, classes, k):
     """Finish a trace whose step-k cover split into ``classes``."""
+    trace.classes = classes
     cycle, finished = find_cycle(
         classes, lambda key: [(child, child) for child, _ in _class_children(pres, key)])
     if cycle is not None:
@@ -827,74 +814,62 @@ def stable_hom_dim(M, N, degree_shift=None):
     return len(homs) - la.rank(image)
 
 
-def _hom_complex_matrix(pres, layer_from, diffs, layer_to, N):
-    """Matrix of Hom(P_{k-1}, N) -> Hom(P_k, N) induced by d_k.
-
-    ``diffs`` lists, for each generator of P_k, its image as (vertex, vector
-    over layer_to.pbasis[vertex]).  Components of Hom(P, N) are stacked per
-    generator as N_{v} blocks.
-    """
-    col_offsets = []
-    off = 0
-    for (v, _) in layer_to.gens:
-        col_offsets.append(off)
-        off += N.dims[v]
-    ncols = off
-    row_offsets = []
-    off = 0
-    for (v, _) in layer_from.gens:
-        row_offsets.append(off)
-        off += N.dims[v]
-    nrows = off
-    m = la.zeros(nrows, ncols)
-    for gi, (v, _) in enumerate(layer_from.gens):
-        w, vec = diffs[gi]
-        assert w == v
-        for pos, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            gj, x = layer_to.pbasis[w][pos]
-            tv = layer_to.gens[gj][0]
-            if x.is_trivial:
-                block = la.identity(N.dims[tv])
-            else:
-                block = N.act(x.arrows)
-            for i in range(N.dims[v]):
-                for j in range(N.dims[tv]):
-                    m[row_offsets[gi] + i][col_offsets[gj] + j] += coeff * block[i][j]
-    return m
-
-
-def _died(trace):
-    """Whether the trace's layers run until the syzygy dies: P_0 .. P_pd."""
-    return trace.status == FINITE and len(trace.layers) == trace.pd + 1
+def _ext1(hom_omega, top, hom_x):
+    """dim Ext^1(X, N) from 0 -> Hom(X, N) -> Hom(P_X, N) -> Hom(Omega X, N)
+    -> Ext^1(X, N) -> 0, with ``top`` = dim Hom(P_X, N) = sum of dim N_v
+    over the generators v of the minimal cover P_X."""
+    return hom_omega - top + hom_x
 
 
 def ext_dim(pres, M, N, k):
-    """dim Ext^k_A(M, N) for k >= 1, from a minimal resolution of M."""
+    """dim Ext^k_A(M, N) for k >= 1, read off M's resolution."""
     if k < 1:
         raise ValueError("ext_dim needs k >= 1")
-    return _ext_from_trace(pres, resolve(pres, M, depth=k + 2), N, k)
+    _check_pair(M, N)
+    return _ext_from_trace(pres, resolve(pres, M), N, k)
 
 
 def _ext_from_trace(pres, trace, N, k):
-    """Ext^k from P_k, P_{k+1} and their differentials; a trace that stopped
-    short of P_{k+1} without dying is resolved again to depth k + 2."""
+    """Ext^k(M, N) = Ext^1(Omega^(k-1) M, N) off M's resolution trace: on
+    its dense head, then summed over the multiset of classes.  A backstop
+    trace, alive past the bound with no split, has only its dense head."""
     if trace.status == FINITE and trace.pd < k:
         return 0
-    if len(trace.layers) < k + 2 and not _died(trace):
-        return _ext_from_trace(pres, resolve(pres, trace.module, depth=k + 2), N, k)
-    nk = sum(N.dims[v] for (v, _) in trace.layers[k].gens)
-    d_k = _hom_complex_matrix(pres, trace.layers[k], trace.differentials[k], trace.layers[k - 1], N)
-    rank_prev = la.rank(d_k) if d_k and d_k[0] else 0
-    if len(trace.layers) > k + 1:
-        d_next = _hom_complex_matrix(
-            pres, trace.layers[k + 1], trace.differentials[k + 1], trace.layers[k], N
-        )
-        rank_next = la.rank(d_next) if d_next and d_next[0] else 0
-    else:
-        rank_next = 0
-    return nk - rank_next - rank_prev
+    split = len(trace.syzygies)  # Omega^split M is the direct sum of trace.classes
+    if k <= split:
+        X = trace.module if k == 1 else trace.syzygies[k - 2]
+        top = sum(N.dims[v] for v, _ in trace.layers[k - 1].gens)
+        return _ext1(hom_dim(trace.syzygies[k - 1], N), top, hom_dim(X, N))
+    if trace.classes is None:
+        raise InternalInvariantViolation(
+            f"Ext^{k} lies past the {split} dense steps of a trace with no split")
+    summands = Counter(trace.classes)
+    for _ in range(k - 1 - split):
+        summands = _class_syzygy(pres, summands)
+    return sum(m * _class_ext1(pres, key, N) for key, m in summands.items())
+
+
+def _class_syzygy(pres, summands):
+    """Omega of a direct sum of classes; both are Counters of class keys."""
+    out = Counter()
+    for key, m in summands.items():
+        for child, _ in _class_children(pres, key):
+            out[child] += m
+    return out
+
+
+def _class_ext1(pres, key, N):
+    """Ext^1 of a class module into N, kept on N (so into ``_regular(pres)``
+    once per presentation): one generator, at key[0], and the children."""
+    memo = vars(N).setdefault("_class_ext1", {})
+    if key not in memo:
+        if pres.key_is_projective(key):
+            memo[key] = 0
+        else:
+            children = _class_children(pres, key)
+            hom_omega = sum(hom_dim(_class_module(pres, c), N) for c, _ in children)
+            memo[key] = _ext1(hom_omega, N.dims[key[0]], hom_dim(_class_module(pres, key), N))
+    return memo[key]
 
 
 # -- Gorenstein profile --------------------------------------------------------
@@ -1027,23 +1002,31 @@ def injective_dimension_profile(pres):
 def resolution_trace_report(pres):
     """Per-vertex resolution traces behind the profile, for diagnostics.
 
-    The ranks and syzygy dimensions come from dense steps: P_0 .. P_pd and
-    Omega^1 .. Omega^(pd+1) = 0 for a finite trace, and every step up to and
-    including the one whose cover certified the split (or the backstop) for
-    an infinite one.
+    The ranks and syzygy dimensions list P_0 .. P_pd and Omega^1 ..
+    Omega^(pd+1) = 0 for a finite trace, and every step up to and including
+    the one whose cover certified the split (or the backstop) for an
+    infinite one.  Past the dense head they count the class multisets: one
+    generator per class, and len(words) dimensions.
     """
     out = {}
     for key, pr in (("id_of_regular", pres), ("pd_of_dual", pres.opposite())):
         side = {}
         for v in pr.quiver.vertices:
-            M = injective_summand_rep(pr, v)
-            tr = resolve(pr, M)
-            dense = resolve(pr, M, depth=tr.pd + 1 if tr.status == FINITE else len(tr.layers))
+            tr = resolve(pr, injective_summand_rep(pr, v))
+            ranks = [len(layer.gens) for layer in tr.layers]
+            dims = [s.total_dim for s in tr.syzygies]
+            steps = tr.pd + 1 if tr.status == FINITE else len(ranks)
+            summands = Counter(tr.classes)
+            while len(dims) < steps:
+                summands = _class_syzygy(pr, summands)
+                dims.append(sum(m * len(words) for (_, words), m in summands.items()))
+                if len(ranks) < steps:
+                    ranks.append(sum(summands.values()))
             side[v] = {
                 "status": tr.status,
                 "pd": tr.pd,
-                "projective_ranks": [len(layer.gens) for layer in dense.layers],
-                "syzygy_dims": [s.total_dim for s in dense.syzygies],
+                "projective_ranks": ranks,
+                "syzygy_dims": dims,
                 "detail": tr.detail,
             }
         out[key] = side
@@ -1122,11 +1105,13 @@ def _embeds_by_path(M, p):
 def gorenstein_projective_test(pres, M, path=None):
     """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check.
 
-    Ext^k reads the resolution only through P_{k+1}, so M is resolved to
-    depth level + 2, and not at all at level 0.  With ``path`` p, for the
-    class module M = A.p, the torsionless check first asks whether g -> p
-    embeds M in A, and runs the full rank test only when it does not.
+    Ext^k into A is read off one full resolution of M, none at level 0.
+    With ``path`` p, for the class module M = A.p, the torsionless check
+    first asks whether g -> p embeds M in A, and runs the full rank test
+    only when it does not.  A module of another presentation raises
+    PresentationMismatch.
     """
+    _check_presentation(pres, M)
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("the profile does not certify a Gorenstein algebra")
@@ -1135,7 +1120,7 @@ def gorenstein_projective_test(pres, M, path=None):
         return True
     if d:
         A = _regular(pres)
-        trace = resolve(pres, M, depth=d + 2)
+        trace = resolve(pres, M)
         if any(_ext_from_trace(pres, trace, A, k) for k in range(1, d + 1)):
             return False
     if path is not None and _embeds_by_path(M, path):

@@ -4,11 +4,9 @@ from monosing import oracle
 from monosing.corpus import gorenstein_corpus, seeded_rng
 from monosing.errors import InternalInvariantViolation, NotGorenstein
 from monosing.oracle import (
-    DEPTH,
     FINITE,
     PERIODIC,
     Representation,
-    _ext_from_trace,
     crosscheck_classification,
     dual_regular_rep,
     ext_dim,
@@ -270,27 +268,60 @@ def non_projective_path_modules(pres):
             yield M
 
 
-def test_gp_test_resolves_only_to_level_plus_two(z3r2, her, glu, monkeypatch):
+def test_gp_test_on_class_modules_takes_no_dense_step(z3r2, her, glu, monkeypatch):
     assert injective_dimension_profile(z3r2).level == 0
     assert injective_dimension_profile(her).level == 1
     assert injective_dimension_profile(glu).level == 1
     steps = counting(monkeypatch, "syzygy_step")
+    resolved = counting(monkeypatch, "resolve")
     for M in non_projective_path_modules(z3r2):
         gorenstein_projective_test(z3r2, M)
-    assert steps == []  # level 0: Ext^1..0 is empty, only torsionless is read
-    # over the hereditary A_2 every path module is projective; the simples are not
-    per_module = []
-    for v in her.quiver.vertices:
-        steps.clear()
-        gorenstein_projective_test(her, simple_rep(her, v))
-        per_module.append(len(steps))
-    assert max(per_module) <= 3 and min(per_module) > 0
-    # glu has path modules of infinite pd, which a full-bound resolution
-    # would follow far past P_2
-    for M in non_projective_path_modules(glu):
-        steps.clear()
+    assert resolved == []  # level 0: Ext^1..0 is empty, only torsionless is read
+    # over the hereditary A_2 every path module is projective; the simples
+    # are the classes (v, {e_v}), and the source simple is not projective
+    verdicts = [gorenstein_projective_test(her, simple_rep(her, v)) for v in her.quiver.vertices]
+    assert False in verdicts  # Ext^1(S, A) != 0 was read
+    # glu has path modules of infinite pd; each splits at its first cover
+    glu_modules = list(non_projective_path_modules(glu))
+    for M in glu_modules:
         gorenstein_projective_test(glu, M)
-        assert len(steps) <= 3
+    assert len(resolved) == len(her.quiver.vertices) + len(glu_modules)
+    assert steps == []
+
+
+def test_trace_report_resolves_each_summand_once(monkeypatch):
+    from monosing.oracle import resolution_trace_report
+
+    resolved = counting(monkeypatch, "resolve")
+    for name in ("lin", "glu", "loc1"):
+        pres = load(name)
+        resolved.clear()
+        resolution_trace_report(pres)
+        sides = (pres, pres.opposite())
+        assert [args[0] for args in resolved] == [pr for pr in sides for _ in pr.quiver.vertices]
+
+
+def test_trace_report_matches_the_dense_steps():
+    # past the split the report counts class multisets; a dense resolution
+    # to the same depth must give the same ranks and syzygy dimensions
+    from monosing.corpus import random_presentation
+    from monosing.oracle import injective_summand_rep, resolution_trace_report
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(60)]
+    repeated = 0
+    for pres in presentations:
+        report = resolution_trace_report(pres)
+        for key, pr in (("id_of_regular", pres), ("pd_of_dual", pres.opposite())):
+            for v, tr in report[key].items():
+                ranks = tr["projective_ranks"]
+                layers, _, syzygies = dense_resolution_reference(
+                    injective_summand_rep(pr, v), len(ranks))
+                assert ranks == [len(layer.gens) for layer in layers], (pr.quiver.vertices, v)
+                assert tr["syzygy_dims"] == [S.total_dim for S in syzygies], (pr.quiver.vertices, v)
+                repeated += any(r > 1 for r in ranks[1:])
+    assert repeated > 20, repeated
 
 
 def test_crosscheck_builds_the_regular_module_once(z3r2, glu, monkeypatch):
@@ -303,10 +334,162 @@ def test_crosscheck_builds_the_regular_module_once(z3r2, glu, monkeypatch):
     assert len(builds) == 1
 
 
+def dense_resolution_reference(M, depth):
+    """resolve(pres, M, depth=depth) as it was before the one Ext rule:
+    ``depth`` dense steps, or fewer when the syzygy dies, with the image in
+    P_(k-1) of each generator of P_k, the kernel vector it lifts.  Returns
+    (layers, differentials, syzygies)."""
+    from monosing.oracle import projective_cover, syzygy_step
+
+    layers, diffs, syzygies = [], [], []
+    cur, kernel = M, None
+    while len(layers) < depth and not cur.is_zero():
+        layer, cover = projective_cover(cur)
+        layers.append(layer)
+        diffs.append(None if kernel is None else [(v, kernel[v][j]) for v, j in layer.tops])
+        _, _, cur, kernel = syzygy_step(cur, (layer, cover))
+        syzygies.append(cur)
+    return layers, diffs, syzygies
+
+
+def hom_complex_matrix_reference(layer_from, diffs, layer_to, N):
+    """The matrix of Hom(P_(k-1), N) -> Hom(P_k, N) induced by d_k, as the
+    oracle built it before the one Ext rule: Hom(P, N) is stacked per
+    generator as N_v blocks, and ``diffs`` gives each generator of P_k its
+    image as (vertex, vector over layer_to.pbasis[vertex])."""
+    from monosing import linalg as la
+
+    col_offsets, off = [], 0
+    for v, _ in layer_to.gens:
+        col_offsets.append(off)
+        off += N.dims[v]
+    ncols = off
+    row_offsets, off = [], 0
+    for v, _ in layer_from.gens:
+        row_offsets.append(off)
+        off += N.dims[v]
+    m = la.zeros(off, ncols)
+    for gi, (v, _) in enumerate(layer_from.gens):
+        w, vec = diffs[gi]
+        assert w == v
+        for pos, coeff in enumerate(vec):
+            if coeff == 0:
+                continue
+            gj, x = layer_to.pbasis[w][pos]
+            tv = layer_to.gens[gj][0]
+            block = la.identity(N.dims[tv]) if x.is_trivial else N.act(x.arrows)
+            for i in range(N.dims[v]):
+                for j in range(N.dims[tv]):
+                    m[row_offsets[gi] + i][col_offsets[gj] + j] += coeff * block[i][j]
+    return m
+
+
+def dense_ext_reference(dense, N, k):
+    """Ext^k as _ext_from_trace read it before the one Ext rule: dim
+    Hom(P_k, N) less the ranks of the Hom-complex maps into and out of it,
+    ``dense`` a dense_resolution_reference of depth at least k + 2."""
+    from monosing import linalg as la
+
+    layers, diffs, syzygies = dense
+    if len(layers) <= k and (not syzygies or syzygies[-1].is_zero()):  # pd < k
+        return 0
+    ranks = 0
+    for step in (k, k + 1):
+        if step < len(layers):
+            d = hom_complex_matrix_reference(layers[step], diffs[step], layers[step - 1], N)
+            ranks += la.rank(d) if d and d[0] else 0
+    return sum(N.dims[v] for v, _ in layers[k].gens) - ranks
+
+
+def ext_rule_cases():
+    """(pres, modules, targets): path modules, injective summands and
+    simples, into A and every simple, over the fixtures, loc1, 40 seeded
+    draws and a few gentle and Nakayama algebras, and their opposites."""
+    from monosing.corpus import random_gentle_presentation, random_presentation
+    from monosing.oracle import injective_summand_rep
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(40)]
+    presentations += [random_gentle_presentation(rng) for _ in range(4)]
+    presentations += [nakayama(n, m) for n, m in ((1, 4), (3, 3), (4, 2))]
+    for pres in presentations + [pres.opposite() for pres in presentations]:
+        vertices = pres.quiver.vertices
+        modules = [path_module_rep(pres, p) for p in pres.basis().nontrivial()]
+        modules += [injective_summand_rep(pres, v) for v in vertices]
+        modules += [simple_rep(pres, v) for v in vertices]
+        yield pres, modules, [regular_rep(pres)] + [simple_rep(pres, v) for v in vertices]
+
+
+def test_ext_rule_matches_the_hom_complex():
+    compared = nonzero = 0
+    for pres, modules, targets in ext_rule_cases():
+        for M in modules:
+            dense = dense_resolution_reference(M, 5)
+            for N in targets:
+                for k in (1, 2, 3):
+                    want = dense_ext_reference(dense, N, k)
+                    assert ext_dim(pres, M, N, k) == want, (pres.quiver.vertices, k)
+                    compared += 1
+                    nonzero += want != 0 and k >= 2 and N is not targets[0]
+    # Ext^k(M, S) != 0 for some k >= 2 into a simple, so reading 0 would show
+    assert compared > 5000 and nonzero > 100, (compared, nonzero)
+
+
+def test_ext_rule_needs_its_hom_term(monkeypatch):
+    # the rule without hom(X, N) disagrees with the Hom complex somewhere
+    monkeypatch.setattr(oracle, "_ext1", lambda hom_omega, top, hom_x: hom_omega - top)
+    pres, modules, targets = next(ext_rule_cases())
+    wrong = 0
+    for M in modules:
+        dense = dense_resolution_reference(M, 3)
+        wrong += any(ext_dim(pres, M, N, 1) != dense_ext_reference(dense, N, 1) for N in targets)
+    assert wrong
+
+
+def test_a_trace_without_a_split_is_read_only_on_its_dense_steps():
+    # a backstop trace has no classes: Ext past its dense steps is refused
+    # rather than read off a second resolution
+    import dataclasses
+    import random
+
+    from monosing.corpus import DEFAULT_SEED, random_presentation
+    from monosing.oracle import _ext_from_trace, injective_summand_rep
+
+    rng = random.Random(DEFAULT_SEED)
+    pres = [random_presentation(rng) for _ in range(372)][371]
+    D = injective_summand_rep(pres, "2")
+    M = Representation(pres, D.dims, D.mats)  # splits only at Omega^3
+    tr = resolve(pres, M)
+    backstop = dataclasses.replace(tr, classes=None, status=PERIODIC, pd=None)
+    A = regular_rep(pres)
+    dense = dense_resolution_reference(M, 5)
+    for k in (1, 2, 3):
+        assert _ext_from_trace(pres, backstop, A, k) == dense_ext_reference(dense, A, k)
+    with pytest.raises(InternalInvariantViolation, match="no split"):
+        _ext_from_trace(pres, backstop, A, 4)
+
+
+def test_foreign_modules_raise_presentation_mismatch(z3r2, lin):
+    from monosing.errors import PresentationMismatch
+
+    foreign = simple_rep(lin, "1")  # z3r2 has a vertex "1" too
+    S = simple_rep(z3r2, "1")
+    with pytest.raises(PresentationMismatch):
+        resolve(z3r2, foreign)
+    with pytest.raises(PresentationMismatch):
+        gorenstein_projective_test(z3r2, foreign)
+    for M, N in ((foreign, S), (S, foreign)):
+        with pytest.raises(PresentationMismatch):
+            ext_dim(z3r2, M, N, 1)
+    with pytest.raises(ValueError, match="k >= 1"):
+        ext_dim(z3r2, S, S, 0)
+
+
 def test_level_bounded_verdicts_match_full_resolutions():
-    # Over a Gorenstein algebra of level d a finite pd is at most d: the GP
-    # verdict read from a depth-(d+2) resolution and the "alive after d+1
-    # steps" test must agree with the certified full-bound resolution
+    # the GP verdict read off the full resolution by the one Ext rule must
+    # agree with Ext^1..Ext^d from the Hom complex of a dense depth-(d+2)
+    # resolution, the rule it replaced
     presentations = [load(name) for name in FIXTURE_NAMES]
     presentations += gorenstein_corpus(seeded_rng(), 20)
     levels = set()
@@ -318,31 +501,13 @@ def test_level_bounded_verdicts_match_full_resolutions():
         for M in non_projective_path_modules(pres):
             full = resolve(pres, M)
             assert full.status in (FINITE, PERIODIC)
-            expected = (all(_ext_from_trace(pres, full, A, k) == 0 for k in range(1, d + 1))
+            dense = dense_resolution_reference(M, d + 2)
+            expected = (all(dense_ext_reference(dense, A, k) == 0 for k in range(1, d + 1))
                         and is_torsionless(M))
             assert gorenstein_projective_test(pres, M) == expected
-            shallow = resolve(pres, M, depth=d + 1)
-            assert shallow.status in (FINITE, DEPTH)
-            assert (shallow.status == DEPTH) == (full.status == PERIODIC)
             checked += 1
     assert {0, 1, 2} <= levels
     assert checked >= 30
-
-
-def test_truncated_trace_is_never_read_as_a_pd(z3r2, lin):
-    nonzero = 0
-    for pres in (z3r2, lin):
-        simples = [simple_rep(pres, v) for v in pres.quiver.vertices]
-        for M in non_projective_path_modules(pres):
-            cut = resolve(pres, M, depth=2)
-            full = resolve(pres, M)
-            assert cut.status == DEPTH or cut.pd == full.pd
-            for N in simples:
-                for k in (2, 3):
-                    got = _ext_from_trace(pres, cut, N, k)
-                    assert got == _ext_from_trace(pres, full, N, k)
-                    nonzero += got != 0
-    assert nonzero  # Ext^k(M, S) != 0 for some pair, so reading 0 would show
 
 
 def test_summand_classes_read_off_the_cover(z2r3):
@@ -512,7 +677,7 @@ def dense_tilting_reference(pres, extra):
 
     d = injective_dimension_profile(pres).level
     chosen = [p for p in pres.basis().nontrivial()
-              if resolve(pres, path_module_rep(pres, p), depth=d + 1).status == DEPTH]
+              if resolve(pres, path_module_rep(pres, p)).status == PERIODIC]
     cur = direct_sum(pres, [path_module_rep(pres, p) for p in chosen])
     for _ in range(d):
         _, _, cur, _ = syzygy_step(cur)
@@ -829,10 +994,11 @@ def module_data(M):
 def test_support_walks_match_the_dense_steps():
     # dense steps over the whole quiver, with the rule resolve used before it
     # took the cover's split before the kernel: the kernel dies (Finite) or
-    # the size cap is hit; the syzygies resolve(depth=...) builds must be the
-    # dense ones, and the status and pd must agree wherever the cap decides
+    # the size cap is hit; the syzygies syzygy_step builds, and those of
+    # resolve's dense head, must be the dense ones, and the status and pd
+    # must agree wherever the cap decides
     from monosing.corpus import random_presentation
-    from monosing.oracle import injective_summand_rep
+    from monosing.oracle import injective_summand_rep, syzygy_step
 
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
     rng = seeded_rng()
@@ -850,17 +1016,21 @@ def test_support_walks_match_the_dense_steps():
                         syzygies.append(cur)
                         if cur.is_zero():
                             break
-                    cut = resolve(pr, M, depth=len(syzygies))
-                    assert [module_data(S) for S in cut.syzygies] == \
-                           [module_data(S) for S in syzygies[:len(cut.syzygies)]]
-                    compared += len(cut.syzygies)
+                    cut = []
+                    cur = M
+                    while len(cut) < len(syzygies) and not cur.is_zero():
+                        _, _, cur, _ = syzygy_step(cur)
+                        cut.append(cur)
+                    assert [module_data(S) for S in cut] == [module_data(S) for S in syzygies]
+                    compared += len(cut)
                     tr = resolve(pr, M)
+                    for S, R in zip(tr.syzygies, syzygies):
+                        assert module_data(S) == module_data(R)
                     if syzygies[-1].is_zero():
-                        assert len(cut.syzygies) == len(syzygies)
                         assert (tr.status, tr.pd) == (FINITE, len(syzygies) - 1)
                         outcomes[FINITE] = outcomes.get(FINITE, 0) + 1
                     else:
-                        assert cut.status == DEPTH and tr.status in (FINITE, PERIODIC)
+                        assert tr.status in (FINITE, PERIODIC)
                         outcomes[tr.status] = outcomes.get(tr.status, 0) + 1
     assert outcomes.get(FINITE, 0) > 300 and outcomes.get(PERIODIC, 0) > 80, outcomes
     assert compared > 1000, compared
