@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotOneGorenstein
 from .perfection import perfect_paths
-from .presentation import MonomialPresentation, Quiver
+from .presentation import MonomialPresentation, Quiver, successor_cycles
 
 
 @dataclass
@@ -279,24 +279,8 @@ def gentle_check(pres):
     sigma = {}
     for alpha, beta in forb:
         sigma[beta] = alpha
-    on_cycle = {}
-    cycles = []
-    seen = set()
-    for start in sorted(sigma, key=q.arrow_index):
-        if start in seen:
-            continue
-        walk, pos = [], {}
-        cur = start
-        while cur is not None and cur not in seen and cur not in pos:
-            pos[cur] = len(walk)
-            walk.append(cur)
-            cur = sigma.get(cur)
-        if cur is not None and cur in pos:
-            cyc = tuple(walk[pos[cur] :])
-            cycles.append(cyc)
-            for a in cyc:
-                on_cycle[a] = cyc
-        seen.update(walk)
+    cycles = [tuple(c) for c in successor_cycles(sorted(sigma, key=q.arrow_index), sigma)]
+    on_cycle = {a: cyc for cyc in cycles for a in cyc}
     criterion = all(
         alpha in on_cycle and beta in on_cycle and on_cycle[alpha] is on_cycle[beta]
         for alpha, beta in forb

@@ -68,19 +68,7 @@ def syzygy_of_T(pres):
     path of length i + 1 from v; every nontrivial nonzero path thus appears
     exactly once, with shift -1.
     """
-    basis = pres.basis()
-    l = basis.max_length()
-    seen = {}
-    order = []
-    for i in range(l + 1):
-        for p in basis.of_length(i + 1):
-            key = (p.source, p.arrows)
-            if key in seen:
-                seen[key] = GradedSummand(p, -1, seen[key].multiplicity + 1)
-            else:
-                seen[key] = GradedSummand(p, -1, 1)
-                order.append(key)
-    return [seen[k] for k in order]
+    return [GradedSummand(p, -1) for p in pres.basis().nontrivial()]
 
 
 def basic_syzygy_summands(pres):

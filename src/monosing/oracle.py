@@ -58,10 +58,18 @@ w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
 its one-generator cover would certify at step 1, which is exactly what
 ``resolve`` reports; the profile builds and resolves only the non-cyclic
 summands, and the global dimension builds nothing.  The path module A.p is
-the class of p's survivor key, and the crosscheck's torsionless step first
-certifies g -> p from the path basis: x.p = 0 for every path x killing g
-and x.p != 0 for every label x make it an injective map into A, and only
-when that fails does the rank test run.
+the class of p's survivor key.
+
+The crosscheck reads the Gorenstein-projective path modules off their keys.
+Over a Gorenstein algebra of level d, Ext^k(M, A) = 0 for 1 <= k <= d
+already makes M Gorenstein projective (Ext^k(-, A) vanishes past d), so a
+key is kept when Ext^{1..d} of its class into A vanishes, with no
+torsionless step.  Distinct keys are never isomorphic classes: an
+isomorphism A e_v/I -> A e_v/J sends the generator to u + J with
+u = e_v + (cycles at v), so I = {x : x.u in J}; a path x appears in x.u
+with coefficient 1 beside only longer paths, and J is spanned by paths, so
+x.u in J puts x in J.  That gives I <= J and, by symmetry, I = J, so each
+kept key is one isomorphism class and no isomorphism test runs.
 
 Ext has one rule: Ext^1(X, N) = hom(Omega X, N) - hom(P_X, N) + hom(X, N)
 for the minimal cover P_X -> X, and Ext^k(M, N) = Ext^1(Omega^(k-1) M, N).
@@ -425,8 +433,8 @@ def projective_cover(rep):
 
 def _module_cover(rep):
     """``projective_cover(rep)``, made once per module and kept on it: a
-    class module is built once per presentation, so the class walk's step
-    and every stable Hom into the class share one cover."""
+    class module is built once per presentation, so ``resolve``, the class
+    walk's step and every stable Hom into the class share one cover."""
     covered = getattr(rep, "_cover", None)
     if covered is None:
         covered = rep._cover = projective_cover(rep)
@@ -528,10 +536,11 @@ class ResolutionTrace:
 def resolve(pres, rep):
     """Minimal resolution of rep with its termination status.
 
-    It covers the module and first asks whether the cover certifies a split
-    into summand classes, which are then walked (``Finite`` or
-    ``PeriodicityDetected``, see the module docstring); otherwise it takes
-    the kernel, a dense syzygy step, until the resolution is still alive
+    It covers the module, keeping the cover on it (``_module_cover``), and
+    first asks whether the cover certifies a split into summand classes,
+    which are then walked (``Finite`` or ``PeriodicityDetected``, see the
+    module docstring); otherwise it takes the kernel, a dense syzygy step,
+    until the resolution is still alive
     after bound + 1 steps, where bound = 2 + (number of nontrivial basis
     paths) is the sound upper limit on finite projective dimensions over a
     monomial algebra (``PeriodicityDetected``).  After a walk the layers
@@ -549,7 +558,7 @@ def resolve(pres, rep):
     k = 0
     while True:
         k += 1
-        layer, cover = projective_cover(cur)
+        layer, cover = _module_cover(cur)
         trace.layers.append(layer)
         classes = _summand_classes(cur, layer, cover)
         if classes is not None:
@@ -943,17 +952,21 @@ def _class_trace(pres, key):
     return _class_walk(pres, ResolutionTrace(module=None), [key], 1)
 
 
+def _summand_trace(pres, v):
+    """The resolution of D(e_v A): a cyclic summand is walked as its class,
+    and only the others are built and resolved."""
+    key = _injective_summand_key(pres, v)
+    if key is None:
+        return resolve(pres, injective_summand_rep(pres, v))
+    return _class_trace(pres, key)
+
+
 def _dual_regular_pd(pres):
     """pd of the dual regular module via its injective summands, with early
-    exit as soon as one summand is certified infinite.  A cyclic summand is
-    walked as its class; only the others are built and resolved."""
+    exit as soon as one summand is certified infinite."""
     worst = 0
     for v in pres.quiver.vertices:
-        key = _injective_summand_key(pres, v)
-        if key is None:
-            tr = resolve(pres, injective_summand_rep(pres, v))
-        else:
-            tr = _class_trace(pres, key)
+        tr = _summand_trace(pres, v)
         if tr.status == PERIODIC:
             return SideStatus(PERIODIC, detail=f"summand at {v}: {tr.detail}")
         worst = max(worst, tr.pd)
@@ -1005,15 +1018,18 @@ def resolution_trace_report(pres):
     The ranks and syzygy dimensions list P_0 .. P_pd and Omega^1 ..
     Omega^(pd+1) = 0 for a finite trace, and every step up to and including
     the one whose cover certified the split (or the backstop) for an
-    infinite one.  Past the dense head they count the class multisets: one
-    generator per class, and len(words) dimensions.
+    infinite one.  From the split step on they count the class multisets:
+    one generator per class, and len(words) dimensions.  A cyclic summand
+    is walked as its class.
     """
     out = {}
     for key, pr in (("id_of_regular", pres), ("pd_of_dual", pres.opposite())):
         side = {}
         for v in pr.quiver.vertices:
-            tr = resolve(pr, injective_summand_rep(pr, v))
-            ranks = [len(layer.gens) for layer in tr.layers]
+            tr = _summand_trace(pr, v)
+            ranks = [len(layer.gens) for layer in tr.layers[:len(tr.syzygies)]]
+            if tr.classes is not None:
+                ranks.append(len(tr.classes))
             dims = [s.total_dim for s in tr.syzygies]
             steps = tr.pd + 1 if tr.status == FINITE else len(ranks)
             summands = Counter(tr.classes)
@@ -1086,29 +1102,20 @@ def is_torsionless(M):
     return True
 
 
-def _embeds_by_path(M, p):
-    """Whether the generator image g -> p is an injective map M -> A,
-    certified from the path basis; False for a source without a generator.
-
-    It is a homomorphism when x.p = 0 for every path x with x.g = 0, and it
-    is injective when x.p != 0 for every label x: distinct words x give
-    distinct basis paths x.p.  Then M embeds in A and is torsionless.
-    """
-    if not _is_cyclic(M) or p.target != M.gen[0]:
-        return False
-    pres = M.pres
-    labels = {lab for v in M.support for lab in M.act_labels[v]}
-    return all((x.arrows in labels) == pres.word_is_nonzero(x.arrows + p.arrows)
-               for x in pres.basis().from_vertex(p.target))
+def _ext_into_regular(pres, trace, d):
+    """Whether Ext^k(M, A) = 0 for 1 <= k <= d, read off M's resolution
+    trace; at d = 0 nothing is read and A is not built."""
+    return not any(_ext_from_trace(pres, trace, _regular(pres), k) for k in range(1, d + 1))
 
 
-def gorenstein_projective_test(pres, M, path=None):
-    """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check.
+def gorenstein_projective_test(pres, M):
+    """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check, for
+    any module M.
 
-    Ext^k into A is read off one full resolution of M, none at level 0.
-    With ``path`` p, for the class module M = A.p, the torsionless check
-    first asks whether g -> p embeds M in A, and runs the full rank test
-    only when it does not.  A module of another presentation raises
+    Ext^k into A is read off one full resolution of M, none at level 0, and
+    the torsionless check is the rank test.  The crosscheck reads the same
+    Ext off the class walk of each path key instead (see the module
+    docstring).  A module of another presentation raises
     PresentationMismatch.
     """
     _check_presentation(pres, M)
@@ -1118,13 +1125,8 @@ def gorenstein_projective_test(pres, M, path=None):
     d = prof.level
     if M.is_zero():
         return True
-    if d:
-        A = _regular(pres)
-        trace = resolve(pres, M)
-        if any(_ext_from_trace(pres, trace, A, k) for k in range(1, d + 1)):
-            return False
-    if path is not None and _embeds_by_path(M, path):
-        return True
+    if d and not _ext_into_regular(pres, resolve(pres, M), d):
+        return False
     return is_torsionless(M)
 
 
@@ -1134,7 +1136,9 @@ def _iso_witness(M, N):
     With equal dimensions, f is invertible iff it is onto, iff the image of
     M's generator lies outside rad N.  The maps whose generator image lies in
     rad N form a subspace, so an invertible map exists iff some Hom-basis map
-    is invertible: scanning the basis is an exact test.
+    is invertible: scanning the basis is an exact test.  The tests use it as
+    their isomorphism reference, and the benchmark's span table
+    (benchmarks/tracing.py) looks it up by name.
     """
     _generator(M)
     if M.dims != N.dims:
@@ -1147,45 +1151,39 @@ def _iso_witness(M, N):
     return None
 
 
+def _path_classes(pres):
+    """The distinct non-projective survivor keys of the nontrivial paths, in
+    the order of their first path: the path modules A.p up to isomorphism,
+    without the projective ones.  Built once per presentation."""
+    if "path_classes" not in pres._cache:
+        keys = dict.fromkeys(map(pres.survivor_key, pres.basis().nontrivial()))
+        pres._cache["path_classes"] = [key for key in keys if not pres.key_is_projective(key)]
+    return pres._cache["path_classes"]
+
+
 def crosscheck_classification(pres):
     """Compare the homological GP classification with the perfect-path one.
 
-    Enumerates all cyclic path modules, keeps the non-projective Gorenstein
-    projective ones, reduces to isomorphism classes, and requires the multiset
-    of dimension vectors to equal the combinatorial classification's.  Raises
-    MismatchDetected on any difference.
+    Each non-projective path module class is kept when Ext^k(K, A) = 0 for
+    1 <= k <= level, read off the class walk of its key (nothing to test at
+    level 0), and counts as one isomorphism class with its class module's
+    dimension vector; see the module docstring for why both steps are
+    exact.  The multiset of dimension vectors must equal the combinatorial
+    classification's; raises MismatchDetected on any difference.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("crosscheck requires a Gorenstein certificate")
-    reps = []
-    for p in pres.basis().nontrivial():
-        key = pres.survivor_key(p)
-        if pres.key_is_projective(key):
-            continue
-        M = _class_module(pres, key)
-        if gorenstein_projective_test(pres, M, path=p):
-            reps.append((p, M))
-    classes = []
-    for p, M in reps:
-        placed = False
-        for cl in classes:
-            q, N = cl[0]
-            if M.dims == N.dims and _iso_witness(M, N) is not None:
-                cl.append((p, M))
-                placed = True
-                break
-        if not placed:
-            classes.append([(p, M)])
-    hom_side = sorted(
-        tuple(sorted(cl[0][1].dims.items())) for cl in classes
-    )
+    level = prof.level
+    kept = [key for key in _path_classes(pres)
+            if not level or _ext_into_regular(pres, _class_trace(pres, key), level)]
+    hom_side = sorted(tuple(sorted(_class_module(pres, key).dims.items())) for key in kept)
     from .perfection import classify_stable_gproj
 
     comb = classify_stable_gproj(pres)
     comb_side = sorted(tuple(sorted(d.dim_vector.items())) for d in comb)
     report = {
-        "homological_classes": len(classes),
+        "homological_classes": len(kept),
         "combinatorial_classes": len(comb),
         "dim_vectors": [dict(t) for t in hom_side],
         "match": hom_side == comb_side,
@@ -1249,8 +1247,7 @@ def verify_omega_T_ext_vanishing(pres, window):
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         return False
-    X0 = {(key, 0) for key in map(pres.survivor_key, pres.basis().nontrivial())
-          if not pres.key_is_projective(key)}
+    X0 = {(key, 0) for key in _path_classes(pres)}
     for _ in range(prof.level):
         X0 = _omega_classes(pres, X0)
     if not X0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, TrivialPath, ZeroPath
+from .presentation import successor_cycles
 
 
 def annihilator_minimal(pres, p, side):
@@ -131,21 +132,8 @@ def perfect_paths(pres):
     pairs = perfect_pairs(pres)
     successor = {p: q for p, q in pairs}
     key = pres.quiver.sort_key
-    cycles = []
-    done = set()
-    for start in sorted(successor, key=key):
-        if start in done:
-            continue
-        walk = []
-        pos = {}
-        cur = start
-        while cur is not None and cur not in done and cur not in pos:
-            pos[cur] = len(walk)
-            walk.append(cur)
-            cur = successor.get(cur)
-        if cur is not None and cur in pos:
-            cycles.append(_rotate_to_least(walk[pos[cur] :], key))
-        done.update(walk)
+    cycles = [_rotate_to_least(c, key)
+              for c in successor_cycles(sorted(successor, key=key), successor)]
     cycles.sort(key=lambda c: key(c[0]))
     g = PerfectPairGraph(pairs=pairs, successor=successor, cycles=cycles)
     pres._cache["perfect_paths"] = g

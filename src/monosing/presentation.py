@@ -383,6 +383,31 @@ def find_cycle(roots, successors):
     return None, finished
 
 
+def successor_cycles(starts, successor):
+    """The cycles of a partial successor map, as node lists.
+
+    Walks ``successor`` (a dict; a node missing from it ends the walk) from
+    each of ``starts`` in order, until the walk meets a node seen before;
+    each cycle is listed once, from the node where its first walk entered
+    it.
+    """
+    cycles = []
+    done = set()
+    for start in starts:
+        if start in done:
+            continue
+        walk, pos = [], {}
+        cur = start
+        while cur is not None and cur not in done and cur not in pos:
+            pos[cur] = len(walk)
+            walk.append(cur)
+            cur = successor.get(cur)
+        if cur is not None and cur in pos:
+            cycles.append(walk[pos[cur]:])
+        done.update(walk)
+    return cycles
+
+
 def _state_key(quiver):
     def key(state):
         word, end = state

@@ -289,16 +289,43 @@ def test_gp_test_on_class_modules_takes_no_dense_step(z3r2, her, glu, monkeypatc
     assert steps == []
 
 
+def test_a_module_is_covered_once(glu, monkeypatch):
+    # resolve, the class walk and stable Hom share the cover kept on a module
+    from monosing.oracle import _class_module
+
+    injective_dimension_profile(glu)
+    A = regular_rep(glu)
+    covered = counting(monkeypatch, "projective_cover")
+    for key in {glu.survivor_key(p) for p in glu.basis().nontrivial()}:
+        M = _class_module(glu, key)
+        gorenstein_projective_test(glu, M)
+        ext_dim(glu, M, A, 1)
+        stable_hom_dim(M, M)
+    assert len(covered) > 10
+    assert len(covered) == len({id(args[0]) for args in covered})
+
+
 def test_trace_report_resolves_each_summand_once(monkeypatch):
-    from monosing.oracle import resolution_trace_report
+    # a cyclic summand is walked as its class; each other one is resolved once
+    from monosing.oracle import (
+        _injective_summand_key,
+        injective_summand_rep,
+        resolution_trace_report,
+    )
 
     resolved = counting(monkeypatch, "resolve")
+    noncyclic = 0
     for name in ("lin", "glu", "loc1"):
         pres = load(name)
         resolved.clear()
         resolution_trace_report(pres)
-        sides = (pres, pres.opposite())
-        assert [args[0] for args in resolved] == [pr for pr in sides for _ in pr.quiver.vertices]
+        want = [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
+                if _injective_summand_key(pr, v) is None]
+        assert [args[0] for args in resolved] == [pr for pr, _ in want]
+        assert [args[1].dims for args in resolved] == \
+            [injective_summand_rep(pr, v).dims for pr, v in want]
+        noncyclic += len(want)
+    assert noncyclic == 8
 
 
 def test_trace_report_matches_the_dense_steps():
@@ -325,8 +352,8 @@ def test_trace_report_matches_the_dense_steps():
 
 
 def test_crosscheck_builds_the_regular_module_once(z3r2, glu, monkeypatch):
-    # at level 0 the path-image certificate decides every torsionless step,
-    # so no regular module is built; at level 1 Ext into A needs it, once
+    # at level 0 the crosscheck tests nothing, so no regular module is
+    # built; at level 1 Ext into A needs it, once
     builds = counting(monkeypatch, "regular_rep")
     assert crosscheck_classification(z3r2)["homological_classes"] == 3
     assert len(builds) == 0
@@ -1236,47 +1263,77 @@ def test_nakayama_crosscheck_runs_no_rank_test_and_builds_no_summand(monkeypatch
     assert rank_tests == [] and summands == []
 
 
-def test_path_image_certificate_agrees_with_the_rank_test():
-    from monosing.oracle import _class_module, _embeds_by_path
-
-    certified = refused = 0
-    for pres in class_rule_corpus():
-        by_target = {}
-        for p in pres.basis().nontrivial():
-            by_target.setdefault(p.target, []).append(p)
-        for p in pres.basis().nontrivial():
-            key = pres.survivor_key(p)
-            if pres.key_is_projective(key):
-                continue
-            M = _class_module(pres, key)
-            assert _embeds_by_path(M, p) and is_torsionless(M), (pres.quiver.vertices, str(p))
-            certified += 1
-            # a path at the same vertex with another survivor key is no
-            # embedding of M, and a path elsewhere cannot carry the generator
-            for q in pres.basis().nontrivial():
-                if q.target != p.target or pres.survivor_key(q) != key:
-                    assert not _embeds_by_path(M, q)
-                    refused += 1
-        for v in pres.quiver.vertices:  # g -> e_v embeds S_v only when S_v = A e_v
-            S = simple_rep(pres, v)
-            assert _embeds_by_path(S, pres.quiver.trivial_path(v)) == \
-                (len(pres.basis().from_vertex(v)) == 1)
-    assert certified > 500 and refused > 5000, (certified, refused)
-
-
 def test_gp_test_without_a_certificate_runs_the_rank_test(z3r2, lin, monkeypatch):
     rank_tests = counting(monkeypatch, "is_torsionless")
     # the source simple of lin is decided by Ext^2(S_1, A) != 0 first
     assert not gorenstein_projective_test(lin, simple_rep(lin, "1"))
     assert rank_tests == []
-    # no path given: the rank test decides
+    # at level 0 the rank test decides
     assert gorenstein_projective_test(z3r2, simple_rep(z3r2, "1"))
     assert len(rank_tests) == 1
-    # a path that does not embed A.a1 (a2 kills a1, but not a2): the rank
-    # test decides
-    a1, a2 = z3r2.quiver.arrow_path("a1"), z3r2.quiver.arrow_path("a2")
-    M = path_module_rep(z3r2, a1)
-    assert gorenstein_projective_test(z3r2, M, path=a2)
-    assert len(rank_tests) == 2
-    assert gorenstein_projective_test(z3r2, M, path=a1)
-    assert len(rank_tests) == 2
+
+
+def crosscheck_reference(pres):
+    """The homological side of crosscheck_classification as it was before
+    the key rule: the GP test, rank test included, on the class module of
+    every nontrivial path, then an _iso_witness scan against every class
+    found so far.  Returns (class count, sorted dimension vectors)."""
+    from monosing.oracle import _class_module, _iso_witness
+
+    found = []
+    for p in pres.basis().nontrivial():
+        key = pres.survivor_key(p)
+        if pres.key_is_projective(key):
+            continue
+        M = _class_module(pres, key)
+        if gorenstein_projective_test(pres, M):
+            found.append(M)
+    classes = []
+    for M in found:
+        if not any(M.dims == N.dims and _iso_witness(M, N) is not None for N in classes):
+            classes.append(M)
+    return len(classes), sorted(tuple(sorted(N.dims.items())) for N in classes)
+
+
+def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
+    from monosing.oracle import _class_module, _iso_witness, _path_classes
+
+    presentations = class_rule_corpus()
+    presentations += [nakayama(n, m) for m in range(2, 6) for n in range(9, 13)]
+    checked = levels = dropped = same_dims = 0
+    for pres in presentations:
+        keys = _path_classes(pres)
+        assert all(is_torsionless(_class_module(pres, key)) for key in keys)
+        prof = injective_dimension_profile(pres)
+        if not prof.gorenstein:
+            continue
+        report = crosscheck_classification(pres)
+        count, dims = crosscheck_reference(pres)
+        assert (report["homological_classes"], report["dim_vectors"]) == \
+            (count, [dict(t) for t in dims]), pres.quiver.vertices
+        checked += 1
+        levels += prof.level > 0
+        dropped += len(keys) - count
+        # distinct keys are never isomorphic, even with one dimension vector
+        for i, key in enumerate(keys):
+            M = _class_module(pres, key)
+            for other in keys[i + 1:]:
+                N = _class_module(pres, other)
+                if M.dims == N.dims:
+                    assert _iso_witness(M, N) is None, (pres.quiver.vertices, key, other)
+                    same_dims += 1
+    assert checked > 100 and levels > 20 and same_dims > 10, (checked, levels, same_dims)
+    assert dropped > 0, dropped  # Ext into A rules some keys out
+
+
+def test_crosscheck_resolves_nothing_and_scans_no_isomorphism(glu, monkeypatch):
+    # glu is level 1, so Ext^1 into A is read off each key's class walk;
+    # Z_12 R_4 is level 0, so nothing is tested
+    z12r4 = nakayama(12, 4)
+    for pres in (glu, z12r4):
+        injective_dimension_profile(pres)  # the profile resolves glu's non-cyclic summands
+    calls = {name: counting(monkeypatch, name)
+             for name in ("resolve", "is_torsionless", "_iso_witness")}
+    assert crosscheck_classification(glu)["homological_classes"] == 12
+    assert crosscheck_classification(z12r4)["homological_classes"] == 12 * 3
+    assert calls == dict.fromkeys(calls, [])
