@@ -58,10 +58,6 @@ def random_presentation(rng, max_vertices=4, max_arrows=6, max_rel_len=3, requir
     raise RuntimeError("could not sample a finite-dimensional presentation")
 
 
-def finite_corpus(rng, n, **kwargs):
-    return [random_presentation(rng, **kwargs) for _ in range(n)]
-
-
 def gorenstein_corpus(rng, n, **kwargs):
     """Presentations whose homological profile certifies Gorenstein."""
     out = []

@@ -72,16 +72,9 @@ def syzygy_of_T(pres):
 
 
 def basic_syzygy_summands(pres):
-    """Syzygy-of-T summands with projectives dropped and duplicates merged."""
-    out = []
-    seen = set()
-    for s in syzygy_of_T(pres):
-        key = pres.survivor_key(s.generator)
-        if pres.key_is_projective(key) or key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
-    return out
+    """Syzygy-of-T summands with projectives dropped and duplicates merged:
+    one per path class, on its first path."""
+    return [GradedSummand(p, -1) for p in pres.path_classes().values()]
 
 
 @dataclass(frozen=True)

@@ -58,18 +58,22 @@ w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
 its one-generator cover would certify at step 1, which is exactly what
 ``resolve`` reports; the profile builds and resolves only the non-cyclic
 summands, and the global dimension builds nothing.  The path module A.p is
-the class of p's survivor key.
+the class of p's survivor key, which the presentation owns
+(``survivor_key``, and ``path_classes`` for the distinct non-projective
+keys of the nontrivial paths).
 
-The crosscheck reads the Gorenstein-projective path modules off their keys.
-Over a Gorenstein algebra of level d, Ext^k(M, A) = 0 for 1 <= k <= d
-already makes M Gorenstein projective (Ext^k(-, A) vanishes past d), so a
-key is kept when Ext^{1..d} of its class into A vanishes, with no
-torsionless step.  Distinct keys are never isomorphic classes: an
-isomorphism A e_v/I -> A e_v/J sends the generator to u + J with
-u = e_v + (cycles at v), so I = {x : x.u in J}; a path x appears in x.u
-with coefficient 1 beside only longer paths, and J is spanned by paths, so
-x.u in J puts x in J.  That gives I <= J and, by symmetry, I = J, so each
-kept key is one isomorphism class and no isomorphism test runs.
+The crosscheck compares keys.  Over a Gorenstein algebra of level d,
+Ext^k(M, A) = 0 for 1 <= k <= d already makes M Gorenstein projective
+(Ext^k(-, A) vanishes past d), so a path class is kept when Ext^{1..d} of
+its class into A vanishes, with no torsionless step.  Distinct keys are
+never isomorphic classes: an isomorphism A e_v/I -> A e_v/J sends the
+generator to u + J with u = e_v + (cycles at v), so I = {x : x.u in J}; a
+path x appears in x.u with coefficient 1 beside only longer paths, and J is
+spanned by paths, so x.u in J puts x in J.  That gives I <= J and, by
+symmetry, I = J.  So the kept keys are the isomorphism classes, no
+isomorphism test runs, and the perfect-path classification matches exactly
+when the keys of its perfect paths are the kept keys, each once; no module
+is built for the comparison.
 
 Ext has one rule: Ext^1(X, N) = hom(Omega X, N) - hom(P_X, N) + hom(X, N)
 for the minimal cover P_X -> X, and Ext^k(M, N) = Ext^1(Omega^(k-1) M, N).
@@ -316,8 +320,8 @@ def dual_regular_rep(pres):
 
 
 def simple_rep(pres, v):
-    return Representation(pres, {v: 1}, {}, degrees={v: (0,)}, validate=False,
-                          act_labels={v: ((),)}, gen=(v, 0))
+    """The simple module at v: the class (v, {e_v})."""
+    return _class_rep(pres, (v, frozenset({()})))
 
 
 def direct_sum(pres, reps):
@@ -466,13 +470,11 @@ def _kernel_blocks(rep, layer, cover):
     return kernel
 
 
-def syzygy_step(rep, covered=None):
-    """Minimal cover and its kernel; returns (layer, cover, kernel rep, kernel columns).
-
-    ``covered`` is the ``projective_cover(rep)`` pair when the caller has it.
-    """
+def syzygy_step(rep):
+    """Minimal cover (kept on the module) and its kernel; returns (layer,
+    cover, kernel rep, kernel columns)."""
     pres = rep.pres
-    layer, cover = covered or projective_cover(rep)
+    layer, cover = _module_cover(rep)
     kernel = _kernel_blocks(rep, layer, cover)
     # minimality: kernel must avoid the generator coordinates
     for v, placed in layer.pbasis.items():
@@ -563,7 +565,7 @@ def resolve(pres, rep):
         classes = _summand_classes(cur, layer, cover)
         if classes is not None:
             return _class_walk(pres, trace, classes, k)
-        _, _, cur, _ = syzygy_step(cur, (layer, cover))
+        _, _, cur, _ = syzygy_step(cur)
         trace.syzygies.append(cur)
         if k > bound:
             trace.status = PERIODIC
@@ -1151,48 +1153,39 @@ def _iso_witness(M, N):
     return None
 
 
-def _path_classes(pres):
-    """The distinct non-projective survivor keys of the nontrivial paths, in
-    the order of their first path: the path modules A.p up to isomorphism,
-    without the projective ones.  Built once per presentation."""
-    if "path_classes" not in pres._cache:
-        keys = dict.fromkeys(map(pres.survivor_key, pres.basis().nontrivial()))
-        pres._cache["path_classes"] = [key for key in keys if not pres.key_is_projective(key)]
-    return pres._cache["path_classes"]
-
-
 def crosscheck_classification(pres):
     """Compare the homological GP classification with the perfect-path one.
 
-    Each non-projective path module class is kept when Ext^k(K, A) = 0 for
-    1 <= k <= level, read off the class walk of its key (nothing to test at
-    level 0), and counts as one isomorphism class with its class module's
-    dimension vector; see the module docstring for why both steps are
-    exact.  The multiset of dimension vectors must equal the combinatorial
-    classification's; raises MismatchDetected on any difference.
+    Each path class key is kept when Ext^k(K, A) = 0 for 1 <= k <= level,
+    read off the class walk of its key (nothing to test at level 0), and is
+    one isomorphism class; see the module docstring for why both steps are
+    exact.  The kept keys must be the survivor keys of the perfect paths,
+    each once; MismatchDetected lists both sides by a generating path
+    otherwise.  The report's dimension vectors, sorted, are the
+    descriptors', so no class module is built.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("crosscheck requires a Gorenstein certificate")
     level = prof.level
-    kept = [key for key in _path_classes(pres)
+    classes = pres.path_classes()
+    kept = [key for key in classes
             if not level or _ext_into_regular(pres, _class_trace(pres, key), level)]
-    hom_side = sorted(tuple(sorted(_class_module(pres, key).dims.items())) for key in kept)
     from .perfection import classify_stable_gproj
 
     comb = classify_stable_gproj(pres)
-    comb_side = sorted(tuple(sorted(d.dim_vector.items())) for d in comb)
-    report = {
+    if Counter(kept) != Counter(pres.survivor_key(d.generator) for d in comb):
+        raise MismatchDetected(
+            f"classification mismatch: homological [{', '.join(str(classes[k]) for k in kept)}]"
+            f" vs perfect-path [{', '.join(str(d.generator) for d in comb)}]"
+        )
+    return {
         "homological_classes": len(kept),
         "combinatorial_classes": len(comb),
-        "dim_vectors": [dict(t) for t in hom_side],
-        "match": hom_side == comb_side,
+        "dim_vectors": [dict(t) for t in sorted(tuple(sorted(d.dim_vector.items()))
+                                                for d in comb)],
+        "match": True,
     }
-    if hom_side != comb_side:
-        raise MismatchDetected(
-            f"classification mismatch: homological {hom_side} vs perfect-path {comb_side}"
-        )
-    return report
 
 
 # -- graded tilting check --------------------------------------------------------
@@ -1247,7 +1240,7 @@ def verify_omega_T_ext_vanishing(pres, window):
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         return False
-    X0 = {(key, 0) for key in _path_classes(pres)}
+    X0 = {(key, 0) for key in pres.path_classes()}
     for _ in range(prof.level):
         X0 = _omega_classes(pres, X0)
     if not X0:

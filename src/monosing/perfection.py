@@ -152,7 +152,6 @@ class GpModuleDescriptor:
     generator: object  # Path
     basis: list
     dim_vector: dict
-    projective: bool = False
 
     @property
     def top_vertex(self):
@@ -172,9 +171,9 @@ def classify_stable_gproj(pres):
     graph = perfect_paths(pres)
     out = []
     for p in sorted(graph.perfect_set(), key=pres.quiver.sort_key):
-        basis, vec = pres.cyclic_module_basis(p)
-        if len(basis) == len(pres.basis().from_vertex(p.target)):
+        if pres.key_is_projective(pres.survivor_key(p)):
             raise InternalInvariantViolation(f"perfect path {p} generates a projective module")
+        basis, vec = pres.cyclic_module_basis(p)
         out.append(GpModuleDescriptor(generator=p, basis=basis, dim_vector=vec))
     return out
 

@@ -133,22 +133,6 @@ class Quiver:
         """Path from a composition-order subword of a known-composable word."""
         return Path(tuple(names), self.source(names[-1]), self.target(names[0]))
 
-    def concat(self, p, q):
-        """The concatenation pq, defined exactly when s(p) = t(q)."""
-        if q.is_trivial:
-            if p.is_trivial and p.source != q.source:
-                raise NonComposableRelation("trivial paths at distinct vertices")
-            if p.source != q.target:
-                raise NonComposableRelation(f"s({p}) = {p.source!r} != t({q}) = {q.target!r}")
-            return p
-        if p.is_trivial:
-            if p.source != q.target:
-                raise NonComposableRelation(f"s({p}) = {p.source!r} != t({q}) = {q.target!r}")
-            return q
-        if p.source != q.target:
-            raise NonComposableRelation(f"s({p}) = {p.source!r} != t({q}) = {q.target!r}")
-        return Path(p.arrows + q.arrows, q.source, p.target)
-
     def sort_key(self, p):
         """Canonical path order: (length, traversal-order arrow indices)."""
         a = p.arrows
@@ -293,17 +277,9 @@ class MonomialPresentation:
 
         Includes p itself (trivial q').  Raises ZeroPath when p is zero.
         """
-        if not self.is_nonzero(p):
-            raise ZeroPath(f"{p} is zero in the algebra")
-        basis = self.basis()
-        out = []
-        for q in basis.from_vertex(p.target):
-            if q.is_trivial:
-                out.append(p)
-            else:
-                word = q.arrows + p.arrows
-                if self.word_is_nonzero(word):
-                    out.append(Path(word, p.source, q.target))
+        _, words = self.survivor_key(p)
+        target = self.quiver.target
+        out = [Path(w + p.arrows, p.source, target(w[0])) if w else p for w in words]
         out.sort(key=self.quiver.sort_key)
         vec = {v: 0 for v in self.quiver.vertices}
         for q in out:
@@ -312,9 +288,32 @@ class MonomialPresentation:
 
     def survivor_key(self, p):
         """Isomorphism key of Ap: its top vertex t(p) and the left-acting
-        words q' with q'p nonzero.  Raises ZeroPath when p is zero."""
-        module_basis, _ = self.cyclic_module_basis(p)
-        return (p.target, frozenset(w.arrows[: w.length - p.length] for w in module_basis))
+        words q' with q'p nonzero, memoized per path.  Raises ZeroPath when
+        p is zero."""
+        memo = self._cache.setdefault("survivor_keys", {})
+        key = memo.get(p)
+        if key is None:
+            if not self.is_nonzero(p):
+                raise ZeroPath(f"{p} is zero in the algebra")
+            word = p.arrows
+            key = memo[p] = (p.target, frozenset(
+                q.arrows for q in self.basis().from_vertex(p.target)
+                if not q.arrows or self.word_is_nonzero(q.arrows + word)))
+        return key
+
+    def path_classes(self):
+        """The path modules A.p of the nontrivial paths up to isomorphism,
+        without the projective ones: each distinct non-projective survivor
+        key with its first path, in basis order.  Built once per
+        presentation."""
+        if "path_classes" not in self._cache:
+            classes = {}
+            for p in self.basis().nontrivial():
+                key = self.survivor_key(p)
+                if key not in classes and not self.key_is_projective(key):
+                    classes[key] = p
+            self._cache["path_classes"] = classes
+        return self._cache["path_classes"]
 
     def key_is_projective(self, key):
         """Whether the cyclic module with this survivor key is projective: no

@@ -226,6 +226,66 @@ TRACE_SHA256 = {
 }
 
 
+# exit code and sha256 of `oracle --check classification` and `--check tilting`
+# stdout, plain and --json; loc1 is refused by the crosscheck (empty stdout)
+# and fails the tilting check
+CHECK_SHA256 = {
+    "z3r2": {
+        "classification": (0, "064ddb10c99eed67882a6f6bda9dc5e997bfaca4d70638aa10317ad7537af138",
+                          "ff7a2cea7e9054a85035cabdea5e3684af4114c2024ada9e5ad2bf67aaaa4fb0"),
+        "tilting": (0, "095c387303e7e11a386298bf33e6edf8a899ee5d594e0c7cedea9ec7aec30c49",
+                   "3fb955a8c2117a915b98e7c934fe16b884eb05fd929a9107440e7c6ba0196854"),
+    },
+    "z2r3": {
+        "classification": (0, "34f33b47fded2ec287319b3f9b65fae3e160ba1be67524e0c6301e182a561bff",
+                          "06c6a2d279f92661fd50af5cde8efb2e4c1e1652cf99d435303fb2152aba50f9"),
+        "tilting": (0, "095c387303e7e11a386298bf33e6edf8a899ee5d594e0c7cedea9ec7aec30c49",
+                   "3fb955a8c2117a915b98e7c934fe16b884eb05fd929a9107440e7c6ba0196854"),
+    },
+    "lin": {
+        "classification": (0, "def33a1e6bcab3a46bf0700f9e480134481803411e696ce853ee6a0bd0220e0d",
+                          "2557a0c60cee32e2dcc9236d2efe4b43b617a81d4d9a47a79782703094acdd22"),
+        "tilting": (0, "b000a6be5800c6820edfd41ed49c01a977eaa3414394bd08eeb430a0f6d94a2a",
+                   "91f97719e73f3ac4a4a59dc0ef085ae5c2b0144fa792785b8a23eeb5dbff7494"),
+    },
+    "her": {
+        "classification": (0, "def33a1e6bcab3a46bf0700f9e480134481803411e696ce853ee6a0bd0220e0d",
+                          "2557a0c60cee32e2dcc9236d2efe4b43b617a81d4d9a47a79782703094acdd22"),
+        "tilting": (0, "ed5c9c772f3b6b041d21d8d5f4829096c9b2d77b2030e4075d1f0826eb32e3bf",
+                   "bfad02afc20371bc05d13e53a3c2e8ee2ae8c2c0ed0d4a3820a86fbc451c59eb"),
+    },
+    "glu": {
+        "classification": (0, "cfe00ac906c819b1df8a136dc609cfa5d5c5a5d77e0b90a28fd81a2a3ad79220",
+                          "eecd0d802a71a6229f01d86334bd94aabe61a0ac7897165a2d26f65c9d48d7c9"),
+        "tilting": (0, "810953b019557d9d1eb1bd50933b71ef29af935b50418854b26a98b3bda1866f",
+                   "4195937b764af4ce7f5d06039aedcdc621378d11d734f9ee0a7bb27859dd4fca"),
+    },
+    "z6r3": {
+        "classification": (0, "cfe00ac906c819b1df8a136dc609cfa5d5c5a5d77e0b90a28fd81a2a3ad79220",
+                          "5d931a4a71f9c49e170a37790fb272fe1b9845aab4fb881d07ae7eecc3e99513"),
+        "tilting": (0, "d0e99d124654c2d27ffb42f07ad9828d7d41ff8127295bbfa57331ac96ea4c1b",
+                   "006339a88ef875bb23c3538edb53bd12d1716f4caa7e6511147ff4cd832ef138"),
+    },
+    "loc1": {
+        "classification": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "tilting": (1, "0ce58f56c7f10946af14116c18893662641e34614cf37af47b734de99db30c16",
+                   "07084361afad5cfe995629be42c671caf5c9f7c74dbfb27cbe724912d584a11d"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["loc1"])
+def test_check_bytes_are_pinned(capsys, name):
+    for check, (expected_code, *expected) in CHECK_SHA256[name].items():
+        digests = []
+        for extra in ([], ["--json"]):
+            code, out, _ = run(capsys, "oracle", fixture_path(name), "--check", check, *extra)
+            assert code == expected_code, (check, extra)
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert digests == expected, check
+
+
 def test_trace_report_lists_every_dense_step(tmp_path, capsys):
     # resolve stops at a certified split without taking that step's kernel;
     # the report still prints P_0 .. P_pd and Omega^1 .. Omega^(pd+1) = 0 for

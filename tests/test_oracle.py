@@ -169,6 +169,44 @@ def test_crosscheck_trips_on_corrupted_classification(z2r3, monkeypatch):
         crosscheck_classification(z2r3)
 
 
+def test_crosscheck_trips_on_a_class_listed_twice(z2r3, monkeypatch):
+    # A.a and A.b over kZ_2/J^3 share a dimension vector; only their keys
+    # tell a classification that lists A.b twice and A.a never from the true one
+    import monosing.perfection as perfection
+    from monosing.errors import MismatchDetected
+
+    real = perfection.classify_stable_gproj
+    a, b = (z2r3.quiver.arrow_path(name) for name in "ab")
+
+    def doubled(pres):
+        descriptors = real(pres)
+        at_b = next(d for d in descriptors if d.generator == b)
+        return [at_b if d.generator == a else d for d in descriptors]
+
+    monkeypatch.setattr(perfection, "classify_stable_gproj", doubled)
+    with pytest.raises(MismatchDetected) as exc:
+        crosscheck_classification(z2r3)
+    assert str(exc.value) == ("classification mismatch: homological [a, b, a·b, b·a] "
+                              "vs perfect-path [b, b, a·b, b·a]")
+
+
+def test_level_zero_crosscheck_builds_no_module(monkeypatch):
+    # the kept keys are compared with the perfect paths' keys, and the
+    # dimension vectors are the descriptors', so no class module is built
+    pres = nakayama(12, 4)
+    injective_dimension_profile(pres)
+    builds = []
+    real_init = Representation.__init__
+
+    def init(self, *args, **kwargs):
+        builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Representation, "__init__", init)
+    assert crosscheck_classification(pres)["homological_classes"] == 12 * 3
+    assert builds == []
+
+
 def test_crosscheck_fixtures(z3r2, z2r3, her, lin, glu):
     assert crosscheck_classification(z3r2)["homological_classes"] == 3
     assert crosscheck_classification(z2r3)["homological_classes"] == 4
@@ -366,15 +404,15 @@ def dense_resolution_reference(M, depth):
     ``depth`` dense steps, or fewer when the syzygy dies, with the image in
     P_(k-1) of each generator of P_k, the kernel vector it lifts.  Returns
     (layers, differentials, syzygies)."""
-    from monosing.oracle import projective_cover, syzygy_step
+    from monosing.oracle import _module_cover, syzygy_step
 
     layers, diffs, syzygies = [], [], []
     cur, kernel = M, None
     while len(layers) < depth and not cur.is_zero():
-        layer, cover = projective_cover(cur)
+        layer, _ = _module_cover(cur)
         layers.append(layer)
         diffs.append(None if kernel is None else [(v, kernel[v][j]) for v, j in layer.tops])
-        _, _, cur, kernel = syzygy_step(cur, (layer, cover))
+        _, _, cur, kernel = syzygy_step(cur)
         syzygies.append(cur)
     return layers, diffs, syzygies
 
@@ -1159,6 +1197,34 @@ def class_rule_corpus():
     return presentations
 
 
+def test_class_children_are_the_keys_of_the_minimal_killed_paths():
+    # a killed path x whose right factor x[1:] survives generates the child
+    # A.x, and y.x is killed exactly when it is nonzero, so the children of
+    # a class are the survivor keys of those x, by t(x), in degree len(x)
+    from monosing.oracle import _class_children
+
+    classes = children_seen = 0
+    for pres in class_rule_corpus():
+        todo = list(dict.fromkeys(map(pres.survivor_key, pres.basis())))
+        seen = set(todo)
+        while todo:
+            key = todo.pop()
+            v, words = key
+            minimal = [x for x in pres.basis().from_vertex(v)
+                       if x.arrows not in words and x.arrows[1:] in words]
+            minimal.sort(key=lambda x: pres.quiver.vertex_index(x.target))
+            children = _class_children(pres, key)
+            assert children == [(pres.survivor_key(x), x.length) for x in minimal], \
+                (pres.quiver.vertices, key)
+            classes += 1
+            children_seen += len(children)
+            for child, _ in children:
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+    assert classes > 1000 and children_seen > 500, (classes, children_seen)
+
+
 def injective_summand_reference(pres, v):
     """D(e_v A) as the dense builder makes it: the duals of the paths into
     v, an arrow a sending the dual of w to the dual of w without the arrow
@@ -1296,13 +1362,13 @@ def crosscheck_reference(pres):
 
 
 def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
-    from monosing.oracle import _class_module, _iso_witness, _path_classes
+    from monosing.oracle import _class_module, _iso_witness
 
     presentations = class_rule_corpus()
     presentations += [nakayama(n, m) for m in range(2, 6) for n in range(9, 13)]
     checked = levels = dropped = same_dims = 0
     for pres in presentations:
-        keys = _path_classes(pres)
+        keys = list(pres.path_classes())
         assert all(is_torsionless(_class_module(pres, key)) for key in keys)
         prof = injective_dimension_profile(pres)
         if not prof.gorenstein:

@@ -105,7 +105,7 @@ def test_classify_z3r2(z3r2):
     ds = classify_stable_gproj(z3r2)
     assert len(ds) == 3
     assert all(d.total_dimension == 1 for d in ds)
-    assert all(not d.projective for d in ds)
+    assert all(not z3r2.key_is_projective(z3r2.survivor_key(d.generator)) for d in ds)
 
 
 def test_classify_her(her):
