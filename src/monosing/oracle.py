@@ -26,11 +26,14 @@ splits again, into the classes of the next step.  A cycle reachable in this
 class graph certifies infinite pd (PeriodicityDetected); otherwise pd is the
 number of dense steps before the split plus the longest class path.
 
-A class's syzygy is read off its certified cover P_v -> M, with no kernel
-solve and no second cover: once the cover's nonzero columns are the key's
-words, the killed paths of P_v are a kernel basis, each killed path y.x
-falls under its shortest killed right factor x, and Omega M is the direct
-sum of the A.x, the classes (t(x), {y : y.x killed}) in degree len(x).
+A class's syzygy is read off its key, with no module, cover or kernel.
+The cover P_v -> A e_v/I of the class (v, words) sends each path from v to
+itself or to zero, so its kernel is spanned by the killed paths, those
+outside the words.  Each killed path falls under exactly one minimal killed
+right factor x, a killed path whose right factor x[1:] survives, so the
+kernel is the direct sum of the A.x.  The words are closed under right
+factors, so y.x is killed exactly when it is nonzero: A.x is the class of
+x's survivor key, generated in degree len(x).
 
 Every module carries its support, the vertices with a nonzero space, and
 all per-module work follows it: builders, validation, covers, kernels and
@@ -437,8 +440,8 @@ def projective_cover(rep):
 
 def _module_cover(rep):
     """``projective_cover(rep)``, made once per module and kept on it: a
-    class module is built once per presentation, so ``resolve``, the class
-    walk's step and every stable Hom into the class share one cover."""
+    class module is built once per presentation, so ``resolve`` and every
+    stable Hom into the class share one cover."""
     covered = getattr(rep, "_cover", None)
     if covered is None:
         covered = rep._cover = projective_cover(rep)
@@ -588,42 +591,29 @@ def _summand_classes(rep, layer, cover):
     return [(v, frozenset(ws)) for (v, _), ws in zip(layer.gens, words)]
 
 
+def _minimal_killed(pres, v, words):
+    """The minimal killed paths of the cyclic module (v, words), in canonical
+    order: the paths x from v outside the words whose right factor x[1:] is
+    one of them.  Every other killed path is a left multiple of one."""
+    return [x for x in pres.basis().from_vertex(v)
+            if x.arrows not in words and x.arrows[1:] in words]
+
+
 def _class_children(pres, key):
     """The summand classes of a class's syzygy as (class key, generator
     degree) pairs, the class generated in degree 0; resolved once per
-    presentation.  A projective class has none.
+    presentation.  A projective class kills no path and has none.
 
-    The syzygy is read off the class module's certified cover P_v -> M:
-    once the cover's nonzero columns are certified to be the key's words,
-    the kernel has the killed paths of P_v as a basis.  Each killed path
-    y.x falls under its shortest killed right factor x, and the paths under
-    x span A.x, so the syzygy is the direct sum of the A.x.  A.x is the
-    class (t(x), {y : y.x killed}) generated in degree len(x).  The classes
-    come in the order a dense syzygy step and its cover would list them:
-    by t(x) in quiver order, then in canonical path order.
+    The child of each minimal killed path x is the class of x's survivor
+    key in degree len(x) (see the module docstring for why this is exact),
+    in the order a dense syzygy step and its cover would list them: by t(x)
+    in quiver order, then in canonical path order.
     """
     memo = pres._cache.setdefault("class_children", {})
     if key not in memo:
-        children = []
-        if not pres.key_is_projective(key):
-            M = _class_module(pres, key)
-            if _summand_classes(M, *_module_cover(M)) != [key]:
-                raise InternalInvariantViolation(f"the cover of the class at {key[0]} is not certified")
-            v, words = key
-            paths = pres.basis().from_vertex(v)  # canonical order: x before y.x
-            killed = {z.arrows for z in paths} - words
-            shortest = {}  # killed word -> its shortest killed right factor
-            groups = {}  # shortest killed right factor -> (its path, the words y)
-            for z in paths:
-                word = z.arrows
-                if word in killed:
-                    x = shortest[word] = shortest.get(word[1:], word)
-                    if x == word:
-                        groups[x] = (z, set())
-                    groups[x][1].add(word[:len(word) - len(x)])
-            tops = sorted(groups.values(), key=lambda g: pres.quiver.vertex_index(g[0].target))
-            children = [((x.target, frozenset(ys)), x.length) for x, ys in tops]
-        memo[key] = children
+        minimal = sorted(_minimal_killed(pres, *key),
+                         key=lambda x: pres.quiver.vertex_index(x.target))
+        memo[key] = [(pres.survivor_key(x), x.length) for x in minimal]
     return memo[key]
 
 
@@ -752,12 +742,11 @@ def hom_basis_from_cyclic(M, N, degree_shift=None):
     if free:
         survivors = {lab for v in M.support for lab in M.act_labels[v]}
         rows = []
-        for x in M.pres.basis().from_vertex(v0):
-            if x.arrows not in survivors and x.arrows[1:] in survivors:
-                for r in N.act(x.arrows):
-                    row = [r[i] for i in free]
-                    if any(row):
-                        rows.append(row)
+        for x in _minimal_killed(M.pres, v0, survivors):
+            for r in N.act(x.arrows):
+                row = [r[i] for i in free]
+                if any(row):
+                    rows.append(row)
         for vec in la.nullspace(rows, len(free)):
             y = [0] * N.dims[v0]
             for i, val in zip(free, vec):
@@ -1259,6 +1248,8 @@ def verify_omega_T_ext_vanishing(pres, window):
 
 
 def syzygy_rep(pres, M):
-    """The minimal first syzygy of M as a representation."""
+    """The minimal first syzygy of M as a representation.  A module of
+    another presentation raises PresentationMismatch."""
+    _check_presentation(pres, M)
     _, _, krep, _ = syzygy_step(M)
     return krep

@@ -535,6 +535,14 @@ def test_a_trace_without_a_split_is_read_only_on_its_dense_steps():
         _ext_from_trace(pres, backstop, A, 4)
 
 
+def test_syzygy_rep_raises_presentation_mismatch(z3r2, z2r3):
+    from monosing.errors import PresentationMismatch
+    from monosing.oracle import syzygy_rep
+
+    with pytest.raises(PresentationMismatch):
+        syzygy_rep(z3r2, path_module_rep(z2r3, z2r3.quiver.arrow_path("a")))
+
+
 def test_foreign_modules_raise_presentation_mismatch(z3r2, lin):
     from monosing.errors import PresentationMismatch
 
@@ -906,8 +914,8 @@ def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
 
     assert build_zeros(nakayama(6, 3)) == build_zeros(nakayama(96, 3))
 
-    # one tilting check covers each class module at most once: the class
-    # walk's step and every stable Hom into the class share its cover
+    # one tilting check covers each class module at most once: every
+    # stable Hom into the class shares its cover
     pres = nakayama(12, 4)
     injective_dimension_profile(pres)
     covered = counting(monkeypatch, "projective_cover")
@@ -1153,22 +1161,82 @@ def test_class_children_match_the_dense_step():
     assert classes > 2000 and splits > 40, (classes, splits)
 
 
-def test_class_children_certify_the_cover(z2r3):
+def test_class_children_of_a_path_module(z2r3):
     from monosing.oracle import _class_children
 
     # A.a over kZ_2/J^3 is the class (2, {e_2, b}), whose syzygy is A.ab,
-    # the simple at 2 in degree 2; b sends the generator to the basis
-    # vector labelled b, and with that entry zeroed the cover no longer has
-    # the key's words as its nonzero columns
+    # the simple at 2 in degree 2
     key = z2r3.survivor_key(z2r3.quiver.arrow_path("a"))
     assert key == ("2", frozenset({(), ("b",)}))
-    assert _class_children(load("z2r3"), key) == [(("2", frozenset({()})), 2)]
-    M = oracle._class_rep(z2r3, key)
-    assert M.mats["b"] == [[1]]
-    M.mats["b"][0][0] = 0
-    z2r3._cache.setdefault("class_modules", {})[key] = M
-    with pytest.raises(InternalInvariantViolation, match="not certified"):
-        _class_children(z2r3, key)
+    assert _class_children(z2r3, key) == [(("2", frozenset({()})), 2)]
+
+
+def reachable_classes(pres):
+    """Every class key the class graph reaches from the survivor keys of the
+    basis paths."""
+    from monosing.oracle import _class_children
+
+    todo = list(dict.fromkeys(map(pres.survivor_key, pres.basis())))
+    seen = set(todo)
+    while todo:
+        for child, _ in _class_children(pres, todo.pop()):
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
+
+
+def test_every_reachable_class_module_is_certified_by_its_cover():
+    # the class module of a key is built so that its cover's nonzero columns
+    # are the key's words, which is what lets the class walk read the
+    # syzygy off the key alone
+    from monosing.oracle import _class_rep, _summand_classes, projective_cover
+
+    classes = 0
+    for pres in class_rule_corpus():
+        for pr in (pres, pres.opposite()):
+            for key in reachable_classes(pr):
+                M = _class_rep(pr, key)
+                assert _summand_classes(M, *projective_cover(M)) == [key], (pr.quiver.vertices, key)
+                classes += 1
+    assert classes > 2000, classes
+
+
+def test_class_walk_builds_no_module_and_takes_no_cover(z6r3, monkeypatch):
+    builds = counting(monkeypatch, "_class_rep")
+    covers = counting(monkeypatch, "projective_cover")
+    for pres in (nakayama(12, 4), z6r3):
+        assert injective_dimension_profile(pres).gorenstein
+        assert global_dimension(pres) is None  # the simples recur under Omega
+        assert pres._cache["class_children"]
+    assert builds == [] and covers == []
+
+
+def test_omega_permutes_the_gp_classes():
+    # the syzygy of the path module on a perfect path is the path module on
+    # another perfect path, and every GP class is reached once, so Omega of
+    # a GP class can be placed by key lookup
+    from monosing.oracle import _class_children
+    from monosing.perfection import perfect_paths
+
+    checked = moved = 0
+    for pres in class_rule_corpus():
+        if not injective_dimension_profile(pres).gorenstein:
+            continue
+        keys = [pres.survivor_key(p) for p in perfect_paths(pres).perfect_set()]
+        gp = set(keys)
+        assert len(gp) == len(keys), pres.quiver.vertices
+        omega = {}
+        for key in keys:
+            children = _class_children(pres, key)
+            assert len(children) == 1, (pres.quiver.vertices, key)
+            (child, _), = children
+            assert not pres.key_is_projective(child) and child in gp, (pres.quiver.vertices, key)
+            omega[key] = child
+        assert set(omega.values()) == gp, pres.quiver.vertices
+        checked += 1
+        moved += sum(child != key for key, child in omega.items())
+    assert checked > 100 and moved > 100, (checked, moved)
 
 
 def test_class_walk_takes_no_dense_step(monkeypatch):
