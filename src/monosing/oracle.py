@@ -42,16 +42,19 @@ the whole quiver, so a module on k vertices costs the same on any quiver.
 Each step asks the cover for a split before it takes the kernel, so the
 step that certifies a split builds no kernel.
 
-Hom from a cyclic module M (``gen`` and ``act_labels`` set: class modules
-and simples) is decided by generator images.  A map M -> N is fixed by the
-image y in N_{v0} of the generator g, and y is one iff x.y = 0 for every
-path x with x.g = 0; graded maps of shift s take as unknowns only the
-coordinates of N_{v0} in degree deg(g) + s.  The stable Hom is
-len(ys) - rank{cover[v0] . y_P}, where y_P runs over the generator images of
-Hom(M, P_N) and P_N -> N is N's minimal cover, made once per module.  The
-torsionless test ranks the images A.act(lab) . y of M's basis labels under
-every generator image y into A.  Neither builds map families; the dense
-family path is left for sources without a generator.
+Hom from a class (v, W) to a module N is decided by generator images: a map
+is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
+for every minimal killed path x; graded maps of shift s take as unknowns
+only the coordinates of N_v in degree deg(g) + s.  Between two classes Hom
+is counted, with nothing built or solved.  A map from (v, W) to (w, W') is
+fixed by y = sum c_u u over the words u in W' ending at v.  For a fixed x
+the paths x.u are distinct, so x.y = 0 splits into one condition per word:
+Hom has a basis of the u with x.u outside W' for every minimal killed x.
+The cover A e_w -> A e_w/I' sends each path to itself or to zero, so the
+maps that factor through it are the u with every x.u zero in A, and the
+stable Hom counts the u with x.u outside W' for every x and nonzero in A
+for some x.  ``stable_hom_dim`` and the torsionless test compose map
+families, built from generator images when the source is cyclic.
 
 Three kinds of module are classes from the start and are never built for
 their pd.  A cyclic injective summand D(e_v A) is the class
@@ -83,10 +86,12 @@ for the minimal cover P_X -> X, and Ext^k(M, N) = Ext^1(Omega^(k-1) M, N).
 Omega^(k-1) M is a dense syzygy of the trace before its split and a
 multiset of classes after it; the syzygy of a class is the direct sum of
 its children.  A class module splits at its first cover, so the
-Gorenstein-projective test on it takes no dense step.  The graded tilting check
+Gorenstein-projective test on it takes no dense step, and Ext^1 of a class
+reads each Hom off its key's generator images.  The graded tilting check
 resolves nothing itself: it walks the same summand classes, each with the
-degree of its generator, and drops the projective classes, which is where
-Omega^d of a summand of finite pd ends.
+degree of its generator, drops the projective classes, which is where
+Omega^d of a summand of finite pd ends, and counts the stable Hom between
+them, so it builds no module and solves nothing.
 """
 
 from __future__ import annotations
@@ -299,14 +304,6 @@ def _class_rep(pres, key):
     labels = {u: tuple(x.arrows for _, x in placed) for u, placed in by_vertex.items()}
     degrees = {u: tuple(map(len, words)) for u, words in labels.items()}
     return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=(v, 0))
-
-
-def _class_module(pres, key):
-    """The class module of a survivor key, built once per presentation."""
-    memo = pres._cache.setdefault("class_modules", {})
-    if key not in memo:
-        memo[key] = _class_rep(pres, key)
-    return memo[key]
 
 
 def regular_rep(pres):
@@ -717,6 +714,28 @@ def _generator(M):
     return M.gen
 
 
+def _generator_images(v, words, N, free):
+    """Basis of the generator images of maps from the class (v, words) to
+    N, each zero off the coordinates ``free`` of N_v: the y with x.y = 0
+    for every minimal killed path x.  Every other killed path is a left
+    multiple of one.  With no free coordinate nothing is solved."""
+    if not free:
+        return []
+    rows = []
+    for x in _minimal_killed(N.pres, v, words):
+        for r in N.act(x.arrows):
+            row = [r[i] for i in free]
+            if any(row):
+                rows.append(row)
+    ys = []
+    for vec in la.nullspace(rows, len(free)):
+        y = [0] * N.dims[v]
+        for i, val in zip(free, vec):
+            y[i] = val
+        ys.append(y)
+    return ys
+
+
 def hom_basis_from_cyclic(M, N, degree_shift=None):
     """Hom(M, N) for cyclic M with simple top, via generator images.
 
@@ -734,24 +753,12 @@ def hom_basis_from_cyclic(M, N, degree_shift=None):
     _check_pair(M, N, degree_shift)
     v0, j0 = _generator(M)
     if degree_shift is None:
-        free = list(range(N.dims[v0]))
+        free = range(N.dims[v0])
     else:
         top = M.degrees[v0][j0] + degree_shift
         free = [i for i, d in enumerate(N.degrees[v0]) if d == top]
-    ys = []
-    if free:
-        survivors = {lab for v in M.support for lab in M.act_labels[v]}
-        rows = []
-        for x in _minimal_killed(M.pres, v0, survivors):
-            for r in N.act(x.arrows):
-                row = [r[i] for i in free]
-                if any(row):
-                    rows.append(row)
-        for vec in la.nullspace(rows, len(free)):
-            y = [0] * N.dims[v0]
-            for i, val in zip(free, vec):
-                y[i] = val
-            ys.append(y)
+    survivors = {lab for v in M.support for lab in M.act_labels[v]}
+    ys = _generator_images(v0, survivors, N, free)
 
     def build(y):
         fam = {}
@@ -785,21 +792,11 @@ def stable_hom_dim(M, N, degree_shift=None):
 
     A map factors through a projective iff it factors through the minimal
     cover P_N -> N, so the quotient is by the image of Hom(M, P_N) under the
-    cover projection.  From a cyclic source a map is fixed by its generator
-    image, so the answer is len(ys) - rank{cover[v0] . y_P}, over the
-    generator images ys of Hom(M, N) and y_P of Hom(M, P_N); no family is
-    built.  Other sources compose map families.  With ``degree_shift`` s,
+    cover projection, composed as map families.  With ``degree_shift`` s,
     both Hom spaces keep only the maps sending degree d to degree d + s (M
-    and N must carry degrees).
+    and N must carry degrees).  Between two classes the oracle counts words
+    instead (``_class_stable_hom``).
     """
-    if _is_cyclic(M):
-        ys, _ = hom_basis_from_cyclic(M, N, degree_shift)
-        if not ys:
-            return 0
-        layer, cover = _module_cover(N)
-        y_ps, _ = hom_basis_from_cyclic(M, layer.rep, degree_shift)
-        at_top = cover[M.gen[0]]
-        return len(ys) - la.rank([la.mat_vec(at_top, y) for y in y_ps])
     homs = _hom_family_basis(M, N, degree_shift)
     if not homs:
         return 0
@@ -860,15 +857,19 @@ def _class_syzygy(pres, summands):
 
 def _class_ext1(pres, key, N):
     """Ext^1 of a class module into N, kept on N (so into ``_regular(pres)``
-    once per presentation): one generator, at key[0], and the children."""
+    once per presentation): one generator, at key[0], and the children.
+    Each Hom from a class is read off the key's generator images, so no
+    class module is built."""
     memo = vars(N).setdefault("_class_ext1", {})
     if key not in memo:
         if pres.key_is_projective(key):
             memo[key] = 0
         else:
-            children = _class_children(pres, key)
-            hom_omega = sum(hom_dim(_class_module(pres, c), N) for c, _ in children)
-            memo[key] = _ext1(hom_omega, N.dims[key[0]], hom_dim(_class_module(pres, key), N))
+            def hom(c):  # dim Hom(class c, N), by generator images
+                return len(_generator_images(*c, N, range(N.dims[c[0]])))
+
+            hom_omega = sum(hom(c) for c, _ in _class_children(pres, key))
+            memo[key] = _ext1(hom_omega, N.dims[key[0]], hom(key))
     return memo[key]
 
 
@@ -1064,31 +1065,12 @@ def _regular(pres):
 
 def is_torsionless(M):
     """Does the evaluation into the double dual embed M, i.e. do maps to A
-    jointly have zero kernel?
-
-    For a cyclic M the map with generator image y sends the basis vector
-    labelled lab to A.act(lab) . y, so at each support vertex the joint
-    kernel is zero iff the rows [A.act(lab) . y over every y], one per
-    label, have full rank; no family is built.
-    """
-    A = _regular(M.pres)
-    if _is_cyclic(M):
-        ys, _ = hom_basis_from_cyclic(M, A)
-        for v in M.support:
-            rows = [[x for y in ys for x in (la.mat_vec(A.act(lab), y) if lab else y)]
-                    for lab in M.act_labels[v]]
-            if la.rank(rows) < M.dims[v]:
-                return False
-        return True
-    fams = _hom_family_basis(M, A)
+    jointly have zero kernel?  At each support vertex the rows of every
+    map M -> A, stacked, must have full rank."""
+    fams = _hom_family_basis(M, _regular(M.pres))
     for v in M.support:
-        n = M.dims[v]
-        rows = []
-        for fam in fams:
-            rows.extend(fam[v])
-        if not rows:
-            return False
-        if la.rank(rows) < n:
+        rows = [row for fam in fams for row in fam[v]]
+        if not rows or la.rank(rows) < M.dims[v]:
             return False
     return True
 
@@ -1198,15 +1180,29 @@ def _omega_classes(pres, summands):
 
 def _class_stable_hom(pres, ys, xs):
     """dim of degree-preserving stable Hom between direct sums of shifted
-    classes, summed over class pairs: a class generated in degree d maps to
-    one generated in d0 by maps of degree shift d - d0, fixed by the image of
-    the generator, so a target that is zero at the source's vertex adds 0."""
+    classes, summed over class pairs, by counting words.
+
+    A map from the class (v, W) generated in degree d to the class (w, W')
+    generated in degree d0 is fixed by its generator image y, a combination
+    of the words u in W' from w to v with len(u) = d - d0.  For a fixed path
+    x the paths x.u are distinct, so x.y = 0 splits into one condition per
+    word: the maps have a basis of the u with x.u outside W' for every
+    minimal killed path x of the source.  The cover A e_w sends each path to
+    itself or to zero, so the maps through it are the u with every x.u zero
+    in A; the stable Hom counts the u with some x.u nonzero instead.
+    """
+    targets = {}
+    for (w, words), d0 in xs:
+        targets.setdefault((w, d0), []).append(words)
     total = 0
-    for c0, d0 in xs:
-        N = _class_module(pres, c0)
-        for c, d in ys:
-            if N.dims[c[0]]:
-                total += stable_hom_dim(_class_module(pres, c), N, degree_shift=d - d0)
+    for key, d in ys:
+        killed = [x.arrows for x in _minimal_killed(pres, *key)]
+        for u in _paths_into(pres)[key[0]]:
+            hits = [words for words in targets.get((u.source, d - u.length), ())
+                    if u.arrows in words]
+            prods = [x + u.arrows for x in killed]
+            if hits and any(map(pres.word_is_nonzero, prods)):
+                total += sum(not any(p in words for p in prods) for words in hits)
     return total
 
 

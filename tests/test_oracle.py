@@ -329,13 +329,13 @@ def test_gp_test_on_class_modules_takes_no_dense_step(z3r2, her, glu, monkeypatc
 
 def test_a_module_is_covered_once(glu, monkeypatch):
     # resolve, the class walk and stable Hom share the cover kept on a module
-    from monosing.oracle import _class_module
+    from monosing.oracle import _class_rep
 
     injective_dimension_profile(glu)
     A = regular_rep(glu)
     covered = counting(monkeypatch, "projective_cover")
     for key in {glu.survivor_key(p) for p in glu.basis().nontrivial()}:
-        M = _class_module(glu, key)
+        M = _class_rep(glu, key)
         gorenstein_projective_test(glu, M)
         ext_dim(glu, M, A, 1)
         stable_hom_dim(M, M)
@@ -811,10 +811,31 @@ def test_tilting_class_pairs_match_the_dense_stable_hom():
     assert checked >= 100 and nonzero >= 200, (checked, nonzero)
 
 
+def test_class_stable_hom_counts_words_pair_by_pair():
+    # the tilting check's count against the stable Hom of the built class
+    # modules, one class pair and shift at a time, so that errors cannot
+    # cancel in a sum
+    from monosing.oracle import _class_rep, _class_stable_hom
+
+    checked = nonzero = 0
+    for pres in class_rule_corpus():
+        keys = [key for key in dict.fromkeys(map(pres.survivor_key, pres.basis()))
+                if not pres.key_is_projective(key)][:10]
+        modules = {key: _class_rep(pres, key) for key in keys}
+        for c in keys:
+            for c0 in keys:
+                for s in (-1, 0, 1, 2, 3):
+                    want = stable_hom_dim(modules[c], modules[c0], degree_shift=s)
+                    got = _class_stable_hom(pres, [(c, s)], [(c0, 0)])
+                    assert got == want, (pres.quiver.vertices, c, c0, s)
+                    checked += 1
+                    nonzero += want != 0
+    assert checked > 10000 and nonzero > 500, (checked, nonzero)
+
+
 def family_stable_hom_reference(M, N, degree_shift=None):
-    """stable_hom_dim as it was before Hom from a cyclic source went by
-    generator images: families of Hom(M, N) and Hom(M, P_N), composed with
-    the cover of N, here from the dense hom_basis."""
+    """stable_hom_dim from the dense hom_basis: families of Hom(M, N) and
+    Hom(M, P_N), composed with the cover of N."""
     from monosing import linalg as la
     from monosing.oracle import hom_basis, projective_cover
 
@@ -831,8 +852,8 @@ def family_stable_hom_reference(M, N, degree_shift=None):
 
 
 def family_torsionless_reference(M):
-    """is_torsionless as it was before: one family per map M -> A, stacked
-    at each support vertex."""
+    """is_torsionless from the dense hom_basis: one family per map M -> A,
+    stacked at each support vertex."""
     from monosing import linalg as la
     from monosing.oracle import hom_basis
 
@@ -855,7 +876,7 @@ def test_generator_images_match_the_family_path():
     for pres in presentations:
         keys = dict.fromkeys(pres.survivor_key(p) for p in pres.basis())
         # class modules embed in A; the simples give torsionless tests that fail
-        modules = [oracle._class_module(pres, key) for key in keys]
+        modules = [oracle._class_rep(pres, key) for key in keys]
         modules += [simple_rep(pres, v) for v in pres.quiver.vertices]
         for M in modules:
             want = family_torsionless_reference(M)
@@ -902,7 +923,7 @@ def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
 
     # a map family is filled on its source's support; other vertices read as zero
     def build_zeros(pres):
-        M = oracle._class_module(pres, pres.survivor_key(tpath(pres, "t1")))
+        M = oracle._class_rep(pres, pres.survivor_key(tpath(pres, "t1")))
         (y,), build = hom_basis_from_cyclic(M, M)
         calls.clear()
         with monkeypatch.context() as m:
@@ -914,15 +935,17 @@ def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
 
     assert build_zeros(nakayama(6, 3)) == build_zeros(nakayama(96, 3))
 
-    # one tilting check covers each class module at most once: every
-    # stable Hom into the class shares its cover
+    # a tilting check counts words between class keys: it builds no class
+    # module, takes no cover and solves nothing
     pres = nakayama(12, 4)
     injective_dimension_profile(pres)
+    builds = counting(monkeypatch, "_class_rep")
     covered = counting(monkeypatch, "projective_cover")
-    assert verify_omega_T_ext_vanishing(pres, 2 * pres.dimension())
-    per_module = Counter(id(args[0]) for args in covered)
-    classes = pres._cache["class_modules"].values()
-    assert max(per_module[id(M)] for M in classes) == 1
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "nullspace", nullspace)
+        assert verify_omega_T_ext_vanishing(pres, 96)
+    assert builds == covered == [] and calls == Counter()
 
 
 def test_resolution_work_follows_the_support(monkeypatch):
@@ -1331,7 +1354,7 @@ def summand_rule_mismatches(rule, presentations, counts):
     given exactly for a summand with a one-dimensional top, its class module
     must be isomorphic to D(e_v A), and its class walk must report the
     status, pd and detail of resolving D(e_v A)."""
-    from monosing.oracle import _class_module, _class_trace, _iso_witness, top_lifts
+    from monosing.oracle import _class_rep, _class_trace, _iso_witness, top_lifts
 
     bad = []
     for pres in presentations:
@@ -1348,7 +1371,7 @@ def summand_rule_mismatches(rule, presentations, counts):
                 ref = resolve(pr, D)
                 tr = _class_trace(pr, key)
                 if ((tr.status, tr.pd, tr.detail) != (ref.status, ref.pd, ref.detail)
-                        or _iso_witness(_class_module(pr, key),
+                        or _iso_witness(_class_rep(pr, key),
                                         oracle.injective_summand_rep(pr, v)) is None):
                     bad.append((pr, v))
     return bad
@@ -1412,14 +1435,14 @@ def crosscheck_reference(pres):
     the key rule: the GP test, rank test included, on the class module of
     every nontrivial path, then an _iso_witness scan against every class
     found so far.  Returns (class count, sorted dimension vectors)."""
-    from monosing.oracle import _class_module, _iso_witness
+    from monosing.oracle import _class_rep, _iso_witness
 
     found = []
     for p in pres.basis().nontrivial():
         key = pres.survivor_key(p)
         if pres.key_is_projective(key):
             continue
-        M = _class_module(pres, key)
+        M = _class_rep(pres, key)
         if gorenstein_projective_test(pres, M):
             found.append(M)
     classes = []
@@ -1430,14 +1453,15 @@ def crosscheck_reference(pres):
 
 
 def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
-    from monosing.oracle import _class_module, _iso_witness
+    from monosing.oracle import _class_rep, _iso_witness
 
     presentations = class_rule_corpus()
     presentations += [nakayama(n, m) for m in range(2, 6) for n in range(9, 13)]
     checked = levels = dropped = same_dims = 0
     for pres in presentations:
         keys = list(pres.path_classes())
-        assert all(is_torsionless(_class_module(pres, key)) for key in keys)
+        modules = {key: _class_rep(pres, key) for key in keys}
+        assert all(map(is_torsionless, modules.values()))
         prof = injective_dimension_profile(pres)
         if not prof.gorenstein:
             continue
@@ -1450,9 +1474,9 @@ def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
         dropped += len(keys) - count
         # distinct keys are never isomorphic, even with one dimension vector
         for i, key in enumerate(keys):
-            M = _class_module(pres, key)
+            M = modules[key]
             for other in keys[i + 1:]:
-                N = _class_module(pres, other)
+                N = modules[other]
                 if M.dims == N.dims:
                     assert _iso_witness(M, N) is None, (pres.quiver.vertices, key, other)
                     same_dims += 1
@@ -1461,13 +1485,14 @@ def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
 
 
 def test_crosscheck_resolves_nothing_and_scans_no_isomorphism(glu, monkeypatch):
-    # glu is level 1, so Ext^1 into A is read off each key's class walk;
-    # Z_12 R_4 is level 0, so nothing is tested
+    # glu is level 1, so Ext^1 into A is read off each key's class walk and
+    # generator images, with no class module built; Z_12 R_4 is level 0, so
+    # nothing is tested
     z12r4 = nakayama(12, 4)
     for pres in (glu, z12r4):
         injective_dimension_profile(pres)  # the profile resolves glu's non-cyclic summands
     calls = {name: counting(monkeypatch, name)
-             for name in ("resolve", "is_torsionless", "_iso_witness")}
+             for name in ("resolve", "is_torsionless", "_iso_witness", "_class_rep")}
     assert crosscheck_classification(glu)["homological_classes"] == 12
     assert crosscheck_classification(z12r4)["homological_classes"] == 12 * 3
     assert calls == dict.fromkeys(calls, [])
