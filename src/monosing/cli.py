@@ -228,7 +228,7 @@ def cmd_glue(pres, args):
 
 
 def cmd_oracle(pres, args):
-    window = args.window if args.window is not None else 2 * pres.dimension()
+    window = args.window if args.window is not None else max(1, 2 * pres.dimension())
     if args.check == "gorenstein":
         prof = injective_dimension_profile(pres)
         data = prof.to_json()
@@ -311,7 +311,7 @@ def build_parser():
             p.add_argument("--check", required=True,
                            choices=["classification", "tilting", "gorenstein"])
             p.add_argument("--window", type=_window, default=None,
-                           help="Ext window, at least 1 (default 2 * dim A)")
+                           help="Ext window, at least 1 (default max(1, 2 * dim A))")
             p.add_argument("--trace", action="store_true",
                            help="include per-vertex resolution traces")
     return parser

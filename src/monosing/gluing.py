@@ -24,8 +24,11 @@ class Involution:
     """A self-inverse map on the vertex set; pairs may be given partially."""
 
     def __init__(self, vertices, mapping):
-        self.mapping = {v: mapping.get(v, v) for v in vertices}
         vset = set(vertices)
+        for v in mapping:
+            if v not in vset:
+                raise MonosingError(f"involution moves unknown vertex {v!r}")
+        self.mapping = {v: mapping.get(v, v) for v in vertices}
         for v, w in self.mapping.items():
             if w not in vset:
                 raise MonosingError(f"involution sends {v!r} to unknown vertex {w!r}")

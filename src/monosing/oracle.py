@@ -68,30 +68,31 @@ the class of p's survivor key, which the presentation owns
 (``survivor_key``, and ``path_classes`` for the distinct non-projective
 keys of the nontrivial paths).
 
-The crosscheck compares keys.  Over a Gorenstein algebra of level d,
-Ext^k(M, A) = 0 for 1 <= k <= d already makes M Gorenstein projective
-(Ext^k(-, A) vanishes past d), so a path class is kept when Ext^{1..d} of
-its class into A vanishes, with no torsionless step.  Distinct keys are
-never isomorphic classes: an isomorphism A e_v/I -> A e_v/J sends the
-generator to u + J with u = e_v + (cycles at v), so I = {x : x.u in J}; a
-path x appears in x.u with coefficient 1 beside only longer paths, and J is
-spanned by paths, so x.u in J puts x in J.  That gives I <= J and, by
-symmetry, I = J.  So the kept keys are the isomorphism classes, no
-isomorphism test runs, and the perfect-path classification matches exactly
-when the keys of its perfect paths are the kept keys, each once; no module
-is built for the comparison.
+The crosscheck compares keys.  Over a Gorenstein algebra of level d the
+Gorenstein-projective modules are the d-th syzygies and the M with
+Ext^{1..d}(M, A) = 0 (Buchweitz 1986).  So each class of Omega^d of a path
+class is Gorenstein projective, and as Omega permutes those finitely many
+classes, each is Omega^d of another: they are the keys of Omega^d of the
+path classes, read with no Ext into A.  Distinct keys are never isomorphic
+classes: an isomorphism A e_v/I -> A e_v/J sends the generator to u + J
+with u = e_v + (cycles at v), so I = {x : x.u in J}; a path x appears in
+x.u with coefficient 1 beside only longer paths, and J is spanned by paths,
+so x.u in J puts x in J.  That gives I <= J and, by symmetry, I = J.  So
+the kept keys are the isomorphism classes, no isomorphism test runs, and
+the perfect-path classification matches exactly when the keys of its
+perfect paths are the kept keys, each once; no module is built for it.
 
 Ext has one rule: Ext^1(X, N) = hom(Omega X, N) - hom(P_X, N) + hom(X, N)
 for the minimal cover P_X -> X, and Ext^k(M, N) = Ext^1(Omega^(k-1) M, N).
 Omega^(k-1) M is a dense syzygy of the trace before its split and a
 multiset of classes after it; the syzygy of a class is the direct sum of
 its children.  A class module splits at its first cover, so the
-Gorenstein-projective test on it takes no dense step, and Ext^1 of a class
+Gorenstein-projective test takes no dense step on it, and Ext^1 of a class
 reads each Hom off its key's generator images.  The graded tilting check
-resolves nothing itself: it walks the same summand classes, each with the
-degree of its generator, drops the projective classes, which is where
-Omega^d of a summand of finite pd ends, and counts the stable Hom between
-them, so it builds no module and solves nothing.
+resolves nothing itself: it starts from the crosscheck's Omega^d of the
+path classes, each class with the degree of its generator, walks their
+syzygies with the projective classes dropped, and counts the stable Hom
+between them, so it builds no module and solves nothing.
 """
 
 from __future__ import annotations
@@ -856,21 +857,17 @@ def _class_syzygy(pres, summands):
 
 
 def _class_ext1(pres, key, N):
-    """Ext^1 of a class module into N, kept on N (so into ``_regular(pres)``
-    once per presentation): one generator, at key[0], and the children.
-    Each Hom from a class is read off the key's generator images, so no
-    class module is built."""
-    memo = vars(N).setdefault("_class_ext1", {})
-    if key not in memo:
-        if pres.key_is_projective(key):
-            memo[key] = 0
-        else:
-            def hom(c):  # dim Hom(class c, N), by generator images
-                return len(_generator_images(*c, N, range(N.dims[c[0]])))
+    """Ext^1 of a class module into N: one generator, at key[0], and the
+    children.  Each Hom from a class is read off the key's generator
+    images, so no class module is built."""
+    if pres.key_is_projective(key):
+        return 0
 
-            hom_omega = sum(hom(c) for c, _ in _class_children(pres, key))
-            memo[key] = _ext1(hom_omega, N.dims[key[0]], hom(key))
-    return memo[key]
+    def hom(c):  # dim Hom(class c, N), by generator images
+        return len(_generator_images(*c, N, range(N.dims[c[0]])))
+
+    hom_omega = sum(hom(c) for c, _ in _class_children(pres, key))
+    return _ext1(hom_omega, N.dims[key[0]], hom(key))
 
 
 # -- Gorenstein profile --------------------------------------------------------
@@ -1075,32 +1072,23 @@ def is_torsionless(M):
     return True
 
 
-def _ext_into_regular(pres, trace, d):
-    """Whether Ext^k(M, A) = 0 for 1 <= k <= d, read off M's resolution
-    trace; at d = 0 nothing is read and A is not built."""
-    return not any(_ext_from_trace(pres, trace, _regular(pres), k) for k in range(1, d + 1))
-
-
 def gorenstein_projective_test(pres, M):
-    """Ext^k(M, A) = 0 for 1 <= k <= level, plus the torsionless check, for
-    any module M.
+    """Ext^k(M, A) = 0 for 1 <= k <= level, for any module M, which alone
+    makes M Gorenstein projective (see the module docstring).
 
-    Ext^k into A is read off one full resolution of M, none at level 0, and
-    the torsionless check is the rank test.  The crosscheck reads the same
-    Ext off the class walk of each path key instead (see the module
-    docstring).  A module of another presentation raises
-    PresentationMismatch.
+    Ext^k into A is read off one full resolution of M; at level 0 every
+    module passes and nothing is resolved.  A module of another
+    presentation raises PresentationMismatch.
     """
     _check_presentation(pres, M)
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("the profile does not certify a Gorenstein algebra")
-    d = prof.level
-    if M.is_zero():
+    if not prof.level:
         return True
-    if d and not _ext_into_regular(pres, resolve(pres, M), d):
-        return False
-    return is_torsionless(M)
+    trace = resolve(pres, M)
+    A = _regular(pres)
+    return not any(_ext_from_trace(pres, trace, A, k) for k in range(1, prof.level + 1))
 
 
 def _iso_witness(M, N):
@@ -1127,9 +1115,9 @@ def _iso_witness(M, N):
 def crosscheck_classification(pres):
     """Compare the homological GP classification with the perfect-path one.
 
-    Each path class key is kept when Ext^k(K, A) = 0 for 1 <= k <= level,
-    read off the class walk of its key (nothing to test at level 0), and is
-    one isomorphism class; see the module docstring for why both steps are
+    The GP path classes are the keys of Omega^level of the path classes
+    (``_gp_classes``), kept in ``path_classes()`` order, each one
+    isomorphism class; see the module docstring for why both steps are
     exact.  The kept keys must be the survivor keys of the perfect paths,
     each once; MismatchDetected lists both sides by a generating path
     otherwise.  The report's dimension vectors, sorted, are the
@@ -1138,10 +1126,9 @@ def crosscheck_classification(pres):
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("crosscheck requires a Gorenstein certificate")
-    level = prof.level
     classes = pres.path_classes()
-    kept = [key for key in classes
-            if not level or _ext_into_regular(pres, _class_trace(pres, key), level)]
+    gp = {key for key, _ in _gp_classes(pres, prof.level)}
+    kept = [key for key in classes if key in gp]
     from .perfection import classify_stable_gproj
 
     comb = classify_stable_gproj(pres)
@@ -1178,6 +1165,16 @@ def _omega_classes(pres, summands):
             if not pres.key_is_projective(c)}
 
 
+def _gp_classes(pres, level):
+    """The Gorenstein-projective path classes as (class key, generator
+    degree) pairs: Omega^level of the path classes generated in degree 0
+    (see the module docstring)."""
+    summands = {(key, 0) for key in pres.path_classes()}
+    for _ in range(level):
+        summands = _omega_classes(pres, summands)
+    return summands
+
+
 def _class_stable_hom(pres, ys, xs):
     """dim of degree-preserving stable Hom between direct sums of shifted
     classes, summed over class pairs, by counting words.
@@ -1212,10 +1209,11 @@ def verify_omega_T_ext_vanishing(pres, window):
 
     The syzygy W of the truncation sum has one summand A.p per nontrivial
     nonzero path p, all generated in one degree.  Each Omega^j W is a set of
-    (class key, generator degree) pairs without the projective classes: they
-    add nothing to a stable Hom, and at level d Omega^d of a summand of
-    finite pd is projective or zero.  The degree-preserving stable Hom from
-    Omega^k X0 to X0 = Omega^d W must vanish for 1 <= k <= window.  Generator
+    (class key, generator degree) pairs without the projective classes:
+    they add nothing to a stable Hom.  X0 = Omega^d W is the set of GP path
+    classes (``_gp_classes``), each of which Omega sends to one non-projective
+    class.  The degree-preserving stable Hom from Omega^k X0 to X0 must
+    vanish for 1 <= k <= window.  Generator
     degrees grow strictly along minimal graded syzygies, so the scan exits
     early as soon as they clear X0's top degree.  A window below 1 would
     test nothing and raises ValueError.
@@ -1225,17 +1223,13 @@ def verify_omega_T_ext_vanishing(pres, window):
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         return False
-    X0 = {(key, 0) for key in pres.path_classes()}
-    for _ in range(prof.level):
-        X0 = _omega_classes(pres, X0)
+    X0 = _gp_classes(pres, prof.level)
     if not X0:
         return True
     maxdeg = max(d + max(map(len, words)) for (_, words), d in X0)
     Y = X0
     for _ in range(window):
         Y = _omega_classes(pres, Y)
-        if not Y:
-            return True
         if min(d for _, d in Y) > maxdeg:
             return True  # generator degrees only grow; all later Homs vanish
         if _class_stable_hom(pres, Y, X0):

@@ -205,6 +205,15 @@ def test_tilting_window_below_one_is_rejected(capsys, window):
     assert "error:" in err and "--window" in err
 
 
+def test_tilting_default_window_is_at_least_one(tmp_path, capsys):
+    # a presentation with no vertices has dimension 0; the default window
+    # 2 * dim A would be 0, which the check rejects
+    empty = tmp_path / "empty.quiver"
+    empty.write_text("")
+    code, out, err = run(capsys, "oracle", str(empty), "--check", "tilting")
+    assert (code, out, err) == (0, "vanishing     True (window 1)\n", "")
+
+
 # sha256 of `oracle --check gorenstein --trace` stdout, plain and --json
 TRACE_SHA256 = {
     "z3r2": ("a051c9fe0cf83430f389e65500ad81b8a28bcf0698de4e9add41c5fa9096d835",

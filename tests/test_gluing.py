@@ -20,6 +20,13 @@ def test_involution_must_be_self_inverse():
         Involution(("1", "2", "3"), {"1": "2", "2": "3", "3": "1"})
 
 
+@pytest.mark.parametrize("pair", [("9", "10"), ("3", "9"), ("9", "3"), ("", "")])
+def test_involution_rejects_unknown_vertices(z6r3, pair):
+    # a pair naming a vertex the quiver lacks is an error, not a silent no-op
+    with pytest.raises(MonosingError, match="unknown vertex"):
+        Involution.from_pairs(z6r3.quiver.vertices, [pair])
+
+
 def test_glue_fig9_to_fig10(z6r3, glu):
     E = Involution.from_pairs(z6r3.quiver.vertices, [("3", "6")])
     assert glue(z6r3, E) == glu

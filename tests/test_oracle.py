@@ -314,7 +314,7 @@ def test_gp_test_on_class_modules_takes_no_dense_step(z3r2, her, glu, monkeypatc
     resolved = counting(monkeypatch, "resolve")
     for M in non_projective_path_modules(z3r2):
         gorenstein_projective_test(z3r2, M)
-    assert resolved == []  # level 0: Ext^1..0 is empty, only torsionless is read
+    assert resolved == []  # level 0: every module passes, nothing is resolved
     # over the hereditary A_2 every path module is projective; the simples
     # are the classes (v, {e_v}), and the source simple is not projective
     verdicts = [gorenstein_projective_test(her, simple_rep(her, v)) for v in her.quiver.vertices]
@@ -389,14 +389,21 @@ def test_trace_report_matches_the_dense_steps():
     assert repeated > 20, repeated
 
 
-def test_crosscheck_builds_the_regular_module_once(z3r2, glu, monkeypatch):
-    # at level 0 the crosscheck tests nothing, so no regular module is
-    # built; at level 1 Ext into A needs it, once
+def test_crosscheck_builds_no_regular_module_and_solves_nothing(z3r2, glu, monkeypatch):
+    # the GP path classes are Omega^d of the path classes, read off the
+    # class graph, so the crosscheck reads no Ext into A at any level
+    from monosing import linalg
+
+    assert injective_dimension_profile(z3r2).level == 0
+    assert injective_dimension_profile(glu).level == 1  # resolves glu's non-cyclic summands
     builds = counting(monkeypatch, "regular_rep")
+    solves = []
+    real_nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda *args: solves.append(args) or real_nullspace(*args))
     assert crosscheck_classification(z3r2)["homological_classes"] == 3
-    assert len(builds) == 0
     assert crosscheck_classification(glu)["homological_classes"] == 12
-    assert len(builds) == 1
+    assert builds == [] and solves == []
 
 
 def dense_resolution_reference(M, depth):
@@ -1420,21 +1427,27 @@ def test_nakayama_crosscheck_runs_no_rank_test_and_builds_no_summand(monkeypatch
     assert rank_tests == [] and summands == []
 
 
-def test_gp_test_without_a_certificate_runs_the_rank_test(z3r2, lin, monkeypatch):
+def test_gp_test_runs_no_rank_test(z3r2, lin, glu, monkeypatch):
+    # Ext^{1..d}(M, A) = 0 alone decides; at level 0 every module passes
+    # and nothing is resolved
+    for pres in (z3r2, lin, glu):
+        injective_dimension_profile(pres)
     rank_tests = counting(monkeypatch, "is_torsionless")
-    # the source simple of lin is decided by Ext^2(S_1, A) != 0 first
-    assert not gorenstein_projective_test(lin, simple_rep(lin, "1"))
-    assert rank_tests == []
-    # at level 0 the rank test decides
+    resolved = counting(monkeypatch, "resolve")
     assert gorenstein_projective_test(z3r2, simple_rep(z3r2, "1"))
-    assert len(rank_tests) == 1
+    assert resolved == []
+    # the source simple of lin has Ext^2(S_1, A) != 0
+    assert not gorenstein_projective_test(lin, simple_rep(lin, "1"))
+    assert any(gorenstein_projective_test(glu, M) for M in non_projective_path_modules(glu))
+    assert resolved and rank_tests == []
 
 
 def crosscheck_reference(pres):
     """The homological side of crosscheck_classification as it was before
-    the key rule: the GP test, rank test included, on the class module of
-    every nontrivial path, then an _iso_witness scan against every class
-    found so far.  Returns (class count, sorted dimension vectors)."""
+    the key rule: Ext^{1..d} into A by the GP test and the rank test, on the
+    class module of every nontrivial path, then an _iso_witness scan
+    against every class found so far.  Returns (class count, sorted
+    dimension vectors)."""
     from monosing.oracle import _class_rep, _iso_witness
 
     found = []
@@ -1443,7 +1456,7 @@ def crosscheck_reference(pres):
         if pres.key_is_projective(key):
             continue
         M = _class_rep(pres, key)
-        if gorenstein_projective_test(pres, M):
+        if gorenstein_projective_test(pres, M) and is_torsionless(M):
             found.append(M)
     classes = []
     for M in found:
@@ -1485,9 +1498,9 @@ def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
 
 
 def test_crosscheck_resolves_nothing_and_scans_no_isomorphism(glu, monkeypatch):
-    # glu is level 1, so Ext^1 into A is read off each key's class walk and
-    # generator images, with no class module built; Z_12 R_4 is level 0, so
-    # nothing is tested
+    # glu is level 1 and Z_12 R_4 level 0; at either level the GP path
+    # classes are Omega^d of the path classes, read off the class graph,
+    # so nothing is resolved, built or scanned
     z12r4 = nakayama(12, 4)
     for pres in (glu, z12r4):
         injective_dimension_profile(pres)  # the profile resolves glu's non-cyclic summands
@@ -1496,3 +1509,75 @@ def test_crosscheck_resolves_nothing_and_scans_no_isomorphism(glu, monkeypatch):
     assert crosscheck_classification(glu)["homological_classes"] == 12
     assert crosscheck_classification(z12r4)["homological_classes"] == 12 * 3
     assert calls == dict.fromkeys(calls, [])
+
+
+def cyclic_corpus(n_max=4):
+    """The basic n-cycles for n <= n_max with at most one relation, of
+    length 2 to 5, starting at each vertex; at least one relation, so each
+    is finite-dimensional."""
+    from itertools import product
+
+    presentations = []
+    for n in range(1, n_max + 1):
+        for lengths in product((0, 2, 3, 4, 5), repeat=n):
+            if not any(lengths):
+                continue
+            lines = ["vertex " + " ".join(str(i + 1) for i in range(n))]
+            lines += [f"arrow t{i + 1} {i + 1} {(i + 1) % n + 1}" for i in range(n)]
+            lines += ["relation " + " ".join(f"t{(i + k) % n + 1}" for k in range(m))
+                      for i, m in enumerate(lengths) if m]
+            presentations.append(parse_presentation("\n".join(lines) + "\n"))
+    return presentations
+
+
+def ext_rule_gp_keys(pres, level):
+    """The path classes K with Ext^k(K, A) = 0 for 1 <= k <= level, read off
+    the class walk of each key: the crosscheck's rule before Omega^d."""
+    from monosing.oracle import _class_trace, _ext_from_trace, _regular
+
+    return [key for key in pres.path_classes()
+            if not any(_ext_from_trace(pres, _class_trace(pres, key), _regular(pres), k)
+                       for k in range(1, level + 1))]
+
+
+def test_gp_classes_are_the_keys_the_ext_rule_keeps():
+    # every summand of a d-th syzygy is GP and Omega permutes the GP path
+    # classes, so Omega^d of the path classes keeps exactly the keys with
+    # Ext^{1..d} into A zero; at level >= 2 keys drop at more than one step
+    from monosing.oracle import _gp_classes
+
+    cyclic = cyclic_corpus()
+    assert len(cyclic) == 776
+    deep = 0
+    for pres in class_rule_corpus() + cyclic:
+        prof = injective_dimension_profile(pres)
+        if not prof.gorenstein:
+            continue
+        want = ext_rule_gp_keys(pres, prof.level)
+        assert {key for key, _ in _gp_classes(pres, prof.level)} == set(want), \
+            (pres.quiver.vertices, pres.generators)
+        deep += prof.level >= 2 and 0 < len(want) < len(pres.path_classes())
+    assert deep > 50, deep
+
+
+def test_every_module_the_gp_test_accepts_is_torsionless():
+    # Ext^{1..d}(M, A) = 0 alone makes M GP, and a GP module embeds in a
+    # projective, so the rank test must pass wherever the GP test does
+    from monosing.oracle import _class_rep, injective_summand_rep
+
+    accepted = rejected = 0
+    for pres in class_rule_corpus() + cyclic_corpus():
+        prof = injective_dimension_profile(pres)
+        if not prof.gorenstein:
+            continue
+        vertices = pres.quiver.vertices
+        modules = [simple_rep(pres, v) for v in vertices]
+        modules += [injective_summand_rep(pres, v) for v in vertices]
+        modules += [_class_rep(pres, key) for key in pres.path_classes()]
+        for M in modules:
+            if gorenstein_projective_test(pres, M):
+                assert is_torsionless(M), (vertices, pres.generators, M.dims)
+                accepted += prof.level > 0
+            else:
+                rejected += 1
+    assert accepted > 500 and rejected > 500, (accepted, rejected)
