@@ -32,10 +32,10 @@ def _all_words(quiver, length):
     return [tuple(a.name for a in reversed(w)) for w in words]  # composition order
 
 
-def random_presentation(rng, max_vertices=4, max_arrows=6, max_rel_len=3, require_finite=True,
-                        max_tries=200):
-    """A random monomial presentation, finite-dimensional when asked."""
-    for _ in range(max_tries):
+def random_presentation(rng, max_vertices=4, max_arrows=6, max_rel_len=3, require_finite=True):
+    """A random monomial presentation, finite-dimensional when asked; gives
+    up after 200 draws."""
+    for _ in range(200):
         nv = rng.randint(1, max_vertices)
         vertices = [str(i + 1) for i in range(nv)]
         na = rng.randint(1, max_arrows)
@@ -88,9 +88,10 @@ def involution_corpus(rng, n, **kwargs):
     return out
 
 
-def random_gentle_presentation(rng, max_vertices=4, max_arrows=6, max_tries=400):
-    """A random gentle presentation (finite-dimensional by rejection)."""
-    for _ in range(max_tries):
+def random_gentle_presentation(rng, max_vertices=4, max_arrows=6):
+    """A random gentle presentation (finite-dimensional by rejection); gives
+    up after 400 draws."""
+    for _ in range(400):
         nv = rng.randint(1, max_vertices)
         vertices = [str(i + 1) for i in range(nv)]
         na = rng.randint(1, max_arrows)

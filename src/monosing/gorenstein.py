@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotOneGorenstein
 from .perfection import perfect_paths
-from .presentation import MonomialPresentation, Quiver, successor_cycles
+from .presentation import MonomialPresentation, Quiver, memoized, successor_cycles
 
 
 @dataclass
@@ -33,10 +33,9 @@ class OneGorensteinVerdict:
         return self.verdict
 
 
+@memoized
 def is_one_gorenstein(pres):
     """Check that every nontrivial left factor of an F-element is perfect."""
-    if "one_gorenstein" in pres._cache:
-        return pres._cache["one_gorenstein"]
     graph = perfect_paths(pres)
     perfect = graph.perfect_set()
     witnesses = {}
@@ -53,7 +52,6 @@ def is_one_gorenstein(pres):
             break
     if verdict is None:
         verdict = OneGorensteinVerdict(True, witnesses=witnesses)
-    pres._cache["one_gorenstein"] = verdict
     return verdict
 
 
@@ -86,9 +84,9 @@ class OrbitCategoryDescriptor:
         return f"D^b(A_{self.rank})/[tau^{self.period}]"
 
 
+@memoized
 def relation_cycles(pres):
-    """The relation cycles of a 1-Gorenstein presentation, as a tuple
-    computed once per presentation.
+    """The relation cycles of a 1-Gorenstein presentation, as a tuple.
 
     Raises NotOneGorenstein otherwise, on every call, and
     InternalInvariantViolation whenever one of the guaranteed structural laws
@@ -101,8 +99,6 @@ def relation_cycles(pres):
         raise NotOneGorenstein(
             f"not 1-Gorenstein: relation {f} factors as ({p})({q}) with {p} not perfect"
         )
-    if "relation_cycles" in pres._cache:
-        return pres._cache["relation_cycles"]
     graph = perfect_paths(pres)
     key = pres.quiver.sort_key
     grouped = {}  # canonical primitive word -> dict(r=, members=set())
@@ -148,8 +144,7 @@ def relation_cycles(pres):
     total = sum(len(c.members) for c in cycles)
     if total != len(graph.perfect_set()):
         raise InternalInvariantViolation("perfect paths not partitioned by relation cycles")
-    pres._cache["relation_cycles"] = tuple(cycles)
-    return pres._cache["relation_cycles"]
+    return tuple(cycles)
 
 
 def _primitive_word(word):
@@ -288,7 +283,7 @@ def gentle_check(pres):
     return GentleCheck(True, gentle_one_gorenstein=criterion, relation_cycles=cycles)
 
 
-def gorenstein_to_json(pres, oracle_profile=None):
+def gorenstein_to_json(pres, oracle_profile):
     verdict = is_one_gorenstein(pres)
     out = {"one_gorenstein": verdict.verdict}
     if verdict.verdict:
@@ -317,6 +312,5 @@ def gorenstein_to_json(pres, oracle_profile=None):
         "is_gentle": g.is_gentle,
         "criterion": g.gentle_one_gorenstein,
     } if g.is_gentle else {"is_gentle": False, "reason": g.reason}
-    if oracle_profile is not None:
-        out["oracle"] = oracle_profile
+    out["oracle"] = oracle_profile
     return out

@@ -107,7 +107,7 @@ from .errors import (
     NotGorenstein,
     PresentationMismatch,
 )
-from .presentation import find_cycle
+from .presentation import find_cycle, memoized
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
@@ -144,6 +144,7 @@ class Representation:
         self.degrees = None if degrees is None else self._on_support(degrees)
         self.act_labels = None if act_labels is None else self._on_support(act_labels)
         self.gen = gen
+        self._cache = {}
         if validate:
             self._validate()
 
@@ -181,27 +182,19 @@ class Representation:
     def dim_vector(self):
         return dict(self.dims)
 
+    @memoized
     def act(self, word):
-        """Matrix of the composition-order arrow word (memoized)."""
+        """Matrix of the composition-order arrow word."""
         q = self.pres.quiver
         if not word:
             raise ValueError("empty word; use the identity at a vertex")
-        cache = getattr(self, "_act_cache", None)
-        if cache is None:
-            cache = self._act_cache = {}
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
         rows = self.dims[q.target(word[0])]
         cols = self.dims[q.source(word[-1])]
         if any(self.dims[q.source(a)] == 0 for a in word) or rows == 0:
-            m = la.zeros(rows, cols)
-        elif len(word) == 1:
-            m = self.mats[word[0]]
-        else:
-            m = la.mat_mul(self.mats[word[0]], self.act(word[1:]))
-        cache[word] = m
-        return m
+            return la.zeros(rows, cols)
+        if len(word) == 1:
+            return self.mats[word[0]]
+        return la.mat_mul(self.mats[word[0]], self.act(word[1:]))
 
 
 class _ArrowMatrices(dict):
@@ -222,17 +215,16 @@ class _ArrowMatrices(dict):
         return m
 
 
+@memoized
 def _relations_at(pres):
     """The minimal relations by the vertex their word ends at, each with the
-    vertices the word passes through; built once per presentation."""
-    if "relations_at" not in pres._cache:
-        q = pres.quiver
-        index = {}
-        for f in pres.minimal:
-            end = q.target(f.arrows[0])
-            index.setdefault(end, []).append((f, {end} | {q.source(a) for a in f.arrows}))
-        pres._cache["relations_at"] = index
-    return pres._cache["relations_at"]
+    vertices the word passes through."""
+    q = pres.quiver
+    index = {}
+    for f in pres.minimal:
+        end = q.target(f.arrows[0])
+        index.setdefault(end, []).append((f, {end} | {q.source(a) for a in f.arrows}))
+    return index
 
 
 def _check_presentation(pres, rep):
@@ -436,14 +428,11 @@ def projective_cover(rep):
     return layer, cover
 
 
+@memoized
 def _module_cover(rep):
-    """``projective_cover(rep)``, made once per module and kept on it: a
-    class module is built once per presentation, so ``resolve`` and every
-    stable Hom into the class share one cover."""
-    covered = getattr(rep, "_cover", None)
-    if covered is None:
-        covered = rep._cover = projective_cover(rep)
-    return covered
+    """``projective_cover(rep)``, memoized on the module, so ``resolve`` and
+    every stable Hom into it share one cover."""
+    return projective_cover(rep)
 
 
 def _kernel_blocks(rep, layer, cover):
@@ -597,22 +586,20 @@ def _minimal_killed(pres, v, words):
             if x.arrows not in words and x.arrows[1:] in words]
 
 
+@memoized
 def _class_children(pres, key):
     """The summand classes of a class's syzygy as (class key, generator
-    degree) pairs, the class generated in degree 0; resolved once per
-    presentation.  A projective class kills no path and has none.
+    degree) pairs, the class generated in degree 0.  A projective class
+    kills no path and has none.
 
     The child of each minimal killed path x is the class of x's survivor
     key in degree len(x) (see the module docstring for why this is exact),
     in the order a dense syzygy step and its cover would list them: by t(x)
     in quiver order, then in canonical path order.
     """
-    memo = pres._cache.setdefault("class_children", {})
-    if key not in memo:
-        minimal = sorted(_minimal_killed(pres, *key),
-                         key=lambda x: pres.quiver.vertex_index(x.target))
-        memo[key] = [(pres.survivor_key(x), x.length) for x in minimal]
-    return memo[key]
+    minimal = sorted(_minimal_killed(pres, *key),
+                     key=lambda x: pres.quiver.vertex_index(x.target))
+    return [(pres.survivor_key(x), x.length) for x in minimal]
 
 
 def _class_walk(pres, trace, classes, k):
@@ -890,7 +877,7 @@ def injective_summand_rep(pres, v):
     the dual of a path w in degree -len(w)."""
     by_vertex = {}
     index = {}
-    for w in _paths_into(pres).get(v, ()):
+    for w in pres.basis().into_vertex(v):
         placed = by_vertex.setdefault(w.source, [])
         index[(w.source, w.arrows)] = len(placed)
         placed.append(w)
@@ -906,16 +893,6 @@ def injective_summand_rep(pres, v):
     return Representation(pres, dims, mats, degrees=degrees)
 
 
-def _paths_into(pres):
-    """The basis paths by target vertex, in basis order; built once per presentation."""
-    if "paths_into" not in pres._cache:
-        index = {}
-        for w in pres.basis():
-            index.setdefault(w.target, []).append(w)
-        pres._cache["paths_into"] = index
-    return pres._cache["paths_into"]
-
-
 def _injective_summand_key(pres, v):
     """The class key of D(e_v A) when it is cyclic, else None.
 
@@ -927,7 +904,7 @@ def _injective_summand_key(pres, v):
     (s(w), {initial factors of w}).  Otherwise a second path into v is no
     final factor of w and D(e_v A) has two top elements.
     """
-    paths = _paths_into(pres)[v]  # basis order: a longest path comes last
+    paths = pres.basis().into_vertex(v)  # a longest path comes last
     w = paths[-1]
     if len(paths) != w.length + 1:
         return None
@@ -980,14 +957,13 @@ class GorensteinProfile:
         }
 
 
+@memoized
 def injective_dimension_profile(pres):
     """Resolve the dual regular modules on both sides; Gorenstein iff both finite.
 
     One side certified infinite already decides the verdict, so the other is
     skipped.
     """
-    if "profile" in pres._cache:
-        return pres._cache["profile"]
     s1 = _dual_regular_pd(pres)
     if s1.status == PERIODIC:
         s2 = SideStatus("NotComputed", detail="the other side already certifies infinity")
@@ -995,10 +971,8 @@ def injective_dimension_profile(pres):
         s2 = _dual_regular_pd(pres.opposite())
     gor = s2.status == FINITE
     level = max(s1.length, s2.length) if gor else None
-    prof = GorensteinProfile(id_of_regular=s1, pd_of_dual=s2, decided=True,
+    return GorensteinProfile(id_of_regular=s1, pd_of_dual=s2, decided=True,
                              gorenstein=gor, level=level)
-    pres._cache["profile"] = prof
-    return prof
 
 
 def resolution_trace_report(pres):
@@ -1053,11 +1027,10 @@ def global_dimension(pres):
 # -- Gorenstein-projective test and classification crosscheck -------------------
 
 
+@memoized
 def _regular(pres):
     """The left regular module, built once per presentation."""
-    if "regular_rep" not in pres._cache:
-        pres._cache["regular_rep"] = regular_rep(pres)
-    return pres._cache["regular_rep"]
+    return regular_rep(pres)
 
 
 def is_torsionless(M):
@@ -1194,7 +1167,7 @@ def _class_stable_hom(pres, ys, xs):
     total = 0
     for key, d in ys:
         killed = [x.arrows for x in _minimal_killed(pres, *key)]
-        for u in _paths_into(pres)[key[0]]:
+        for u in pres.basis().into_vertex(key[0]):
             hits = [words for words in targets.get((u.source, d - u.length), ())
                     if u.arrows in words]
             prods = [x + u.arrows for x in killed]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, TrivialPath, ZeroPath
-from .presentation import successor_cycles
+from .presentation import memoized, successor_cycles
 
 
 def annihilator_minimal(pres, p, side):
@@ -61,6 +61,7 @@ def annihilator_minimal(pres, p, side):
     return paths
 
 
+@memoized
 def _relation_splits(pres):
     """Both halves of every split w = w[:k] w[k:] of every minimal relation.
 
@@ -68,26 +69,30 @@ def _relation_splits(pres):
     a relation, and ``["left"]`` maps a right half w[k:] to the left halves.
     F is minimal, so both halves of a split are nonzero paths.
     """
-    if "relation_splits" not in pres._cache:
-        right, left = {}, {}
-        for f in pres.minimal:
-            w = f.arrows
-            for k in range(1, len(w)):
-                right.setdefault(w[:k], []).append(w[k:])
-                left.setdefault(w[k:], []).append(w[:k])
-        pres._cache["relation_splits"] = {"right": right, "left": left}
-    return pres._cache["relation_splits"]
+    right, left = {}, {}
+    for f in pres.minimal:
+        w = f.arrows
+        for k in range(1, len(w)):
+            right.setdefault(w[:k], []).append(w[k:])
+            left.setdefault(w[k:], []).append(w[:k])
+    return {"right": right, "left": left}
 
 
+@memoized
 def perfect_pairs(pres):
-    """All perfect pairs (p, q), canonically sorted by p."""
-    if "perfect_pairs" in pres._cache:
-        return pres._cache["perfect_pairs"]
-    basis = pres.basis()
+    """All perfect pairs (p, q), canonically sorted by p.
+
+    Only the left halves of the relation splits are tried.  If (p, q) is
+    perfect, pq is a minimal relation: q lies in R(p), so some split
+    w = w[:k] q has w[:k] a tail of p; w[:k] is then a candidate for L(q)
+    and a right factor of p, and p, right-minimal in L(q), equals it.
+    """
+    pres.basis()  # raises InfiniteDimensional, also when there is no relation
+    quiver = pres.quiver
+    candidates = sorted(map(quiver.subword_path, _relation_splits(pres)["right"]),
+                        key=quiver.sort_key)
     pairs = []
-    for p in basis.paths:
-        if p.is_trivial:
-            continue
+    for p in candidates:
         r = annihilator_minimal(pres, p, "right")
         if len(r) != 1:
             continue
@@ -102,7 +107,6 @@ def perfect_pairs(pres):
             raise InternalInvariantViolation("perfect-pair successor is not a partial injection")
         seen_left.add(p)
         seen_right.add(q)
-    pres._cache["perfect_pairs"] = pairs
     return pairs
 
 
@@ -125,19 +129,16 @@ class PerfectPairGraph:
         return self._cycle_of.get(p)
 
 
+@memoized
 def perfect_paths(pres):
     """The PerfectPairGraph; perfect paths are the successor-cycle members."""
-    if "perfect_paths" in pres._cache:
-        return pres._cache["perfect_paths"]
     pairs = perfect_pairs(pres)
     successor = {p: q for p, q in pairs}
     key = pres.quiver.sort_key
     cycles = [_rotate_to_least(c, key)
               for c in successor_cycles(sorted(successor, key=key), successor)]
     cycles.sort(key=lambda c: key(c[0]))
-    g = PerfectPairGraph(pairs=pairs, successor=successor, cycles=cycles)
-    pres._cache["perfect_paths"] = g
-    return g
+    return PerfectPairGraph(pairs=pairs, successor=successor, cycles=cycles)
 
 
 def _rotate_to_least(cycle, key):

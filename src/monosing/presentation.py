@@ -10,6 +10,7 @@ when s(p) = t(q) and simply joins the words.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -23,6 +24,41 @@ from .errors import (
     UnknownVertex,
     ZeroPath,
 )
+
+
+_MISSING = object()
+
+
+def memoized(fn):
+    """Memoize ``fn(owner)`` or ``fn(owner, arg)`` in ``owner._cache``.
+
+    The entry is keyed by the function's module and qualified name, and a
+    two-argument function keeps there one dict keyed by the argument.
+    Nothing is kept when ``fn`` raises, so a failing call fails every time.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    if fn.__code__.co_argcount == 1:
+        @functools.wraps(fn)
+        def whole(owner):
+            cache = owner._cache
+            hit = cache.get(name, _MISSING)
+            if hit is _MISSING:
+                hit = cache[name] = fn(owner)
+            return hit
+
+        return whole
+
+    @functools.wraps(fn)
+    def per_arg(owner, arg):
+        memo = owner._cache.get(name)
+        if memo is None:
+            memo = owner._cache[name] = {}
+        hit = memo.get(arg, _MISSING)
+        if hit is _MISSING:
+            hit = memo[arg] = fn(owner, arg)
+        return hit
+
+    return per_arg
 
 
 @dataclass(frozen=True)
@@ -103,17 +139,10 @@ class Quiver:
         a = self.arrow_by_name[name]
         return Path((name,), a.source, a.target)
 
-    def path(self, names, order="traversal"):
-        """Build a composable path from arrow names.
-
-        ``order`` is "traversal" (first-traversed first, the file-format
-        convention) or "composition" (the internal word order).
-        """
-        names = tuple(names)
-        if order == "traversal":
-            names = tuple(reversed(names))
-        elif order != "composition":
-            raise ValueError("order must be 'traversal' or 'composition'")
+    def path(self, names):
+        """Build a composable path from arrow names in traversal order
+        (first-traversed first, the file-format convention)."""
+        names = tuple(reversed(tuple(names)))
         if not names:
             raise ValueError("a path of arrows needs at least one arrow; use trivial_path")
         for n in names:
@@ -200,6 +229,7 @@ class MonomialPresentation:
 
     # -- basis enumeration -----------------------------------------------
 
+    @memoized
     def automaton(self):
         """Forbidden-factor automaton over nonzero words of length < r_max.
 
@@ -208,8 +238,6 @@ class MonomialPresentation:
         the new trailing window when no minimal relation is completed.  The
         algebra is finite-dimensional iff the reachable part is acyclic.
         """
-        if "automaton" in self._cache:
-            return self._cache["automaton"]
         width = self._rmax - 1
         states = set()
         edges = {}
@@ -230,7 +258,6 @@ class MonomialPresentation:
                 if nxt not in states:
                     states.add(nxt)
                     frontier.append(nxt)
-        self._cache["automaton"] = (states, edges)
         return states, edges
 
     def automaton_cycle(self):
@@ -243,10 +270,9 @@ class MonomialPresentation:
     def is_finite_dimensional(self):
         return self.automaton_cycle() is None
 
+    @memoized
     def basis(self):
         """The PathBasis of all nonzero paths; raises InfiniteDimensional."""
-        if "basis" in self._cache:
-            return self._cache["basis"]
         cyc = self.automaton_cycle()
         if cyc is not None:
             word = "·".join(cyc)
@@ -265,9 +291,7 @@ class MonomialPresentation:
                     paths.append(q)
                     frontier.append(q)
         paths.sort(key=self.quiver.sort_key)
-        b = PathBasis(self, paths)
-        self._cache["basis"] = b
-        return b
+        return PathBasis(self, paths)
 
     def dimension(self):
         return self.basis().dimension
@@ -286,34 +310,28 @@ class MonomialPresentation:
             vec[q.target] += 1
         return out, vec
 
+    @memoized
     def survivor_key(self, p):
         """Isomorphism key of Ap: its top vertex t(p) and the left-acting
-        words q' with q'p nonzero, memoized per path.  Raises ZeroPath when
-        p is zero."""
-        memo = self._cache.setdefault("survivor_keys", {})
-        key = memo.get(p)
-        if key is None:
-            if not self.is_nonzero(p):
-                raise ZeroPath(f"{p} is zero in the algebra")
-            word = p.arrows
-            key = memo[p] = (p.target, frozenset(
-                q.arrows for q in self.basis().from_vertex(p.target)
-                if not q.arrows or self.word_is_nonzero(q.arrows + word)))
-        return key
+        words q' with q'p nonzero.  Raises ZeroPath when p is zero."""
+        if not self.is_nonzero(p):
+            raise ZeroPath(f"{p} is zero in the algebra")
+        word = p.arrows
+        return (p.target, frozenset(
+            q.arrows for q in self.basis().from_vertex(p.target)
+            if not q.arrows or self.word_is_nonzero(q.arrows + word)))
 
+    @memoized
     def path_classes(self):
         """The path modules A.p of the nontrivial paths up to isomorphism,
         without the projective ones: each distinct non-projective survivor
-        key with its first path, in basis order.  Built once per
-        presentation."""
-        if "path_classes" not in self._cache:
-            classes = {}
-            for p in self.basis().nontrivial():
-                key = self.survivor_key(p)
-                if key not in classes and not self.key_is_projective(key):
-                    classes[key] = p
-            self._cache["path_classes"] = classes
-        return self._cache["path_classes"]
+        key with its first path, in basis order."""
+        classes = {}
+        for p in self.basis().nontrivial():
+            key = self.survivor_key(p)
+            if key not in classes and not self.key_is_projective(key):
+                classes[key] = p
+        return classes
 
     def key_is_projective(self, key):
         """Whether the cyclic module with this survivor key is projective: no
@@ -321,19 +339,18 @@ class MonomialPresentation:
         v, words = key
         return len(words) == len(self.basis().from_vertex(v))
 
+    @memoized
     def opposite(self):
         """The opposite presentation: arrows and relation words reversed.
 
-        Built once per presentation, so every caller shares the opposite's
-        automaton, basis and oracle caches.
+        Memoized, so every caller shares the opposite's automaton, basis and
+        oracle caches.
         """
-        if "opposite" not in self._cache:
-            arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
-            q = Quiver(self.quiver.vertices, arrows)
-            # the opposite of the word alpha_n...alpha_1 is alpha_1...alpha_n
-            gens = [q.subword_path(tuple(reversed(g.arrows))) for g in self.generators]
-            self._cache["opposite"] = MonomialPresentation(q, gens)
-        return self._cache["opposite"]
+        arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
+        q = Quiver(self.quiver.vertices, arrows)
+        # the opposite of the word alpha_n...alpha_1 is alpha_1...alpha_n
+        gens = [q.subword_path(tuple(reversed(g.arrows))) for g in self.generators]
+        return MonomialPresentation(q, gens)
 
     def __eq__(self, other):
         if not isinstance(other, MonomialPresentation):
@@ -444,27 +461,27 @@ def minimal_relations(pres):
 
 
 class PathBasis:
-    """All nonzero paths, canonically ordered, with source/target/length indexes."""
+    """All nonzero paths, canonically ordered, with source/target/length
+    indexes; each index lists its paths in basis order."""
 
     def __init__(self, pres, paths):
         self.pres = pres
         self.paths = tuple(paths)
         self.dimension = len(paths)
         self._by_source = {}
-        self._by_st = {}
+        self._by_target = {}
         self._by_length = {}
-        self._words = set()
         for p in self.paths:
             self._by_source.setdefault(p.source, []).append(p)
-            self._by_st.setdefault((p.source, p.target), []).append(p)
+            self._by_target.setdefault(p.target, []).append(p)
             self._by_length.setdefault(p.length, []).append(p)
-            self._words.add((p.source, p.arrows))
 
     def from_vertex(self, v):
         return self._by_source.get(v, [])
 
-    def between(self, s, t):
-        return self._by_st.get((s, t), [])
+    def into_vertex(self, v):
+        """The paths ending at v; a longest one comes last."""
+        return self._by_target.get(v, [])
 
     def of_length(self, k):
         return self._by_length.get(k, [])
@@ -474,9 +491,6 @@ class PathBasis:
 
     def max_length(self):
         return max(self._by_length, default=0)
-
-    def __contains__(self, p):
-        return (p.source, p.arrows) in self._words
 
     def __iter__(self):
         return iter(self.paths)
@@ -521,16 +535,13 @@ def parse_presentation(text):
             relation_lines.append((lineno, rest))
         else:
             raise ParseError(f"unknown statement {head!r}", lineno)
-    try:
-        quiver = Quiver(vertices, arrows)
-    except ParseError:
-        raise
+    quiver = Quiver(vertices, arrows)
     generators = []
     for lineno, names in relation_lines:
         if len(names) < 2:
             raise RelationTooShort(f"relation {' '.join(names)!r} has length {len(names)} < 2", lineno)
         try:
-            generators.append(quiver.path(names, order="traversal"))
+            generators.append(quiver.path(names))
         except UnknownArrow as e:
             raise UnknownArrow(str(e), lineno) from None
         except NonComposableRelation as e:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from monosing.corpus import random_gentle_presentation, random_presentation, seeded_rng
 from monosing.presentation import parse_presentation, parse_presentation_file
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +22,16 @@ def nakayama(n, m):
     lines += ["relation " + " ".join(f"t{(i + k) % n + 1}" for k in range(m))
               for i in range(n)]
     return parse_presentation("\n".join(lines) + "\n")
+
+
+def class_rule_corpus():
+    """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(100)]
+    presentations += [random_gentle_presentation(rng) for _ in range(25)]
+    presentations += [nakayama(n, m) for m in range(2, 7) for n in range(1, 9)]
+    return presentations
 
 
 @pytest.fixture

@@ -154,7 +154,7 @@ def _cycle_quiver(n):
 
 def _window(q, n, start, length):
     names = [f"c{((start + k - 1) % n) + 1}" for k in range(length)]
-    return q.path(names, order="traversal")
+    return q.path(names)
 
 
 def test_criterion_9_nakayama_law_exhaustive():

@@ -59,8 +59,10 @@ def test_relation_cycles_glu_merges_successor_cycles(glu):
 
 
 def test_relation_cycles_requires_one_gorenstein(lin):
-    with pytest.raises(NotOneGorenstein):
-        relation_cycles(lin)
+    for _ in range(2):  # the refusal is raised on every call, and nothing is kept
+        with pytest.raises(NotOneGorenstein):
+            relation_cycles(lin)
+    assert "monosing.gorenstein.relation_cycles" not in lin._cache
 
 
 def test_cycle_subalgebra_whole(z3r2, glu):

@@ -18,7 +18,7 @@ from monosing.perfection import perfect_paths
 
 
 def tpath(pres, *names):
-    return pres.quiver.path(names, order="traversal")
+    return pres.quiver.path(names)
 
 
 def test_truncation_degree_zero(z3r2):

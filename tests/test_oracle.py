@@ -24,11 +24,11 @@ from monosing.oracle import (
 )
 from monosing.presentation import parse_presentation
 
-from conftest import FIXTURE_NAMES, load, nakayama
+from conftest import FIXTURE_NAMES, class_rule_corpus, load, nakayama
 
 
 def tpath(pres, *names):
-    return pres.quiver.path(names, order="traversal")
+    return pres.quiver.path(names)
 
 
 def test_representation_validates_relations(z2r3):
@@ -247,7 +247,7 @@ def test_glu_triangle_reduction_confirmed_by_oracle(glu):
     from monosing.graded import perfect_reduction
     from monosing.oracle import _iso_witness
 
-    tri = glu.quiver.path(["t1", "t2", "t6"], order="traversal")
+    tri = glu.quiver.path(["t1", "t2", "t6"])
     r = perfect_reduction(glu, tri)
     assert r.kind == "perfect"
     M = path_module_rep(glu, tri)
@@ -1238,7 +1238,7 @@ def test_class_walk_builds_no_module_and_takes_no_cover(z6r3, monkeypatch):
     for pres in (nakayama(12, 4), z6r3):
         assert injective_dimension_profile(pres).gorenstein
         assert global_dimension(pres) is None  # the simples recur under Omega
-        assert pres._cache["class_children"]
+        assert pres._cache["monosing.oracle._class_children"]
     assert builds == [] and covers == []
 
 
@@ -1279,20 +1279,8 @@ def test_class_walk_takes_no_dense_step(monkeypatch):
     monkeypatch.setattr(linalg, "solve_many",
                         lambda *args: solves.append(args) or real_solve_many(*args))
     assert verify_omega_T_ext_vanishing(pres, 2 * pres.dimension())
-    assert len(pres._cache["class_children"]) > 10
+    assert len(pres._cache["monosing.oracle._class_children"]) > 10
     assert steps == [] and solves == []
-
-
-def class_rule_corpus():
-    """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
-    from monosing.corpus import random_gentle_presentation, random_presentation
-
-    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
-    rng = seeded_rng()
-    presentations += [random_presentation(rng) for _ in range(100)]
-    presentations += [random_gentle_presentation(rng) for _ in range(25)]
-    presentations += [nakayama(n, m) for m in range(2, 7) for n in range(1, 9)]
-    return presentations
 
 
 def test_class_children_are_the_keys_of_the_minimal_killed_paths():
@@ -1385,7 +1373,7 @@ def summand_rule_mismatches(rule, presentations, counts):
 
 
 def test_cyclic_injective_summands_are_read_as_classes():
-    from monosing.oracle import _dual_regular_pd, _injective_summand_key, _paths_into
+    from monosing.oracle import _dual_regular_pd, _injective_summand_key
 
     presentations = class_rule_corpus()
     counts = {"cyclic": 0, "not cyclic": 0}
@@ -1400,7 +1388,7 @@ def test_cyclic_injective_summands_are_read_as_classes():
     assert statuses == {FINITE, PERIODIC}
 
     def without_the_count_check(pres, v):
-        w = _paths_into(pres)[v][-1]
+        w = pres.basis().into_vertex(v)[-1]
         return (w.source, frozenset(w.arrows[k:] for k in range(w.length + 1)))
 
     # the longest path alone does not make the summand cyclic

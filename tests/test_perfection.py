@@ -12,11 +12,12 @@ from monosing.perfection import (
     perfect_pairs,
     perfect_paths,
 )
-from conftest import FIXTURE_NAMES, load, nakayama
+from monosing.corpus import seeded_rng
+from conftest import FIXTURE_NAMES, class_rule_corpus, load, nakayama
 
 
 def tpath(pres, *names):
-    return pres.quiver.path(names, order="traversal")
+    return pres.quiver.path(names)
 
 
 def test_right_annihilators_z2r3(z2r3):
@@ -220,3 +221,18 @@ def test_annihilators_match_the_basis_scan():
                 cases += 1
         assert perfect_pairs(pres) == reference_perfect_pairs(pres)
     assert cases > 10000
+
+
+def test_perfect_pairs_match_the_all_paths_scan():
+    # a perfect pair (p, q) has pq a minimal relation, so trying the left
+    # halves of the relation splits misses no pair
+    rng = seeded_rng()
+    presentations = class_rule_corpus()
+    presentations += [random_presentation(rng, 6, 9, 4) for _ in range(150)]
+    presentations += [random_gentle_presentation(rng, 12, 18) for _ in range(50)]
+    found = 0
+    for pres in presentations:
+        pairs = perfect_pairs(pres)
+        assert pairs == reference_perfect_pairs(pres), pres.quiver.vertices
+        found += len(pairs)
+    assert found > 400, found

@@ -13,6 +13,7 @@ from monosing.presentation import (
     Arrow,
     MonomialPresentation,
     Quiver,
+    memoized,
     minimal_relations,
     parse_presentation,
     presentation_to_json,
@@ -20,8 +21,8 @@ from monosing.presentation import (
 )
 
 
-def paths_of(pres, *names, order="traversal"):
-    return pres.quiver.path(names, order=order)
+def paths_of(pres, *names):
+    return pres.quiver.path(names)
 
 
 def test_parse_single_relation_line():
@@ -171,9 +172,58 @@ def test_enumerate_basis_z2r3(z2r3):
 
 def test_enumerate_basis_infinite():
     pres = parse_presentation("vertex 1 2 3\narrow x 1 2\narrow y 2 3\narrow z 3 1\n")
-    with pytest.raises(InfiniteDimensional) as exc:
-        pres.basis()
-    assert exc.value.witness
+    for _ in range(2):  # a raising call is not memoized
+        with pytest.raises(InfiniteDimensional) as exc:
+            pres.basis()
+        assert exc.value.witness
+
+
+def test_memoized_calls_return_the_same_object(z2r3):
+    assert z2r3.basis() is z2r3.basis()
+    assert z2r3.opposite() is z2r3.opposite()
+    a = z2r3.quiver.arrow_path("a")
+    assert z2r3.survivor_key(a) is z2r3.survivor_key(a)
+    assert z2r3.path_classes() is z2r3.path_classes()
+
+
+def test_memoized_keys_by_function_then_argument_and_keeps_no_failure():
+    calls = []
+
+    class Owner:
+        def __init__(self):
+            self._cache = {}
+
+        @memoized
+        def whole(self):
+            calls.append("whole")
+            return []
+
+        @memoized
+        def halve(self, n):
+            calls.append(n)
+            if n % 2:
+                raise ValueError(n)
+            return [n // 2]
+
+    owner = Owner()
+    assert owner.whole() is owner.whole()
+    assert owner.halve(4) is owner.halve(4) and owner.halve(6) == [3]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            owner.halve(3)
+    assert calls == ["whole", 4, 6, 3, 3]
+    name = f"{__name__}.{Owner.__qualname__}"
+    assert set(owner._cache) == {f"{name}.whole", f"{name}.halve"}
+    assert set(owner._cache[f"{name}.halve"]) == {4, 6}
+
+
+def test_into_vertex_lists_the_paths_ending_there_in_basis_order():
+    for pres in corpus():
+        basis = pres.basis()
+        for v in pres.quiver.vertices:
+            into = basis.into_vertex(v)
+            assert into == [p for p in basis if p.target == v]
+            assert into[-1].length == max(p.length for p in into)
 
 
 def test_cyclic_module_basis(z3r2, z2r3):
@@ -261,7 +311,7 @@ def test_word_is_nonzero_matches_the_window_reference():
               ["x x x x", "y z y z y"]]
     for rels in shapes:
         pres = MonomialPresentation(
-            quiver, [quiver.path(r.split(), order="traversal") for r in rels])
+            quiver, [quiver.path(r.split()) for r in rels])
         shortest = min((len(r.split()) for r in rels), default=None)
         assert pres.word_is_nonzero(())
         if shortest is not None:
