@@ -5,6 +5,10 @@ oracle.  Default output is aligned text; --json selects the documented JSON
 schemas.  Exit codes: 0 success, 1 analysis refusal (not 1-Gorenstein, not
 Gorenstein, infinite-dimensional), 2 input errors.
 
+Each command computes one report: its handler returns the JSON document, the
+text lines rendered from it, and the exit code.  ``main`` alone picks the
+view, writes it, and maps errors to exit codes.
+
 Paths are printed in traversal order (first-traversed arrow first) with
 middle-dot separators; orbit categories print as D^b(A_r)/[tau^n].
 """
@@ -22,31 +26,22 @@ from .errors import (
     ParseError,
 )
 from .gluing import Involution, bar_presentation, equivalence_report, glue
-from .gorenstein import (
-    detect_self_injective_nakayama,
-    gentle_check,
-    gorenstein_to_json,
-    is_one_gorenstein,
-    relation_cycles,
-    singularity_decomposition,
-)
+from .gorenstein import gorenstein_to_json, is_one_gorenstein, singularity_decomposition
 from .graded import graded_singularity_description
 from .oracle import (
     crosscheck_classification,
     injective_dimension_profile,
+    resolution_trace_report,
     verify_omega_T_ext_vanishing,
 )
-from .perfection import classify_stable_gproj, perfect_paths, perfection_to_json
+from .perfection import perfection_to_json
 from .presentation import (
     dumps_json,
     minimal_relations,
     parse_presentation_file,
     presentation_to_json,
+    presentation_to_text,
 )
-
-
-def _emit(text):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _kv(label, value):
@@ -55,126 +50,98 @@ def _kv(label, value):
     return f"{label:<14}{value}"
 
 
+def _words(traversals):
+    """Traversal-order words as middle-dot paths, or "(none)"."""
+    return " ".join("·".join(w) for w in traversals) or "(none)"
+
+
 def cmd_info(pres, args):
-    if args.json:
-        data = presentation_to_json(pres)
-        data["dimension"] = pres.dimension()
-        data["minimal_relations"] = [list(f.traversal) for f in minimal_relations(pres)]
-        _emit(dumps_json(data))
-        return 0
-    basis = pres.basis()
+    """echo the presentation with dimension and minimal relations"""
+    data = presentation_to_json(pres)
+    data["dimension"] = pres.dimension()
+    data["minimal_relations"] = [list(f.traversal) for f in minimal_relations(pres)]
     lines = [
-        _kv("vertices", " ".join(pres.quiver.vertices)),
-        _kv("arrows", " ".join(f"{a.name}:{a.source}->{a.target}" for a in pres.quiver.arrows)),
-        _kv("relations", " ".join(str(g) for g in pres.generators) or "(none)"),
-        _kv("minimal", " ".join(str(f) for f in minimal_relations(pres))or "(none)"),
-        _kv("dimension", basis.dimension),
-        _kv("max length", basis.max_length()),
+        _kv("vertices", " ".join(data["vertices"])),
+        _kv("arrows", " ".join(f"{a['id']}:{a['src']}->{a['tgt']}" for a in data["arrows"])),
+        _kv("relations", _words(data["relations"])),
+        _kv("minimal", _words(data["minimal_relations"])),
+        _kv("dimension", data["dimension"]),
+        _kv("max length", pres.basis().max_length()),
     ]
-    _emit("\n".join(lines))
-    return 0
+    return data, lines, 0
 
 
 def cmd_basis(pres, args):
+    """list the nonzero-path basis"""
     basis = pres.basis()
-    if args.json:
-        _emit(dumps_json({
-            "dimension": basis.dimension,
-            "paths": [str(p) for p in basis],
-        }))
-        return 0
-    lines = [_kv("dimension", basis.dimension)]
+    data = {"dimension": basis.dimension, "paths": [str(p) for p in basis]}
+    lines = [_kv("dimension", data["dimension"])]
     for k in sorted({p.length for p in basis}):
         lines.append(_kv(f"length {k}", " ".join(str(p) for p in basis.of_length(k))))
-    _emit("\n".join(lines))
-    return 0
+    return data, lines, 0
 
 
 def cmd_perfect(pres, args):
+    """perfect pairs, successor cycles, GP modules"""
     data = perfection_to_json(pres)
-    if args.json:
-        _emit(dumps_json(data))
-        return 0
-    graph = perfect_paths(pres)
     lines = [
-        _kv("pairs", " ".join(f"({p},{q})" for p, q in graph.pairs) or "(none)"),
-        _kv("cycles", "  ".join("[" + " -> ".join(str(p) for p in c) + "]" for c in graph.cycles)
+        _kv("pairs", " ".join(f"({p},{q})" for p, q in data["perfect_pairs"]) or "(none)"),
+        _kv("cycles", "  ".join("[" + " -> ".join(c) + "]" for c in data["cycles"])
             or "(none)"),
         _kv("cm type", data["cm_type"]),
     ]
-    _emit("\n".join(lines))
-    return 0
+    return data, lines, 0
 
 
 def cmd_gproj(pres, args):
-    descriptors = classify_stable_gproj(pres)
-    if args.json:
-        _emit(dumps_json(perfection_to_json(pres)))
-        return 0
-    lines = [_kv("cm type", len(descriptors))]
-    for d in descriptors:
-        vec = " ".join(f"{v}:{n}" for v, n in d.dim_vector.items() if n)
-        lines.append(_kv(f"A·({d.generator})", f"dim {vec}  top {d.top_vertex}"))
-    _emit("\n".join(lines))
-    return 0
+    """classify stable Gorenstein projective modules"""
+    data = perfection_to_json(pres)
+    lines = [_kv("cm type", data["cm_type"])]
+    for m in data["gp_modules"]:
+        vec = " ".join(f"{v}:{n}" for v, n in m["dim_vector"].items())
+        lines.append(_kv(f"A·({m['generator']})", f"dim {vec}  top {m['top']}"))
+    return data, lines, 0
 
 
 def cmd_gorenstein(pres, args):
-    prof = injective_dimension_profile(pres)
-    data = gorenstein_to_json(pres, oracle_profile=prof.to_json())
-    if args.json:
-        _emit(dumps_json(data))
-        return 0
-    verdict = is_one_gorenstein(pres)
-    lines = [_kv("1-Gorenstein", verdict.verdict)]
-    if verdict.verdict:
-        for c in relation_cycles(pres):
-            lines.append(_kv("cycle", f"{c} (n={c.n}, r={c.r})"))
+    """1-Gorenstein verdict, relation cycles, Nakayama/gentle checks"""
+    data = gorenstein_to_json(pres, oracle_profile=injective_dimension_profile(pres).to_json())
+    lines = [_kv("1-Gorenstein", data["one_gorenstein"])]
+    if data["one_gorenstein"]:
+        for c in data["cycles"]:
+            lines.append(_kv("cycle", f"{'·'.join(c['arrows'])} (n={c['n']}, r={c['r']})"))
     else:
-        f, p, q = verdict.failing
-        lines.append(_kv("witness", f"p={p}, relation {f}"))
-    nak = detect_self_injective_nakayama(pres)
-    lines.append(_kv("nakayama", f"basic {nak[0]}-cycle, relations length {nak[1]}" if nak else "no"))
-    g = gentle_check(pres)
-    if g.is_gentle:
-        lines.append(_kv("gentle", f"yes; cycle criterion {g.gentle_one_gorenstein}"))
-    else:
-        lines.append(_kv("gentle", f"no ({g.reason})"))
-    lines.append(_kv("oracle", f"gorenstein={prof.gorenstein} level={prof.level}"))
-    _emit("\n".join(lines))
-    return 0
+        w = data["witness"]
+        lines.append(_kv("witness", f"p={w['left_factor']}, relation {w['relation']}"))
+    nak = data["nakayama"]
+    lines.append(_kv("nakayama", f"basic {nak['n']}-cycle, relations length {nak['m']}"
+                     if nak else "no"))
+    g = data["gentle"]
+    lines.append(_kv("gentle", f"yes; cycle criterion {g['criterion']}" if g["is_gentle"]
+                     else f"no ({g['reason']})"))
+    prof = data["oracle"]
+    lines.append(_kv("oracle", f"gorenstein={prof['gorenstein']} level={prof['level']}"))
+    return data, lines, 0
 
 
 def cmd_singcat(pres, args):
+    """orbit-category decomposition of the singularity category"""
     verdict = is_one_gorenstein(pres)
     if not verdict.verdict:
         f, p, _ = verdict.failing
-        if args.json:
-            _emit(dumps_json({"one_gorenstein": False,
-                              "witness": {"left_factor": str(p), "relation": str(f)}}))
-        else:
-            _emit(f"not 1-Gorenstein; witness p={p}, relation {f}")
-        return 1
+        data = {"one_gorenstein": False,
+                "witness": {"left_factor": str(p), "relation": str(f)}}
+        return data, [f"not 1-Gorenstein; witness p={p}, relation {f}"], 1
     descriptors = singularity_decomposition(pres)
-    if args.json:
-        _emit(dumps_json({
-            "one_gorenstein": True,
+    data = {"one_gorenstein": True,
             "singularity": [{"type": "A", "rank": d.rank, "period": d.period}
-                            for d in descriptors],
-        }))
-        return 0
-    if descriptors:
-        _emit("\n".join(str(d) for d in descriptors))
-    else:
-        _emit("trivial")
-    return 0
+                            for d in descriptors]}
+    return data, [str(d) for d in descriptors] or ["trivial"], 0
 
 
 def cmd_graded(pres, args):
+    """graded singularity category and the type-A quiver"""
     data = graded_singularity_description(pres)
-    if args.json:
-        _emit(dumps_json(data))
-        return 0
     lines = [_kv("singularity", data["graded_singularity"])]
     if "QB" in data:
         chains = data["QB"]["chains"]
@@ -182,8 +149,7 @@ def cmd_graded(pres, args):
         lines.append(_kv("Q^B", shown))
     omega = " ".join(f"A·({s['path']})({s['shift']})" for s in data["omega_T"])
     lines.append(_kv("omega T", omega or "(none)"))
-    _emit("\n".join(lines))
-    return 0
+    return data, lines, 0
 
 
 def _parse_pairs(spec_text, pres):
@@ -200,70 +166,57 @@ def _parse_pairs(spec_text, pres):
 
 
 def cmd_glue(pres, args):
+    """glue vertices along an involution"""
     E = _parse_pairs(args.pairs, pres)
     if args.report:
-        rep = equivalence_report(pres, E)
-        if args.json:
-            _emit(dumps_json(rep.to_json()))
-            return 0
-        lines = []
-        for side, info in (("S", rep.original), ("S_E", rep.glued)):
-            lines.append(_kv(side, f"dim={info['dimension']} perfect={info['perfect_paths']} "
-                                   f"1-Gorenstein={info['one_gorenstein']} "
-                                   f"orbits={info['orbit_descriptors']} "
-                                   f"oracle={info['oracle_gorenstein']}"))
-        lines.append(_kv("agreement", " ".join(f"{k}={v}" for k, v in rep.agreement.items())))
-        _emit("\n".join(lines))
-        return 0
-    glued = glue(pres, E)
+        data = equivalence_report(pres, E).to_json()
+        lines = [_kv(side, f"dim={info['dimension']} perfect={info['perfect_paths']} "
+                           f"1-Gorenstein={info['one_gorenstein']} "
+                           f"orbits={info['orbit_descriptors']} "
+                           f"oracle={info['oracle_gorenstein']}")
+                 for side, info in (("S", data["S"]), ("S_E", data["S_E"]))]
+        lines.append(_kv("agreement", " ".join(f"{k}={v}" for k, v in data["agreement"].items())))
+        return data, lines, 0
+    glued = glue(pres, E)  # refuses an infinite gluing with its witness chain
     if args.bar:
         glued = bar_presentation(pres, E)
-    if args.json:
-        _emit(dumps_json(presentation_to_json(glued)))
-    else:
-        from .presentation import presentation_to_text
-
-        _emit(presentation_to_text(glued))
-    return 0
+    return presentation_to_json(glued), presentation_to_text(glued).splitlines(), 0
 
 
 def cmd_oracle(pres, args):
+    """homological oracle checks"""
     window = args.window if args.window is not None else max(1, 2 * pres.dimension())
     if args.check == "gorenstein":
-        prof = injective_dimension_profile(pres)
-        data = prof.to_json()
+        data = injective_dimension_profile(pres).to_json()
+        lines = [_kv("gorenstein", f"{data['gorenstein']} (level {data['level']})")]
         if args.trace:
-            from .oracle import resolution_trace_report
-
             data["traces"] = resolution_trace_report(pres)
-        if args.json:
-            _emit(dumps_json(data))
-            return 0
-        lines = [_kv("gorenstein", f"{prof.gorenstein} (level {prof.level})")]
-        if args.trace:
             for side, per_vertex in data["traces"].items():
                 for v, tr in per_vertex.items():
                     lines.append(_kv(f"{side}@{v}",
                                      f"{tr['status']} pd={tr['pd']} "
                                      f"syzygy dims {tr['syzygy_dims']}"))
-        _emit("\n".join(lines))
-        return 0
+        return data, lines, 0
     if args.check == "classification":
-        report = crosscheck_classification(pres)
-        if args.json:
-            _emit(dumps_json(report))
-        else:
-            _emit(_kv("match", report["match"]) + "\n" +
-                  _kv("classes", report["homological_classes"]))
-        return 0
-    if args.check == "tilting":
-        ok = verify_omega_T_ext_vanishing(pres, window)
-        if args.json:
-            _emit(dumps_json({"window": window, "vanishing": ok}))
-        else:
-            _emit(_kv("vanishing", f"{ok} (window {window})"))
-        return 0 if ok else 1
-    raise ParseError(f"unknown oracle check {args.check!r}")
+        data = crosscheck_classification(pres)
+        return data, [_kv("match", data["match"]), _kv("classes", data["homological_classes"])], 0
+    ok = verify_omega_T_ext_vanishing(pres, window)
+    return {"window": window, "vanishing": ok}, [_kv("vanishing", f"{ok} (window {window})")], \
+        0 if ok else 1
+
+
+# command -> handler; each handler's docstring is its help line
+COMMANDS = {
+    "info": cmd_info,
+    "basis": cmd_basis,
+    "perfect": cmd_perfect,
+    "gproj": cmd_gproj,
+    "gorenstein": cmd_gorenstein,
+    "singcat": cmd_singcat,
+    "graded": cmd_graded,
+    "glue": cmd_glue,
+    "oracle": cmd_oracle,
+}
 
 
 def _window(text):
@@ -285,19 +238,8 @@ def build_parser():
                     "1-Gorenstein tests, singularity-category reports, gluing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "info": "echo the presentation with dimension and minimal relations",
-        "basis": "list the nonzero-path basis",
-        "perfect": "perfect pairs, successor cycles, GP modules",
-        "gproj": "classify stable Gorenstein projective modules",
-        "gorenstein": "1-Gorenstein verdict, relation cycles, Nakayama/gentle checks",
-        "singcat": "orbit-category decomposition of the singularity category",
-        "graded": "graded singularity category and the type-A quiver",
-        "glue": "glue vertices along an involution",
-        "oracle": "homological oracle checks",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, handler in COMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("file", help="presentation file")
         p.add_argument("--json", action="store_true", help="emit JSON")
         if name == "glue":
@@ -317,41 +259,21 @@ def build_parser():
     return parser
 
 
-HANDLERS = {
-    "info": cmd_info,
-    "basis": cmd_basis,
-    "perfect": cmd_perfect,
-    "gproj": cmd_gproj,
-    "gorenstein": cmd_gorenstein,
-    "singcat": cmd_singcat,
-    "graded": cmd_graded,
-    "glue": cmd_glue,
-    "oracle": cmd_oracle,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        pres = parse_presentation_file(args.file)
-    except OSError as e:
+        data, lines, code = COMMANDS[args.command](parse_presentation_file(args.file), args)
+    except (OSError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return HANDLERS[args.command](pres, args)
     except (NotOneGorenstein, NotGorenstein, InfiniteDimensional) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MonosingError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    sys.stdout.write(dumps_json(data) if args.json else "\n".join(lines) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -124,26 +124,27 @@ class Representation:
     vertex (0 off the support).
 
     ``degrees`` optionally tags every basis vector with an integer degree
-    (arrow action must then raise degree by one).  ``act_labels`` optionally
-    names each basis vector by the word carrying a cyclic generator onto it,
-    and ``gen`` marks that generator's (vertex, index); with both set, Hom
-    from the module is decided by generator images.
+    (arrow action must then raise degree by one).  ``key`` is set on a class
+    module: the survivor key ``(v, words)`` of ``A e_v`` modulo the paths
+    from v outside the words, whose basis is the words' paths from v in
+    basis order, the generator ``e_v`` first at v.  Hom from a module with
+    a key is decided by generator images.
 
     An arrow missing from ``mats`` acts by zero.  Builders leave out the
     arrows with a zero-dimensional end; their matrix is made on first read,
     as ``[]`` when it has no rows.
     """
 
-    def __init__(self, pres, dims, mats, degrees=None, act_labels=None, gen=None, validate=True):
+    def __init__(self, pres, dims, mats, degrees=None, key=None, validate=True):
         self.pres = pres
         q = pres.quiver
         self.support = tuple(sorted([v for v, n in dims.items() if n], key=q.vertex_index))
         self.dims = dict.fromkeys(q.vertices, 0)
         self.dims.update({v: dims[v] for v in self.support})
-        self.mats = _ArrowMatrices(self.dims, q.arrow_by_name, mats)
+        arrow, size = q.arrow_by_name, self.dims
+        self.mats = _ZeroBlocks(mats, lambda a: (size[arrow[a].target], size[arrow[a].source]))
         self.degrees = None if degrees is None else self._on_support(degrees)
-        self.act_labels = None if act_labels is None else self._on_support(act_labels)
-        self.gen = gen
+        self.key = key
         self._cache = {}
         if validate:
             self._validate()
@@ -197,22 +198,27 @@ class Representation:
         return la.mat_mul(self.mats[word[0]], self.act(word[1:]))
 
 
-class _ArrowMatrices(dict):
-    """Arrow name -> matrix of a representation.  An arrow left out acts by
-    zero, and its matrix is made on first read."""
+class _ZeroBlocks(dict):
+    """Matrices by key (a representation's arrows, a map family's vertices):
+    a key left out holds the zero matrix of ``shape(key)`` (rows, columns),
+    made on first read, as ``[]`` when it has no rows."""
 
-    __slots__ = ("_dims", "_arrows")
+    __slots__ = ("_shape",)
 
-    def __init__(self, dims, arrows, mats):
+    def __init__(self, mats, shape):
         super().__init__(mats)
-        self._dims = dims
-        self._arrows = arrows
+        self._shape = shape
 
-    def __missing__(self, name):
-        a = self._arrows[name]
-        rows = self._dims[a.target]
-        m = self[name] = la.zeros(rows, self._dims[a.source]) if rows else []
+    def __missing__(self, key):
+        rows, cols = self._shape(key)
+        m = self[key] = la.zeros(rows, cols) if rows else []
         return m
+
+
+def _family(M, N, mats):
+    """A map family M -> N: vertex -> matrix, zero off the vertices given."""
+    rows, cols = N.dims, M.dims
+    return _ZeroBlocks(mats, lambda v: (rows[v], cols[v]))
 
 
 @memoized
@@ -290,13 +296,17 @@ def path_module_rep(pres, p):
 
 def _class_rep(pres, key):
     """The cyclic module A e_v modulo the paths from v outside the key's
-    words; x.g is labelled x, sits in degree len(x), and g = e_v comes first."""
+    words; x.g sits in degree len(x), and g = e_v comes first."""
+    dims, mats, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
+    degrees = {u: tuple(x.length for _, x in placed) for u, placed in by_vertex.items()}
+    return Representation(pres, dims, mats, degrees=degrees, key=key)
+
+
+def _class_paths(pres, key):
+    """The paths x from v with x in the key's words, in basis order: the
+    basis x.g of the class module."""
     v, words = key
-    elems = [(None, x) for x in pres.basis().from_vertex(v) if x.arrows in words]
-    dims, mats, by_vertex = _path_span(pres, elems)
-    labels = {u: tuple(x.arrows for _, x in placed) for u, placed in by_vertex.items()}
-    degrees = {u: tuple(map(len, words)) for u, words in labels.items()}
-    return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=(v, 0))
+    return [x for x in pres.basis().from_vertex(v) if x.arrows in words]
 
 
 def regular_rep(pres):
@@ -665,7 +675,7 @@ def hom_basis(M, N, degree_shift=None):
                         rows.append(row)
     out = []
     for vec in la.nullspace(rows, len(unknowns)):
-        fam = _Family(M, N, {})
+        fam = _family(M, N, {})
         for val, (v, i, j) in zip(vec, unknowns):
             if val:
                 fam[v][i][j] = val
@@ -673,33 +683,12 @@ def hom_basis(M, N, degree_shift=None):
     return out
 
 
-class _Family(dict):
-    """Vertex -> matrix of a map M -> N, given on part of M's support; any
-    other vertex holds the zero matrix, made on first read."""
-
-    __slots__ = ("_rows", "_cols")
-
-    def __init__(self, M, N, mats):
-        super().__init__(mats)
-        self._rows = N.dims
-        self._cols = M.dims
-
-    def __missing__(self, v):
-        rows = self._rows[v]
-        m = self[v] = la.zeros(rows, self._cols[v]) if rows else []
-        return m
-
-
-def _is_cyclic(M):
-    return M.gen is not None and M.act_labels is not None
-
-
 def _generator(M):
-    """The (vertex, index) of a cyclic source's generator."""
-    if not _is_cyclic(M):
+    """The key (v, words) of a class module, whose generator is e_v."""
+    if M.key is None:
         raise ValueError("Hom by generator images needs a cyclic source; "
-                         "the source has no generator (gen and act_labels)")
-    return M.gen
+                         "the source has no generator (no key)")
+    return M.key
 
 
 def _generator_images(v, words, N, free):
@@ -727,8 +716,8 @@ def _generator_images(v, words, N, free):
 def hom_basis_from_cyclic(M, N, degree_shift=None):
     """Hom(M, N) for cyclic M with simple top, via generator images.
 
-    Requires M.gen and M.act_labels (ValueError otherwise); every path
-    outside the labels kills the generator g, as in the class modules and
+    Requires M.key (ValueError otherwise); every path outside the key's
+    words kills the generator g = e_{v0}, as in the class modules and
     simples built here.  A map is fixed by y = f(g) in N_{v0}, and y is such
     an image iff x.y = 0 for every path x with x.g = 0.  The killed paths
     whose right factor x[1:] survives suffice: every other killed path is a
@@ -739,29 +728,29 @@ def hom_basis_from_cyclic(M, N, degree_shift=None):
     makes the vertex-matrix family on M's support.
     """
     _check_pair(M, N, degree_shift)
-    v0, j0 = _generator(M)
+    v0, words = _generator(M)
     if degree_shift is None:
         free = range(N.dims[v0])
     else:
-        top = M.degrees[v0][j0] + degree_shift
+        top = M.degrees[v0][0] + degree_shift
         free = [i for i, d in enumerate(N.degrees[v0]) if d == top]
-    survivors = {lab for v in M.support for lab in M.act_labels[v]}
-    ys = _generator_images(v0, survivors, N, free)
+    ys = _generator_images(v0, words, N, free)
 
     def build(y):
-        fam = {}
-        for v in M.support:
-            if N.dims[v]:
-                columns = [la.mat_vec(N.act(lab), y) if lab else y for lab in M.act_labels[v]]
-                fam[v] = [list(row) for row in zip(*columns)]
-        return _Family(M, N, fam)
+        columns = {}  # the images x.y of M's basis x.g, by vertex in basis order
+        for x in _class_paths(M.pres, M.key):
+            if N.dims[x.target]:
+                columns.setdefault(x.target, []).append(
+                    la.mat_vec(N.act(x.arrows), y) if x.arrows else y)
+        return _family(M, N, {v: [list(row) for row in zip(*cols)]
+                              for v, cols in columns.items()})
 
     return ys, build
 
 
 def hom_dim(M, N):
     """dim Hom_A(M, N)."""
-    if _is_cyclic(M):
+    if M.key is not None:
         ys, _ = hom_basis_from_cyclic(M, N)
         return len(ys)
     return len(hom_basis(M, N))
@@ -769,7 +758,7 @@ def hom_dim(M, N):
 
 def _hom_family_basis(M, N, degree_shift=None):
     """Hom(M, N) as vertex-matrix families, from a source of any kind."""
-    if _is_cyclic(M):
+    if M.key is not None:
         ys, build = hom_basis_from_cyclic(M, N, degree_shift)
         return [build(y) for y in ys]
     return hom_basis(M, N, degree_shift=degree_shift)

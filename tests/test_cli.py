@@ -56,6 +56,33 @@ def test_glue_emits_presentation(capsys):
     assert len(reparsed.quiver.vertices) == 5
 
 
+def test_glue_bar_refuses_an_infinite_gluing_with_its_chain(capsys):
+    # the glued presentation is checked before the bar presentation is built,
+    # so the refusal keeps the witness chain
+    code, out, err = run(capsys, "glue", fixture_path("z6r3"), "--pairs", "1:2", "--bar")
+    assert (code, out) == (1, "")
+    assert err.startswith("refused:") and "witness chain: t1" in err
+
+
+def test_gorenstein_text_runs_each_check_once(capsys, monkeypatch):
+    # the text lines are rendered from the JSON report, so one text call runs
+    # the Nakayama and gentle checks once each, wherever the CLI reaches them
+    import monosing.cli as cli
+    import monosing.gorenstein as gorenstein
+
+    calls = []
+    for name in ("detect_self_injective_nakayama", "gentle_check"):
+        def counting(pres, name=name, real=getattr(gorenstein, name)):
+            calls.append(name)
+            return real(pres)
+
+        for module in (gorenstein, cli):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    code, out, _ = run(capsys, "gorenstein", fixture_path("glu"))
+    assert code == 0 and "nakayama" in out and "gentle" in out
+    assert sorted(calls) == ["detect_self_injective_nakayama", "gentle_check"]
+
+
 def test_oracle_checks(capsys):
     code, out, _ = run(capsys, "oracle", "--check", "gorenstein", fixture_path("z2r3"))
     assert code == 0 and "True (level 0)" in out

@@ -687,11 +687,11 @@ def test_degree_shift_needs_graded_modules(z3r2):
 def test_hom_by_generator_images_needs_a_generator(z3r2):
     from monosing.oracle import _iso_witness, hom_basis_from_cyclic
 
-    A = regular_rep(z3r2)  # no gen and no act_labels
+    A = regular_rep(z3r2)  # no key
     for call in (hom_basis_from_cyclic, _iso_witness):
         with pytest.raises(ValueError, match="no generator"):
             call(A, regular_rep(z3r2))
-    assert not oracle._is_cyclic(A)
+    assert A.key is None
     assert stable_hom_dim(A, A) == 0 and hom_dim(A, A) >= 1  # the family path serves it
 
 
@@ -705,8 +705,9 @@ def path_builder_reference(pres, p):
     labels = {v: tuple(w.arrows[: w.length - p.length] for _, w in by_vertex[v])
               for v in by_vertex}
     degrees = {v: tuple(len(act) for act in labels[v]) for v in labels}
-    gen = (p.target, by_vertex[p.target].index((None, p)))
-    return Representation(pres, dims, mats, degrees=degrees, act_labels=labels, gen=gen)
+    assert by_vertex[p.target][0] == (None, p)  # the generator comes first
+    key = (p.target, frozenset(act for acts in labels.values() for act in acts))
+    return Representation(pres, dims, mats, degrees=degrees, key=key)
 
 
 def test_path_module_rep_matches_the_path_builder():
@@ -719,8 +720,8 @@ def test_path_module_rep_matches_the_path_builder():
     for pres in presentations:
         for p in pres.basis():
             M, R = path_module_rep(pres, p), path_builder_reference(pres, p)
-            assert (M.dims, M.mats, M.degrees, M.act_labels, M.gen) == \
-                   (R.dims, R.mats, R.degrees, R.act_labels, R.gen), (str(p), pres.quiver.vertices)
+            assert (M.dims, M.mats, M.degrees, M.key) == \
+                   (R.dims, R.mats, R.degrees, R.key), (str(p), pres.quiver.vertices)
             checked += 1
         q = next(iter(pres.basis()))
         assert path_module_rep(pres, q) is not path_module_rep(pres, q)  # a fresh module each call
@@ -887,12 +888,12 @@ def test_generator_images_match_the_family_path():
         modules += [simple_rep(pres, v) for v in pres.quiver.vertices]
         for M in modules:
             want = family_torsionless_reference(M)
-            assert is_torsionless(M) == want, (pres.quiver.vertices, M.gen)
+            assert is_torsionless(M) == want, (pres.quiver.vertices, M.key)
             counts["torsionless" if want else "not torsionless"] += 1
             for N in modules:
                 for s in (None, -2, -1, 0, 1, 2):
                     want = family_stable_hom_reference(M, N, s)
-                    assert stable_hom_dim(M, N, s) == want, (pres.quiver.vertices, M.gen, s)
+                    assert stable_hom_dim(M, N, s) == want, (pres.quiver.vertices, M.key, s)
                     counts["pairs"] += 1
                     counts["nonzero"] += want != 0
     assert counts["pairs"] > 20000 and counts["nonzero"] > 1000, counts
@@ -922,7 +923,7 @@ def test_hom_from_a_class_module_follows_its_generator(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Representation, "act", act)
         m.setattr(linalg, "nullspace", nullspace)
-        assert set(M.degrees[M.gen[0]]) == {0}
+        assert set(M.degrees[M.key[0]]) == {0}
         ys, _ = hom_basis_from_cyclic(M, M, degree_shift=3)
         assert ys == [] and stable_hom_dim(M, M, degree_shift=3) == 0
         assert calls == Counter()
