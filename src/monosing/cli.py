@@ -105,7 +105,7 @@ def cmd_gproj(pres, args):
 
 def cmd_gorenstein(pres, args):
     """1-Gorenstein verdict, relation cycles, Nakayama/gentle checks"""
-    data = gorenstein_to_json(pres, oracle_profile=injective_dimension_profile(pres).to_json())
+    data = gorenstein_to_json(pres)
     lines = [_kv("1-Gorenstein", data["one_gorenstein"])]
     if data["one_gorenstein"]:
         for c in data["cycles"]:
@@ -153,6 +153,7 @@ def cmd_graded(pres, args):
 
 
 def _parse_pairs(spec_text, pres):
+    """The involution of ``--pairs``; any error in it is an input error."""
     pairs = []
     for chunk in spec_text.split(","):
         chunk = chunk.strip()
@@ -162,7 +163,10 @@ def _parse_pairs(spec_text, pres):
         if len(parts) != 2:
             raise ParseError(f"involution pair {chunk!r} is not of the form x:y")
         pairs.append((parts[0], parts[1]))
-    return Involution.from_pairs(pres.quiver.vertices, pairs)
+    try:
+        return Involution.from_pairs(pres.quiver.vertices, pairs)
+    except MonosingError as e:
+        raise ParseError(str(e)) from e
 
 
 def cmd_glue(pres, args):
@@ -245,10 +249,11 @@ def build_parser():
         if name == "glue":
             p.add_argument("--pairs", required=True,
                            help='involution pairs, e.g. "3:6" or "1:2,3:4"')
-            p.add_argument("--report", action="store_true",
-                           help="emit the singularity-equivalence report")
-            p.add_argument("--bar", action="store_true",
-                           help="emit the bar presentation instead of the glued one")
+            view = p.add_mutually_exclusive_group()
+            view.add_argument("--report", action="store_true",
+                              help="emit the singularity-equivalence report")
+            view.add_argument("--bar", action="store_true",
+                              help="emit the bar presentation instead of the glued one")
         if name == "oracle":
             p.add_argument("--check", required=True,
                            choices=["classification", "tilting", "gorenstein"])

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantViolation, NotOneGorenstein
+from .oracle import injective_dimension_profile
 from .perfection import perfect_paths
 from .presentation import MonomialPresentation, Quiver, memoized, successor_cycles
 
@@ -283,7 +284,8 @@ def gentle_check(pres):
     return GentleCheck(True, gentle_one_gorenstein=criterion, relation_cycles=cycles)
 
 
-def gorenstein_to_json(pres, oracle_profile):
+def gorenstein_to_json(pres):
+    oracle_profile = injective_dimension_profile(pres).to_json()
     verdict = is_one_gorenstein(pres)
     out = {"one_gorenstein": verdict.verdict}
     if verdict.verdict:

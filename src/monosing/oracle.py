@@ -63,8 +63,9 @@ when the paths into v number len(w) + 1, so that each is a final factor of
 w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
 its one-generator cover would certify at step 1, which is exactly what
 ``resolve`` reports; the profile builds and resolves only the non-cyclic
-summands, and the global dimension builds nothing.  The path module A.p is
-the class of p's survivor key, which the presentation owns
+summands, and the global dimension builds nothing.  A non-cyclic summand
+is built as the k-dual of the opposite's projective A^op e_v.  The path
+module A.p is the class of p's survivor key, which the presentation owns
 (``survivor_key``, and ``path_classes`` for the distinct non-projective
 keys of the nontrivial paths).
 
@@ -107,7 +108,7 @@ from .errors import (
     NotGorenstein,
     PresentationMismatch,
 )
-from .presentation import find_cycle, memoized
+from .presentation import Path, find_cycle, memoized
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
@@ -233,15 +234,10 @@ def _relations_at(pres):
     return index
 
 
-def _check_presentation(pres, rep):
-    """A module of another presentation must not be read as one of ``pres``."""
-    if rep.pres is not pres and rep.pres != pres:
-        raise PresentationMismatch("representations live over different presentations")
-
-
 def _check_pair(M, N, degree_shift=None):
     """One presentation for both, and degrees on both when maps are graded."""
-    _check_presentation(M.pres, N)
+    if M.pres is not N.pres and M.pres != N.pres:
+        raise PresentationMismatch("representations live over different presentations")
     if degree_shift is not None:
         for side, rep in (("source", M), ("target", N)):
             if rep.degrees is None:
@@ -535,7 +531,7 @@ class ResolutionTrace:
     detail: str = ""
 
 
-def resolve(pres, rep):
+def resolve(rep):
     """Minimal resolution of rep with its termination status.
 
     It covers the module, keeping the cover on it (``_module_cover``), and
@@ -546,10 +542,9 @@ def resolve(pres, rep):
     after bound + 1 steps, where bound = 2 + (number of nontrivial basis
     paths) is the sound upper limit on finite projective dimensions over a
     monomial algebra (``PeriodicityDetected``).  After a walk the layers
-    stop at the split and the syzygies one step before it.  A module of
-    another presentation raises PresentationMismatch.
+    stop at the split and the syzygies one step before it.
     """
-    _check_presentation(pres, rep)
+    pres = rep.pres
     basis = pres.basis()
     bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
     trace = ResolutionTrace(module=rep)
@@ -795,15 +790,16 @@ def _ext1(hom_omega, top, hom_x):
     return hom_omega - top + hom_x
 
 
-def ext_dim(pres, M, N, k):
-    """dim Ext^k_A(M, N) for k >= 1, read off M's resolution."""
+def ext_dim(M, N, k):
+    """dim Ext^k_A(M, N) for k >= 1, read off M's resolution.  Modules of
+    two presentations raise PresentationMismatch."""
     if k < 1:
         raise ValueError("ext_dim needs k >= 1")
     _check_pair(M, N)
-    return _ext_from_trace(pres, resolve(pres, M), N, k)
+    return _ext_from_trace(resolve(M), N, k)
 
 
-def _ext_from_trace(pres, trace, N, k):
+def _ext_from_trace(trace, N, k):
     """Ext^k(M, N) = Ext^1(Omega^(k-1) M, N) off M's resolution trace: on
     its dense head, then summed over the multiset of classes.  A backstop
     trace, alive past the bound with no split, has only its dense head."""
@@ -819,8 +815,8 @@ def _ext_from_trace(pres, trace, N, k):
             f"Ext^{k} lies past the {split} dense steps of a trace with no split")
     summands = Counter(trace.classes)
     for _ in range(k - 1 - split):
-        summands = _class_syzygy(pres, summands)
-    return sum(m * _class_ext1(pres, key, N) for key, m in summands.items())
+        summands = _class_syzygy(N.pres, summands)
+    return sum(m * _class_ext1(key, N) for key, m in summands.items())
 
 
 def _class_syzygy(pres, summands):
@@ -832,10 +828,11 @@ def _class_syzygy(pres, summands):
     return out
 
 
-def _class_ext1(pres, key, N):
+def _class_ext1(key, N):
     """Ext^1 of a class module into N: one generator, at key[0], and the
     children.  Each Hom from a class is read off the key's generator
     images, so no class module is built."""
+    pres = N.pres
     if pres.key_is_projective(key):
         return 0
 
@@ -862,24 +859,14 @@ class SideStatus:
 
 
 def injective_summand_rep(pres, v):
-    """The dual of the projective right module at v, as a left module, with
-    the dual of a path w in degree -len(w)."""
-    by_vertex = {}
-    index = {}
-    for w in pres.basis().into_vertex(v):
-        placed = by_vertex.setdefault(w.source, [])
-        index[(w.source, w.arrows)] = len(placed)
-        placed.append(w)
-    dims = {u: len(placed) for u, placed in by_vertex.items()}
-    mats = {}
-    for a in _supported_arrows(pres, dims):
-        m = la.zeros(dims[a.target], dims[a.source])
-        for j, w in enumerate(by_vertex[a.source]):
-            if w.arrows and w.arrows[-1] == a.name:
-                m[index[(a.target, w.arrows[:-1])]][j] = 1
-        mats[a.name] = m
-    degrees = {u: tuple(-w.length for w in placed) for u, placed in by_vertex.items()}
-    return Representation(pres, dims, mats, degrees=degrees)
+    """D(e_v A) as a left module: the k-dual of the opposite's projective
+    A^op e_v, the path span of the reversed paths into v with every matrix
+    transposed.  The dual of a path w sits at s(w) in degree -len(w)."""
+    paths = [Path(w.arrows[::-1], w.target, w.source) for w in pres.basis().into_vertex(v)]
+    dims, mats, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
+    degrees = {u: tuple(-x.length for _, x in placed) for u, placed in by_vertex.items()}
+    return Representation(pres, dims, {a: la.transpose(m) for a, m in mats.items()},
+                          degrees=degrees)
 
 
 def _injective_summand_key(pres, v):
@@ -912,7 +899,7 @@ def _summand_trace(pres, v):
     and only the others are built and resolved."""
     key = _injective_summand_key(pres, v)
     if key is None:
-        return resolve(pres, injective_summand_rep(pres, v))
+        return resolve(injective_summand_rep(pres, v))
     return _class_trace(pres, key)
 
 
@@ -1034,23 +1021,22 @@ def is_torsionless(M):
     return True
 
 
-def gorenstein_projective_test(pres, M):
+def gorenstein_projective_test(M):
     """Ext^k(M, A) = 0 for 1 <= k <= level, for any module M, which alone
     makes M Gorenstein projective (see the module docstring).
 
     Ext^k into A is read off one full resolution of M; at level 0 every
-    module passes and nothing is resolved.  A module of another
-    presentation raises PresentationMismatch.
+    module passes and nothing is resolved.
     """
-    _check_presentation(pres, M)
+    pres = M.pres
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
         raise NotGorenstein("the profile does not certify a Gorenstein algebra")
     if not prof.level:
         return True
-    trace = resolve(pres, M)
+    trace = resolve(M)
     A = _regular(pres)
-    return not any(_ext_from_trace(pres, trace, A, k) for k in range(1, prof.level + 1))
+    return not any(_ext_from_trace(trace, A, k) for k in range(1, prof.level + 1))
 
 
 def _iso_witness(M, N):
@@ -1199,9 +1185,7 @@ def verify_omega_T_ext_vanishing(pres, window):
     return True
 
 
-def syzygy_rep(pres, M):
-    """The minimal first syzygy of M as a representation.  A module of
-    another presentation raises PresentationMismatch."""
-    _check_presentation(pres, M)
+def syzygy_rep(M):
+    """The minimal first syzygy of M as a representation."""
     _, _, krep, _ = syzygy_step(M)
     return krep

@@ -344,13 +344,15 @@ class MonomialPresentation:
         """The opposite presentation: arrows and relation words reversed.
 
         Memoized, so every caller shares the opposite's automaton, basis and
-        oracle caches.
+        oracle caches, and the opposite's own opposite is this presentation.
         """
         arrows = [Arrow(a.name, a.target, a.source) for a in self.quiver.arrows]
         q = Quiver(self.quiver.vertices, arrows)
         # the opposite of the word alpha_n...alpha_1 is alpha_1...alpha_n
         gens = [q.subword_path(tuple(reversed(g.arrows))) for g in self.generators]
-        return MonomialPresentation(q, gens)
+        op = MonomialPresentation(q, gens)
+        op._cache[f"{__name__}.MonomialPresentation.opposite"] = self  # memoized's key
+        return op
 
     def __eq__(self, other):
         if not isinstance(other, MonomialPresentation):

@@ -64,6 +64,23 @@ def test_glue_bar_refuses_an_infinite_gluing_with_its_chain(capsys):
     assert err.startswith("refused:") and "witness chain: t1" in err
 
 
+def test_glue_report_and_bar_exclude_each_other(capsys):
+    # one view per call: the pair is a usage error, not a silently dropped flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["glue", fixture_path("z6r3"), "--pairs", "3:6", "--report", "--bar"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "not allowed with argument --report" in err
+
+
+@pytest.mark.parametrize("spec", ["1-2", "1:99", "1:2,2:3", ":"])
+def test_glue_pair_errors_are_input_errors(capsys, spec):
+    # a malformed pair, an unknown vertex and a repeated vertex all exit 2
+    code, out, err = run(capsys, "glue", fixture_path("z6r3"), "--pairs", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_gorenstein_text_runs_each_check_once(capsys, monkeypatch):
     # the text lines are rendered from the JSON report, so one text call runs
     # the Nakayama and gentle checks once each, wherever the CLI reaches them

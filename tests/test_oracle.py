@@ -94,14 +94,14 @@ def test_ext_examples(z3r2, lin, her):
     A3 = regular_rep(z3r2)
     M = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))
     for k in range(1, 7):
-        assert ext_dim(z3r2, M, A3, k) == 0
+        assert ext_dim(M, A3, k) == 0
 
     S3 = simple_rep(lin, "3")  # projective: the sink simple
-    assert ext_dim(lin, S3, regular_rep(lin), 1) == 0
+    assert ext_dim(S3, regular_rep(lin), 1) == 0
 
     H = regular_rep(her)
     for v in her.quiver.vertices:
-        assert ext_dim(her, simple_rep(her, v), H, 2) == 0  # hereditary
+        assert ext_dim(simple_rep(her, v), H, 2) == 0  # hereditary
 
 
 def test_profiles(z3r2, z2r3, lin, her):
@@ -120,20 +120,20 @@ def test_global_dimensions(z3r2, lin, her):
 
 
 def test_resolution_statuses(z3r2, lin):
-    t = resolve(z3r2, simple_rep(z3r2, "1"))
+    t = resolve(simple_rep(z3r2, "1"))
     assert t.status == PERIODIC  # simples over kZ_3/J^2 have infinite pd
-    t = resolve(lin, simple_rep(lin, "1"))
+    t = resolve(simple_rep(lin, "1"))
     assert t.status == FINITE and t.pd == 2
 
 
 def test_gp_test(z3r2, lin, z2r3):
     M = path_module_rep(z3r2, z3r2.quiver.arrow_path("a1"))
-    assert gorenstein_projective_test(z3r2, M)
+    assert gorenstein_projective_test(M)
     S2 = simple_rep(lin, "2")
-    assert not gorenstein_projective_test(lin, S2)
+    assert not gorenstein_projective_test(S2)
     for v in z2r3.quiver.vertices:
         P = path_module_rep(z2r3, z2r3.quiver.trivial_path(v))
-        assert gorenstein_projective_test(z2r3, P)
+        assert gorenstein_projective_test(P)
 
 
 def test_gp_test_requires_gorenstein():
@@ -145,7 +145,7 @@ def test_gp_test_requires_gorenstein():
     prof = injective_dimension_profile(pres)
     assert prof.decided and not prof.gorenstein
     with pytest.raises(NotGorenstein):
-        gorenstein_projective_test(pres, simple_rep(pres, "1"))
+        gorenstein_projective_test(simple_rep(pres, "1"))
 
 
 def test_torsionless(z2r3, lin):
@@ -313,16 +313,16 @@ def test_gp_test_on_class_modules_takes_no_dense_step(z3r2, her, glu, monkeypatc
     steps = counting(monkeypatch, "syzygy_step")
     resolved = counting(monkeypatch, "resolve")
     for M in non_projective_path_modules(z3r2):
-        gorenstein_projective_test(z3r2, M)
+        gorenstein_projective_test(M)
     assert resolved == []  # level 0: every module passes, nothing is resolved
     # over the hereditary A_2 every path module is projective; the simples
     # are the classes (v, {e_v}), and the source simple is not projective
-    verdicts = [gorenstein_projective_test(her, simple_rep(her, v)) for v in her.quiver.vertices]
+    verdicts = [gorenstein_projective_test(simple_rep(her, v)) for v in her.quiver.vertices]
     assert False in verdicts  # Ext^1(S, A) != 0 was read
     # glu has path modules of infinite pd; each splits at its first cover
     glu_modules = list(non_projective_path_modules(glu))
     for M in glu_modules:
-        gorenstein_projective_test(glu, M)
+        gorenstein_projective_test(M)
     assert len(resolved) == len(her.quiver.vertices) + len(glu_modules)
     assert steps == []
 
@@ -336,8 +336,8 @@ def test_a_module_is_covered_once(glu, monkeypatch):
     covered = counting(monkeypatch, "projective_cover")
     for key in {glu.survivor_key(p) for p in glu.basis().nontrivial()}:
         M = _class_rep(glu, key)
-        gorenstein_projective_test(glu, M)
-        ext_dim(glu, M, A, 1)
+        gorenstein_projective_test(M)
+        ext_dim(M, A, 1)
         stable_hom_dim(M, M)
     assert len(covered) > 10
     assert len(covered) == len({id(args[0]) for args in covered})
@@ -359,8 +359,8 @@ def test_trace_report_resolves_each_summand_once(monkeypatch):
         resolution_trace_report(pres)
         want = [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
                 if _injective_summand_key(pr, v) is None]
-        assert [args[0] for args in resolved] == [pr for pr, _ in want]
-        assert [args[1].dims for args in resolved] == \
+        assert [args[0].pres for args in resolved] == [pr for pr, _ in want]
+        assert [args[0].dims for args in resolved] == \
             [injective_summand_rep(pr, v).dims for pr, v in want]
         noncyclic += len(want)
     assert noncyclic == 8
@@ -501,7 +501,7 @@ def test_ext_rule_matches_the_hom_complex():
             for N in targets:
                 for k in (1, 2, 3):
                     want = dense_ext_reference(dense, N, k)
-                    assert ext_dim(pres, M, N, k) == want, (pres.quiver.vertices, k)
+                    assert ext_dim(M, N, k) == want, (pres.quiver.vertices, k)
                     compared += 1
                     nonzero += want != 0 and k >= 2 and N is not targets[0]
     # Ext^k(M, S) != 0 for some k >= 2 into a simple, so reading 0 would show
@@ -515,7 +515,7 @@ def test_ext_rule_needs_its_hom_term(monkeypatch):
     wrong = 0
     for M in modules:
         dense = dense_resolution_reference(M, 3)
-        wrong += any(ext_dim(pres, M, N, 1) != dense_ext_reference(dense, N, 1) for N in targets)
+        wrong += any(ext_dim(M, N, 1) != dense_ext_reference(dense, N, 1) for N in targets)
     assert wrong
 
 
@@ -532,22 +532,14 @@ def test_a_trace_without_a_split_is_read_only_on_its_dense_steps():
     pres = [random_presentation(rng) for _ in range(372)][371]
     D = injective_summand_rep(pres, "2")
     M = Representation(pres, D.dims, D.mats)  # splits only at Omega^3
-    tr = resolve(pres, M)
+    tr = resolve(M)
     backstop = dataclasses.replace(tr, classes=None, status=PERIODIC, pd=None)
     A = regular_rep(pres)
     dense = dense_resolution_reference(M, 5)
     for k in (1, 2, 3):
-        assert _ext_from_trace(pres, backstop, A, k) == dense_ext_reference(dense, A, k)
+        assert _ext_from_trace(backstop, A, k) == dense_ext_reference(dense, A, k)
     with pytest.raises(InternalInvariantViolation, match="no split"):
-        _ext_from_trace(pres, backstop, A, 4)
-
-
-def test_syzygy_rep_raises_presentation_mismatch(z3r2, z2r3):
-    from monosing.errors import PresentationMismatch
-    from monosing.oracle import syzygy_rep
-
-    with pytest.raises(PresentationMismatch):
-        syzygy_rep(z3r2, path_module_rep(z2r3, z2r3.quiver.arrow_path("a")))
+        _ext_from_trace(backstop, A, 4)
 
 
 def test_foreign_modules_raise_presentation_mismatch(z3r2, lin):
@@ -555,15 +547,11 @@ def test_foreign_modules_raise_presentation_mismatch(z3r2, lin):
 
     foreign = simple_rep(lin, "1")  # z3r2 has a vertex "1" too
     S = simple_rep(z3r2, "1")
-    with pytest.raises(PresentationMismatch):
-        resolve(z3r2, foreign)
-    with pytest.raises(PresentationMismatch):
-        gorenstein_projective_test(z3r2, foreign)
     for M, N in ((foreign, S), (S, foreign)):
         with pytest.raises(PresentationMismatch):
-            ext_dim(z3r2, M, N, 1)
+            ext_dim(M, N, 1)
     with pytest.raises(ValueError, match="k >= 1"):
-        ext_dim(z3r2, S, S, 0)
+        ext_dim(S, S, 0)
 
 
 def test_level_bounded_verdicts_match_full_resolutions():
@@ -579,12 +567,12 @@ def test_level_bounded_verdicts_match_full_resolutions():
         levels.add(d)
         A = regular_rep(pres)
         for M in non_projective_path_modules(pres):
-            full = resolve(pres, M)
+            full = resolve(M)
             assert full.status in (FINITE, PERIODIC)
             dense = dense_resolution_reference(M, d + 2)
             expected = (all(dense_ext_reference(dense, A, k) == 0 for k in range(1, d + 1))
                         and is_torsionless(M))
-            assert gorenstein_projective_test(pres, M) == expected
+            assert gorenstein_projective_test(M) == expected
             checked += 1
     assert {0, 1, 2} <= levels
     assert checked >= 30
@@ -646,7 +634,7 @@ def test_class_walk_matches_the_dense_rule():
             for v in pr.quiver.vertices:
                 for M in (injective_summand_rep(pr, v), simple_rep(pr, v)):
                     expected = dense_reference(pr, M)
-                    tr = resolve(pr, M)
+                    tr = resolve(M)
                     if expected[0] == "cap":
                         assert tr.status == PERIODIC
                     else:
@@ -667,8 +655,8 @@ def test_an_ungraded_module_may_split_late():
     rng = random.Random(DEFAULT_SEED)
     pres = [random_presentation(rng) for _ in range(372)][371]
     M = injective_summand_rep(pres, "2")
-    graded = resolve(pres, M)
-    ungraded = resolve(pres, Representation(pres, M.dims, M.mats))
+    graded = resolve(M)
+    ungraded = resolve(Representation(pres, M.dims, M.mats))
     assert len(graded.layers) == 3 and len(ungraded.layers) == 4
     assert graded.status == ungraded.status == PERIODIC
     assert dense_reference(pres, M) == (PERIODIC, None)
@@ -758,7 +746,7 @@ def dense_tilting_reference(pres, extra):
 
     d = injective_dimension_profile(pres).level
     chosen = [p for p in pres.basis().nontrivial()
-              if resolve(pres, path_module_rep(pres, p)).status == PERIODIC]
+              if resolve(path_module_rep(pres, p)).status == PERIODIC]
     cur = direct_sum(pres, [path_module_rep(pres, p) for p in chosen])
     for _ in range(d):
         _, _, cur, _ = syzygy_step(cur)
@@ -977,7 +965,7 @@ def test_resolution_work_follows_the_support(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(linalg, "zeros", zeros)
             m.setattr(Representation, "__init__", init)
-            tr = resolve(pres, injective_summand_rep(pres, "1"))
+            tr = resolve(injective_summand_rep(pres, "1"))
         assert (tr.status, tr.pd) == (FINITE, 0)
         return counts
 
@@ -1127,7 +1115,7 @@ def test_support_walks_match_the_dense_steps():
                         cut.append(cur)
                     assert [module_data(S) for S in cut] == [module_data(S) for S in syzygies]
                     compared += len(cut)
-                    tr = resolve(pr, M)
+                    tr = resolve(M)
                     for S, R in zip(tr.syzygies, syzygies):
                         assert module_data(S) == module_data(R)
                     if syzygies[-1].is_zero():
@@ -1332,12 +1320,33 @@ def injective_summand_reference(pres, v):
     return Representation(pres, dims, mats)
 
 
+def test_injective_summands_are_the_dense_builders_modules():
+    # D(e_v A), built as the transposed projective of the opposite, must be
+    # the dense builder's module exactly: basis order, matrices and the
+    # degrees -len(w), on both sides
+    from monosing.oracle import injective_summand_rep
+
+    checked = 0
+    for pres in class_rule_corpus():
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                D, ref = injective_summand_rep(pr, v), injective_summand_reference(pr, v)
+                assert (D.dims, dict(D.mats)) == (ref.dims, dict(ref.mats)), \
+                    (pr.quiver.vertices, v)
+                degrees = dict.fromkeys(pr.quiver.vertices, ())
+                for w in pr.basis().into_vertex(v):
+                    degrees[w.source] += (-w.length,)
+                assert D.degrees == degrees
+                checked += 1
+    assert checked > 900, checked
+
+
 def dual_regular_pd_reference(pres):
     """The profile side as it was before cyclic summands became classes:
     every summand built and resolved."""
     worst = 0
     for v in pres.quiver.vertices:
-        tr = resolve(pres, injective_summand_reference(pres, v))
+        tr = resolve(injective_summand_reference(pres, v))
         if tr.status == PERIODIC:
             return oracle.SideStatus(PERIODIC, detail=f"summand at {v}: {tr.detail}")
         worst = max(worst, tr.pd)
@@ -1364,7 +1373,7 @@ def summand_rule_mismatches(rule, presentations, counts):
                     if cyclic:
                         bad.append((pr, v))
                     continue
-                ref = resolve(pr, D)
+                ref = resolve(D)
                 tr = _class_trace(pr, key)
                 if ((tr.status, tr.pd, tr.detail) != (ref.status, ref.pd, ref.detail)
                         or _iso_witness(_class_rep(pr, key),
@@ -1400,7 +1409,7 @@ def test_cyclic_injective_summands_are_read_as_classes():
 def test_global_dimension_walks_the_simples_as_classes():
     finite = infinite = 0
     for pres in class_rule_corpus():
-        traces = [resolve(pres, simple_rep(pres, v)) for v in pres.quiver.vertices]
+        traces = [resolve(simple_rep(pres, v)) for v in pres.quiver.vertices]
         want = None if any(tr.status == PERIODIC for tr in traces) else max(tr.pd for tr in traces)
         assert global_dimension(pres) == want, pres.quiver.vertices
         finite += want is not None
@@ -1423,11 +1432,11 @@ def test_gp_test_runs_no_rank_test(z3r2, lin, glu, monkeypatch):
         injective_dimension_profile(pres)
     rank_tests = counting(monkeypatch, "is_torsionless")
     resolved = counting(monkeypatch, "resolve")
-    assert gorenstein_projective_test(z3r2, simple_rep(z3r2, "1"))
+    assert gorenstein_projective_test(simple_rep(z3r2, "1"))
     assert resolved == []
     # the source simple of lin has Ext^2(S_1, A) != 0
-    assert not gorenstein_projective_test(lin, simple_rep(lin, "1"))
-    assert any(gorenstein_projective_test(glu, M) for M in non_projective_path_modules(glu))
+    assert not gorenstein_projective_test(simple_rep(lin, "1"))
+    assert any(gorenstein_projective_test(M) for M in non_projective_path_modules(glu))
     assert resolved and rank_tests == []
 
 
@@ -1445,7 +1454,7 @@ def crosscheck_reference(pres):
         if pres.key_is_projective(key):
             continue
         M = _class_rep(pres, key)
-        if gorenstein_projective_test(pres, M) and is_torsionless(M):
+        if gorenstein_projective_test(M) and is_torsionless(M):
             found.append(M)
     classes = []
     for M in found:
@@ -1525,7 +1534,7 @@ def ext_rule_gp_keys(pres, level):
     from monosing.oracle import _class_trace, _ext_from_trace, _regular
 
     return [key for key in pres.path_classes()
-            if not any(_ext_from_trace(pres, _class_trace(pres, key), _regular(pres), k)
+            if not any(_ext_from_trace(_class_trace(pres, key), _regular(pres), k)
                        for k in range(1, level + 1))]
 
 
@@ -1564,7 +1573,7 @@ def test_every_module_the_gp_test_accepts_is_torsionless():
         modules += [injective_summand_rep(pres, v) for v in vertices]
         modules += [_class_rep(pres, key) for key in pres.path_classes()]
         for M in modules:
-            if gorenstein_projective_test(pres, M):
+            if gorenstein_projective_test(M):
                 assert is_torsionless(M), (vertices, pres.generators, M.dims)
                 accepted += prof.level > 0
             else:

@@ -146,7 +146,7 @@ def test_syzygy_law_on_fixtures(z3r2, z2r3, glu):
     for pres in (z3r2, z2r3, glu):
         for p, q in perfect_pairs(pres):
             Ap = path_module_rep(pres, p)
-            Om = syzygy_rep(pres, path_module_rep(pres, q))
+            Om = syzygy_rep(path_module_rep(pres, q))
             assert Om.dims == Ap.dims
             assert stable_hom_dim(Ap, Om) >= 1 and stable_hom_dim(Om, Ap) >= 1
             assert _iso_witness(Ap, Om) is not None
@@ -161,7 +161,7 @@ def test_syzygy_law_on_corpus():
         pres = random_presentation(rng)
         for p, q in perfect_pairs(pres):
             Ap = path_module_rep(pres, p)
-            Om = syzygy_rep(pres, path_module_rep(pres, q))
+            Om = syzygy_rep(path_module_rep(pres, q))
             assert Om.dims == Ap.dims, (str(p), str(q))
             assert _iso_witness(Ap, Om) is not None, (str(p), str(q))
             pairs_seen += 1

@@ -181,6 +181,7 @@ def test_enumerate_basis_infinite():
 def test_memoized_calls_return_the_same_object(z2r3):
     assert z2r3.basis() is z2r3.basis()
     assert z2r3.opposite() is z2r3.opposite()
+    assert z2r3.opposite() is not z2r3 and z2r3.opposite().opposite() is z2r3
     a = z2r3.quiver.arrow_path("a")
     assert z2r3.survivor_key(a) is z2r3.survivor_key(a)
     assert z2r3.path_classes() is z2r3.path_classes()
