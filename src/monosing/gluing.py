@@ -103,30 +103,30 @@ def glue_is_finite_dimensional(pres, E):
     return chain is None, chain
 
 
-def glue(pres, E, validate=True):
-    """The glued presentation; raises InfiniteDimensional with a chain witness.
-
-    ``validate=False`` skips both finiteness checks and returns the raw glued
-    presentation (used to cross-examine the chain test against the automaton).
-    """
-    if validate:
-        finite, chain = glue_is_finite_dimensional(pres, E)
-        if not finite:
-            raise InfiniteDimensional(
-                "gluing produces nonzero paths of unbounded length; witness chain: "
-                + ", ".join(str(p) for p in chain),
-                witness=chain,
-            )
-    name_of, new_vertices = _merged_names(pres, E)
-    arrows = [Arrow(a.name, name_of[a.source], name_of[a.target]) for a in pres.quiver.arrows]
-    quiver = Quiver(new_vertices, arrows)
-    gens = [quiver.subword_path(g.arrows) for g in pres.generators]
-    glued = MonomialPresentation(quiver, gens)
-    if validate and not glued.is_finite_dimensional():
+def glue(pres, E):
+    """The glued presentation; raises InfiniteDimensional with a chain witness."""
+    finite, chain = glue_is_finite_dimensional(pres, E)
+    if not finite:
+        raise InfiniteDimensional(
+            "gluing produces nonzero paths of unbounded length; witness chain: "
+            + ", ".join(str(p) for p in chain),
+            witness=chain,
+        )
+    glued = _glued(pres, E)
+    if not glued.is_finite_dimensional():
         raise InternalInvariantViolation(
             "chain test passed but the glued automaton found a pumpable cycle"
         )
     return glued
+
+
+def _glued(pres, E):
+    """The glued presentation, with no finiteness check."""
+    name_of, new_vertices = _merged_names(pres, E)
+    arrows = [Arrow(a.name, name_of[a.source], name_of[a.target]) for a in pres.quiver.arrows]
+    quiver = Quiver(new_vertices, arrows)
+    gens = [quiver.subword_path(g.arrows) for g in pres.generators]
+    return MonomialPresentation(quiver, gens)
 
 
 def bar_presentation(pres, E):

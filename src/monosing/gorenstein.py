@@ -249,7 +249,7 @@ def gentle_check(pres):
     relations; on gentle inputs it must agree with the homological test.
     """
     q = pres.quiver
-    forb = pres._forbidden
+    forb = {f.arrows for f in pres.minimal}
     for v in q.vertices:
         if len(q.arrows_from[v]) > 2:
             return GentleCheck(False, f"vertex {v} has {len(q.arrows_from[v])} outgoing arrows")

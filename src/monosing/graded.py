@@ -37,7 +37,6 @@ class GradedSummand:
 
     generator: object  # Path
     shift: int
-    multiplicity: int = 1
 
 
 def top_degree(pres):
@@ -168,7 +167,7 @@ def graded_singularity_description(pres):
     from .oracle import global_dimension, injective_dimension_profile
 
     out = {"omega_T": [
-        {"path": str(s.generator), "shift": s.shift, "multiplicity": s.multiplicity}
+        {"path": str(s.generator), "shift": s.shift, "multiplicity": 1}
         for s in syzygy_of_T(pres)
     ]}
     prof = injective_dimension_profile(pres)

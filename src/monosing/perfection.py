@@ -48,7 +48,7 @@ def annihilator_minimal(pres, p, side):
     far_half = _relation_splits(pres)[side]
     word = p.arrows
     cands = set()
-    for k in range(1, min(len(word), pres._rmax - 1) + 1):
+    for k in range(1, len(word) + 1):
         # the part of p a straddling relation covers: a tail for R, a head for L
         near = word[-k:] if side == "right" else word[:k]
         cands.update(far_half.get(near, ()))

@@ -203,7 +203,6 @@ class MonomialPresentation:
         self.minimal = _minimal_relations(self.generators)
         self._forbidden = {p.arrows for p in self.minimal}
         self._lengths = sorted({p.length for p in self.minimal})
-        self._rmax = max(self._lengths, default=1)
         self._cache = {}
 
     # -- zero-ness -------------------------------------------------------
@@ -231,30 +230,32 @@ class MonomialPresentation:
 
     @memoized
     def automaton(self):
-        """Forbidden-factor automaton over nonzero words of length < r_max.
+        """The relation automaton of F (Aho–Corasick, CACM 18, 1975), which is
+        Ufnarovski's graph of a monomial algebra (Math. Notes 31, 1982).
 
-        States are the trailing traversal windows (composition-order prefixes)
-        of nonzero paths; appending an arrow at the target side transitions to
-        the new trailing window when no minimal relation is completed.  The
-        algebra is finite-dimensional iff the reachable part is acyclic.
+        A state ``(u, v)`` holds the longest final factor ``u`` of the path
+        read so far that begins a minimal relation, as a composition-order
+        prefix, and the path's end ``v``.  An arrow is dropped when a final
+        factor of the new word lies in F, and otherwise moves to the longest
+        one that begins a relation, so there are at most sum(|f| - 1) + |Q_0|
+        states.  Each nonzero path from v is one walk from ``((), v)``; the
+        algebra is finite-dimensional iff the automaton is acyclic.
         """
-        width = self._rmax - 1
-        states = set()
+        # the proper traversal-order prefixes of F: composition-order tails
+        prefixes = {f.arrows[k:] for f in self.minimal for k in range(1, f.length)}
+        frontier = [((), v) for v in self.quiver.vertices]
+        states = set(frontier)
         edges = {}
-        frontier = []
-        for v in self.quiver.vertices:
-            s = ((), v)  # (window word, current end vertex)
-            states.add(s)
-            frontier.append(s)
         while frontier:
-            word, end = frontier.pop()
-            edges.setdefault((word, end), [])
+            state = frontier.pop()
+            word, end = state
+            out = edges[state] = []
             for a in self.quiver.arrows_from[end]:
-                new_word = (a.name,) + word
-                if not self.word_is_nonzero(new_word):
+                heads = [(a.name,) + word[:k] for k in range(len(word), -1, -1)]
+                if not self._forbidden.isdisjoint(heads):
                     continue
-                nxt = (new_word[:width], a.target)
-                edges[(word, end)].append((a.name, nxt))
+                nxt = (next((h for h in heads if h in prefixes), ()), a.target)
+                out.append((a.name, nxt))
                 if nxt not in states:
                     states.add(nxt)
                     frontier.append(nxt)
@@ -262,9 +263,8 @@ class MonomialPresentation:
 
     def automaton_cycle(self):
         """A reachable automaton cycle as a traversal-order arrow word, or None."""
-        states, edges = self.automaton()
-        cycle, _ = find_cycle(sorted(states, key=_state_key(self.quiver)),
-                              lambda state: edges.get(state, []))
+        _, edges = self.automaton()
+        cycle, _ = find_cycle([((), v) for v in self.quiver.vertices], edges.__getitem__)
         return None if cycle is None else tuple(cycle)
 
     def is_finite_dimensional(self):
@@ -280,16 +280,14 @@ class MonomialPresentation:
                 f"nonzero paths of unbounded length: the arrow cycle {word} can be pumped",
                 witness=cyc,
             )
-        paths = [self.quiver.trivial_path(v) for v in self.quiver.vertices]
-        frontier = list(paths)
+        _, edges = self.automaton()
+        paths = []
+        frontier = [(self.quiver.trivial_path(v), ((), v)) for v in self.quiver.vertices]
         while frontier:
-            p = frontier.pop()
-            for a in self.quiver.arrows_from[p.target]:
-                word = (a.name,) + p.arrows
-                if self.word_is_nonzero(word):
-                    q = Path(word, p.source, a.target)
-                    paths.append(q)
-                    frontier.append(q)
+            p, state = frontier.pop()
+            paths.append(p)
+            for name, nxt in edges[state]:
+                frontier.append((Path((name,) + p.arrows, p.source, nxt[1]), nxt))
         paths.sort(key=self.quiver.sort_key)
         return PathBasis(self, paths)
 
@@ -424,14 +422,6 @@ def successor_cycles(starts, successor):
             cycles.append(walk[pos[cur]:])
         done.update(walk)
     return cycles
-
-
-def _state_key(quiver):
-    def key(state):
-        word, end = state
-        return (len(word), tuple(quiver.arrow_index(a) for a in word), quiver.vertex_index(end))
-
-    return key
 
 
 def _minimal_relations(generators):

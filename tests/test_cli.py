@@ -201,6 +201,17 @@ def test_infinite_dimensional_aborts_with_witness(tmp_path, capsys):
     assert "pumped" in err  # witness cycle reported on the diagnostic stream
 
 
+def test_infinite_dimensional_refusal_is_fast_on_a_long_relation(tmp_path, capsys):
+    # one vertex, five loops and a^10: the refusal needs the relation
+    # automaton's 10 states, not one state per short nonzero word
+    f = tmp_path / "a10.quiver"
+    f.write_text("vertex 1\n" + "".join(f"arrow {x} 1 1\n" for x in "abcde")
+                 + "relation" + " a" * 10 + "\n")
+    code, out, err = run(capsys, "info", str(f))
+    assert (code, out) == (1, "")
+    assert "pumped" in err and "a·a·a·a·a·a·a·a·a·b" in err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.quiver"
     bad.write_text("vertex 1\narrow a 1 1\nrelation a\n")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,10 +9,12 @@ from monosing.errors import (
     RelationTooShort,
     ZeroPath,
 )
+from monosing import corpus as corpus_module
 from monosing.corpus import random_presentation
 from monosing.presentation import (
     Arrow,
     MonomialPresentation,
+    Path,
     Quiver,
     memoized,
     minimal_relations,
@@ -361,6 +364,89 @@ def test_automaton_soundness_against_capped_search():
         states, _ = pres.automaton()
         long_path = has_nonzero_path_longer_than(pres, len(states))
         assert (pres.automaton_cycle() is not None) == long_path
+
+
+def one_relation_on_loops(loops, relation):
+    """One vertex with the given loops and the single relation ``relation``."""
+    quiver = Quiver(["1"], [Arrow(x, "1", "1") for x in loops])
+    return MonomialPresentation(quiver, [quiver.path(relation)])
+
+
+def test_automaton_states_are_bounded_by_the_relation_prefixes():
+    # a^9 over four loops has 87,381 nonzero words shorter than the relation,
+    # but only 8 proper relation prefixes
+    a9 = one_relation_on_loops("abcd", "a" * 9)
+    a10 = one_relation_on_loops("abcde", "a" * 10)
+    assert len(a9.automaton()[0]) == 9
+    for pres in [a9, a10] + corpus(25, seed=4242, require_finite=False):
+        bound = sum(f.length - 1 for f in pres.minimal) + len(pres.quiver.vertices)
+        assert len(pres.automaton()[0]) <= bound
+
+
+def test_automaton_cycle_pumps():
+    infinite = 0
+    for pres in corpus(25, seed=4242, require_finite=False):
+        cycle = pres.automaton_cycle()
+        if cycle is None:
+            continue
+        infinite += 1
+        word = tuple(reversed(cycle))  # composition order
+        for k in range(1, 6):
+            assert pres.word_is_nonzero(word * k), (presentation_to_text(pres), cycle)
+    assert infinite
+    assert one_relation_on_loops("abcd", "a" * 9).automaton_cycle() == ("a",) * 8 + ("b",)
+
+
+def basis_reference(pres):
+    """The nonzero paths in basis order, by extending each nonzero path by
+    every arrow and keeping the words that pass the window scan."""
+    paths = [pres.quiver.trivial_path(v) for v in pres.quiver.vertices]
+    frontier = list(paths)
+    while frontier:
+        p = frontier.pop()
+        for a in pres.quiver.arrows_from[p.target]:
+            word = (a.name,) + p.arrows
+            if pres.word_is_nonzero(word):
+                q = Path(word, p.source, a.target)
+                paths.append(q)
+                frontier.append(q)
+    return sorted(paths, key=pres.quiver.sort_key)
+
+
+def test_basis_matches_the_window_scan_reference():
+    from conftest import FIXTURE_NAMES, load
+    from monosing.corpus import seeded_rng
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    presentations += [pres.opposite() for pres in presentations]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(200)]
+    for pres in presentations:
+        assert list(pres.basis()) == basis_reference(pres), presentation_to_text(pres)
+
+
+# sha256 of presentation_to_text over the first 50 draws of each generator;
+# the seeded sweeps and the benchmark's gentle files rest on these draws
+CORPUS_DIGESTS = {
+    ("random_presentation", 174011):
+        "485b16bb132a0b76a1d870f33284a5a64187baceb1b6b81f35134f4089848d7d",
+    ("random_presentation", 1):
+        "0e3c1740293508c0fdb5f82ac2fbd47fec469d0f83f95df9486af046ac4fdc6c",
+    ("random_gentle_presentation", 174011):
+        "a968ded95fe2ff2207d8209d810ddab7e7c06d67a9374412a908ae935a7da231",
+    ("random_gentle_presentation", 1):
+        "36e4e32ea69e1d4e34ceddea93ccd7f9fdbdf90c036e19130d081f9607a69acc",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(CORPUS_DIGESTS))
+def test_corpus_draws_are_pinned(name, seed):
+    draw = getattr(corpus_module, name)
+    rng = random.Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        digest.update(presentation_to_text(draw(rng)).encode())
+    assert digest.hexdigest() == CORPUS_DIGESTS[(name, seed)]
 
 
 def sort_key_reference(quiver, p):
