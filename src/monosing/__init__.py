@@ -33,7 +33,6 @@ from .gorenstein import (
     singularity_decomposition,
 )
 from .graded import (
-    GradedSummand,
     Reduction,
     TypeAQuiver,
     basic_syzygy_summands,

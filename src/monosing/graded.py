@@ -24,19 +24,8 @@ from .errors import (
     ZeroPath,
 )
 from .gorenstein import is_one_gorenstein
+from .oracle import global_dimension, injective_dimension_profile
 from .perfection import annihilator_minimal, perfect_paths
-
-
-@dataclass(frozen=True)
-class GradedSummand:
-    """A cyclic module on ``generator`` carrying the grade shift ``shift``.
-
-    Basis path q'p sits in degree l(q') - shift; every syzygy-of-T summand has
-    shift -1, putting its top in degree one.
-    """
-
-    generator: object  # Path
-    shift: int
 
 
 def top_degree(pres):
@@ -61,19 +50,21 @@ def truncation_summands(pres, i):
 
 
 def syzygy_of_T(pres):
-    """Summands of the minimal syzygy of the truncation sum T.
+    """Generators of the summands of the minimal syzygy of the truncation
+    sum T.
 
     Truncation index i contributes, per vertex v, one summand per nonzero
-    path of length i + 1 from v; every nontrivial nonzero path thus appears
-    exactly once, with shift -1.
+    path of length i + 1 from v; every nontrivial nonzero path p thus
+    generates exactly one summand, the cyclic module on p with grade shift
+    -1: basis path q'p sits in degree l(q') + 1, its top in degree one.
     """
-    return [GradedSummand(p, -1) for p in pres.basis().nontrivial()]
+    return pres.basis().nontrivial()
 
 
 def basic_syzygy_summands(pres):
-    """Syzygy-of-T summands with projectives dropped and duplicates merged:
-    one per path class, on its first path."""
-    return [GradedSummand(p, -1) for p in pres.path_classes().values()]
+    """Syzygy-of-T generators with projectives dropped and duplicates
+    merged: the first path of each path class."""
+    return list(pres.path_classes().values())
 
 
 @dataclass(frozen=True)
@@ -164,11 +155,8 @@ def graded_singularity_description(pres):
     inputs the existence statement; finite global dimension trumps both with
     the trivial category; anything else is reported non-Gorenstein.
     """
-    from .oracle import global_dimension, injective_dimension_profile
-
     out = {"omega_T": [
-        {"path": str(s.generator), "shift": s.shift, "multiplicity": 1}
-        for s in syzygy_of_T(pres)
+        {"path": str(p), "shift": -1, "multiplicity": 1} for p in syzygy_of_T(pres)
     ]}
     prof = injective_dimension_profile(pres)
     out["oracle"] = prof.to_json()

@@ -40,7 +40,12 @@ all per-module work follows it: builders, validation, covers, kernels and
 the split test walk the support and the arrows between its vertices, never
 the whole quiver, so a module on k vertices costs the same on any quiver.
 Each step asks the cover for a split before it takes the kernel, so the
-step that certifies a split builds no kernel.
+step that certifies a split builds no kernel.  A dense step solves nothing:
+``la.nullspace`` gives each kernel vector a free column, its last nonzero
+entry, where every other kernel vector at its vertex is zero, so the
+coordinates of an arrow's image are its entries at the free columns, each
+divided by its kernel vector's entry there, and the image must be the
+combination they give, else the kernel is not closed under the action.
 
 Hom from a class (v, W) to a module N is decided by generator images: a map
 is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
@@ -100,6 +105,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg as la
 from .errors import (
@@ -320,6 +326,7 @@ def dual_regular_rep(pres):
 
 def simple_rep(pres, v):
     """The simple module at v: the class (v, {e_v})."""
+    pres.quiver.trivial_path(v)  # UnknownVertex off the quiver
     return _class_rep(pres, (v, frozenset({()})))
 
 
@@ -442,16 +449,16 @@ def _module_cover(rep):
 
 
 def _kernel_blocks(rep, layer, cover):
-    """Homogeneous kernel basis of the cover, per vertex of P's support."""
+    """Homogeneous kernel basis of the cover, per vertex of P's support, as
+    (free column, vector) pairs: the free column is the vector's last
+    nonzero entry, and every other vector at the vertex is zero there."""
     kernel = {}
     for v in layer.rep.support:
         ncols = layer.rep.dims[v]
-        if rep.degrees is None:
-            groups = {None: list(range(ncols))}
-        else:
-            groups = {}
-            for j, d in enumerate(layer.rep.degrees[v]):
-                groups.setdefault(d, []).append(j)
+        pdeg = layer.rep.degrees[v] if rep.degrees is not None else (None,) * ncols
+        groups = {}
+        for j, d in enumerate(pdeg):
+            groups.setdefault(d, []).append(j)
         cols = []
         m = cover[v]
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
@@ -460,18 +467,22 @@ def _kernel_blocks(rep, layer, cover):
             for vec in la.nullspace(sub, len(idx)):
                 full = [0] * ncols
                 for pos, j in enumerate(idx):
-                    full[j] = vec[pos]
-                cols.append(full)
+                    if vec[pos]:
+                        full[j], free = vec[pos], j
+                cols.append((free, full))
         kernel[v] = cols
     return kernel
 
 
 def syzygy_step(rep):
     """Minimal cover (kept on the module) and its kernel; returns (layer,
-    cover, kernel rep, kernel columns)."""
+    cover, kernel rep, kernel columns).  Coordinate i of an arrow's image is
+    its entry at the free column f_i of kernel vector k_i over k_i[f_i], and
+    the image must be the combination of the k_i with those coefficients."""
     pres = rep.pres
     layer, cover = _module_cover(rep)
-    kernel = _kernel_blocks(rep, layer, cover)
+    blocks = _kernel_blocks(rep, layer, cover)
+    kernel = {v: [vec for _, vec in pairs] for v, pairs in blocks.items()}
     # minimality: kernel must avoid the generator coordinates
     for v, placed in layer.pbasis.items():
         gen_positions = [j for j, (gi, x) in enumerate(placed) if x.is_trivial]
@@ -488,32 +499,23 @@ def syzygy_step(rep):
             if not layer.rep.dims[tgt]:
                 continue
             pa = layer.rep.mats[a.name]
-            todo = []
+            m = la.zeros(dims.get(tgt, 0), dims[src])
             for j, vec in enumerate(kernel[src]):
                 img = la.mat_vec(pa, vec)
-                if any(x != 0 for x in img):
-                    todo.append((j, img))
-            if todo and not kernel[tgt]:
-                raise InternalInvariantViolation("syzygy is not closed under the action")
-            if tgt not in dims:
-                continue
-            m = la.zeros(dims[tgt], dims[src])
-            if todo:
-                kb = la.transpose(kernel[tgt])
-                sols = la.solve_many(kb, [img for _, img in todo])
-                for (j, _), sol in zip(todo, sols):
-                    if sol is None:
-                        raise InternalInvariantViolation("syzygy is not closed under the action")
-                    for i in range(dims[tgt]):
-                        m[i][j] = sol[i]
-            mats[a.name] = m
+                for i, (f, k) in enumerate(blocks[tgt]):
+                    c = img[f] if k[f] == 1 else Fraction(img[f], k[f])
+                    if c:
+                        m[i][j] = c
+                        for t, x in enumerate(k):
+                            if x:
+                                img[t] -= c * x
+                if any(img):
+                    raise InternalInvariantViolation("syzygy is not closed under the action")
+            if tgt in dims:
+                mats[a.name] = m
     degrees = None
     if rep.degrees is not None:
-        degrees = {}
-        for v in dims:
-            pdeg = layer.rep.degrees[v]
-            degrees[v] = tuple(pdeg[next(i for i, x in enumerate(vec) if x != 0)]
-                               for vec in kernel[v])
+        degrees = {v: tuple(layer.rep.degrees[v][f] for f, _ in blocks[v]) for v in dims}
     krep = Representation(pres, dims, mats, degrees=degrees, validate=False)
     return layer, cover, krep, kernel
 
@@ -862,6 +864,7 @@ def injective_summand_rep(pres, v):
     """D(e_v A) as a left module: the k-dual of the opposite's projective
     A^op e_v, the path span of the reversed paths into v with every matrix
     transposed.  The dual of a path w sits at s(w) in degree -len(w)."""
+    pres.quiver.trivial_path(v)  # UnknownVertex off the quiver
     paths = [Path(w.arrows[::-1], w.target, w.source) for w in pres.basis().into_vertex(v)]
     dims, mats, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
     degrees = {u: tuple(-x.length for _, x in placed) for u, placed in by_vertex.items()}

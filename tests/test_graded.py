@@ -45,17 +45,20 @@ def test_truncation_range(z3r2):
 
 
 def test_syzygy_of_T_fixtures(z3r2, z2r3, her):
-    assert [str(s.generator) for s in syzygy_of_T(z3r2)] == ["a1", "a2", "a3"]
-    assert {str(s.generator) for s in syzygy_of_T(z2r3)} == {"a", "b", "a·b", "b·a"}
-    assert [str(s.generator) for s in syzygy_of_T(her)] == ["a"]
+    assert [str(p) for p in syzygy_of_T(z3r2)] == ["a1", "a2", "a3"]
+    assert {str(p) for p in syzygy_of_T(z2r3)} == {"a", "b", "a·b", "b·a"}
+    assert [str(p) for p in syzygy_of_T(her)] == ["a"]
     # hereditary syzygies are projective and vanish under basic reduction
     assert basic_syzygy_summands(her) == []
+    assert set(basic_syzygy_summands(z2r3)) <= set(syzygy_of_T(z2r3))
 
 
 def test_degree_law(z2r3, glu):
+    # top of every summand in strictly positive degree
     for pres in (z2r3, glu):
-        for s in syzygy_of_T(pres):
-            assert s.shift == -1  # top of every summand in strictly positive degree
+        omega_T = graded_singularity_description(pres)["omega_T"]
+        assert [d["path"] for d in omega_T] == [str(p) for p in syzygy_of_T(pres)]
+        assert all(d["shift"] == -1 and d["multiplicity"] == 1 for d in omega_T)
 
 
 def test_perfect_reduction_fixed_points(z3r2, z2r3):
@@ -110,8 +113,8 @@ def test_reduction_completeness(z3r2, z2r3, glu):
     for pres in (z3r2, z2r3, glu):
         perfect = perfect_paths(pres).perfect_set()
         got = set()
-        for s in syzygy_of_T(pres):
-            r = perfect_reduction(pres, s.generator)
+        for p in syzygy_of_T(pres):
+            r = perfect_reduction(pres, p)
             if not r.is_projective:
                 got.add(r.path)
         assert got == perfect

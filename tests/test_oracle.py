@@ -1128,6 +1128,69 @@ def test_support_walks_match_the_dense_steps():
     assert compared > 1000, compared
 
 
+def test_the_profile_takes_dense_steps_without_a_solve(monkeypatch):
+    # the action on each syzygy is read at the kernel's free columns
+    from monosing import linalg
+    from monosing.corpus import random_presentation
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(50)]
+    steps = counting(monkeypatch, "syzygy_step")
+    solves = []
+    real_solve_many = linalg.solve_many
+    monkeypatch.setattr(linalg, "solve_many",
+                        lambda *args: solves.append(args) or real_solve_many(*args))
+    for pres in presentations:
+        injective_dimension_profile(pres)
+    assert solves == [] and len(steps) > 0, len(steps)
+
+
+def fractional_kernel_module():
+    """An ungraded module whose Omega at vertex 3 has the kernel basis
+    (-1, 2, 0), (-1, 0, 2) over the paths d, c.a, c.b: free entries 2, and
+    c sends the kernel vector (-1, 1) over a, b to (0, -1, 1), which has
+    the coordinates -1/2 and 1/2."""
+    pres = parse_presentation("vertex 1 2 3\narrow a 1 2\narrow b 1 2\n"
+                              "arrow c 2 3\narrow d 1 3\n")
+    return Representation(pres, {"1": 1, "2": 1, "3": 1},
+                          {"a": [[1]], "b": [[1]], "c": [[1]], "d": [[2]]})
+
+
+def test_free_entries_other_than_one_match_the_dense_step():
+    from fractions import Fraction
+
+    from monosing.oracle import syzygy_step
+
+    M = fractional_kernel_module()
+    _, _, om, _ = syzygy_step(M)
+    assert om.mats["c"] == [[Fraction(-1, 2)], [Fraction(1, 2)]]
+    assert module_data(om) == module_data(dense_syzygy_reference(M))
+
+
+def test_a_kernel_not_closed_under_the_action_is_refused(monkeypatch):
+    # drop the kernel vector (-1, 0, 2) at vertex 3, which c reaches
+    real = oracle._kernel_blocks
+
+    def dropped(rep, layer, cover):
+        kernel = real(rep, layer, cover)
+        kernel["3"] = kernel["3"][:1]
+        return kernel
+
+    monkeypatch.setattr(oracle, "_kernel_blocks", dropped)
+    with pytest.raises(InternalInvariantViolation, match="not closed under the action"):
+        oracle.syzygy_step(fractional_kernel_module())
+
+
+def test_builders_refuse_a_vertex_off_the_quiver(z3r2):
+    from monosing.errors import UnknownVertex
+    from monosing.oracle import injective_summand_rep
+
+    for build in (simple_rep, injective_summand_rep):
+        with pytest.raises(UnknownVertex, match="'9'"):
+            build(z3r2, "9")
+
+
 def test_tilting_window_must_be_positive(z3r2):
     # shifts 1 .. window are tested, so a window below 1 would pass vacuously
     for window in (0, -3):
