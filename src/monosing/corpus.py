@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Sequence
 
 from .gluing import Involution, glue, glue_is_finite_dimensional
 from .oracle import injective_dimension_profile
@@ -21,15 +22,63 @@ def seeded_rng():
     return random.Random(int(os.environ.get("MONO_SING_SEED", DEFAULT_SEED)))
 
 
-def _all_words(quiver, length):
-    words = [[a] for a in quiver.arrows]
-    for _ in range(length - 1):
-        nxt = []
-        for w in words:
-            for a in quiver.arrows_from[w[-1].target]:
-                nxt.append(w + [a])
-        words = nxt
-    return [tuple(a.name for a in reversed(w)) for w in words]  # composition order
+class _Words(Sequence):
+    """Every word of 2 .. ``max_len`` arrows, in composition order, listed by
+    length, then by the first-traversed arrow's index in ``quiver.arrows``,
+    then by each next arrow's index in ``arrows_from``.
+
+    Nothing is listed up front: the length comes from walk counts per
+    (length, vertex), and an index is unranked on demand, so ``rng.sample``
+    draws from a population far too large to list.
+    """
+
+    def __init__(self, quiver, max_len):
+        self.quiver = quiver
+        # walks[m][v]: the words of m arrows that start at v
+        walks = [dict.fromkeys(quiver.vertices, 1)]
+        for _ in range(max_len - 1):
+            prev = walks[-1]
+            walks.append({v: sum(prev[a.target] for a in quiver.arrows_from[v])
+                          for v in quiver.vertices})
+        self.walks = walks
+        self.sizes = [sum(walks[n - 1][a.target] for a in quiver.arrows)
+                      for n in range(2, max_len + 1)]
+        self.size = sum(self.sizes)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self.size
+        if not 0 <= i < self.size:
+            raise IndexError("word index out of range")
+        m = 1  # arrows after the first, in the word being unranked
+        while i >= self.sizes[m - 1]:
+            i -= self.sizes[m - 1]
+            m += 1
+        word = []
+        options = self.quiver.arrows
+        while True:
+            for a in options:
+                count = self.walks[m][a.target]
+                if i < count:
+                    break
+                i -= count
+            word.append(a.name)
+            if m == 0:
+                return tuple(reversed(word))
+            options = self.quiver.arrows_from[a.target]
+            m -= 1
+
+    def __iter__(self):
+        # each length's words extend the previous length's in order, which
+        # keeps random.sample's list(population) branch as fast as a list
+        quiver = self.quiver
+        level = [(a.name,) for a in quiver.arrows]
+        for _ in self.sizes:
+            level = [(b.name,) + w for w in level for b in quiver.arrows_from[quiver.target(w[0])]]
+            yield from level
 
 
 def random_presentation(rng, max_vertices=4, max_arrows=6, max_rel_len=3, require_finite=True):
@@ -43,9 +92,7 @@ def random_presentation(rng, max_vertices=4, max_arrows=6, max_rel_len=3, requir
             Arrow(f"x{i + 1}", rng.choice(vertices), rng.choice(vertices)) for i in range(na)
         ]
         quiver = Quiver(vertices, arrows)
-        candidates = []
-        for length in range(2, max_rel_len + 1):
-            candidates.extend(_all_words(quiver, length))
+        candidates = _Words(quiver, max_rel_len)
         if candidates:
             k = rng.randint(0, min(len(candidates), 6))
             chosen = rng.sample(candidates, k) if k else []

@@ -17,7 +17,7 @@ left factor among them.  L(p) is the mirror image: the left halves w[:k]
 whose right half is a head of p, with no proper right factor among them.
 
 A pair (p, q) is perfect when both are nontrivial, pq = 0, R(p) = {q} and
-L(q) = {p}.  The partial successor map p -> q is then injective in both
+L(q) = {p}; ``perfect_pairs`` tests this on the arrow words of the splits.  The partial successor map p -> q is then injective in both
 directions and its cycles are exactly the perfect paths; the module over the
 cyclic generator classifies the stable Gorenstein projectives.
 """
@@ -45,20 +45,22 @@ def annihilator_minimal(pres, p, side):
     pres.basis()  # raises InfiniteDimensional, as every basis-backed query does
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    paths = [pres.quiver.subword_path(q) for q in _minimal_halves(pres, p.arrows, side)]
+    paths.sort(key=pres.quiver.sort_key)
+    return paths
+
+
+def _minimal_halves(pres, word, side):
+    """R (side="right") or L of a nonzero ``word``, as unsorted arrow words."""
     far_half = _relation_splits(pres)[side]
-    word = p.arrows
     cands = set()
     for k in range(1, len(word) + 1):
-        # the part of p a straddling relation covers: a tail for R, a head for L
+        # the part of the word a straddling relation covers: a tail for R, a head for L
         near = word[-k:] if side == "right" else word[:k]
         cands.update(far_half.get(near, ()))
     if side == "right":
-        out = [q for q in cands if not any(q[:i] in cands for i in range(1, len(q)))]
-    else:
-        out = [q for q in cands if not any(q[i:] in cands for i in range(1, len(q)))]
-    paths = [pres.quiver.subword_path(q) for q in out]
-    paths.sort(key=pres.quiver.sort_key)
-    return paths
+        return [q for q in cands if not any(q[:i] in cands for i in range(1, len(q)))]
+    return [q for q in cands if not any(q[i:] in cands for i in range(1, len(q)))]
 
 
 @memoized
@@ -82,24 +84,21 @@ def _relation_splits(pres):
 def perfect_pairs(pres):
     """All perfect pairs (p, q), canonically sorted by p.
 
-    Only the left halves of the relation splits are tried.  If (p, q) is
-    perfect, pq is a minimal relation: q lies in R(p), so some split
-    w = w[:k] q has w[:k] a tail of p; w[:k] is then a candidate for L(q)
-    and a right factor of p, and p, right-minimal in L(q), equals it.
+    Only the left halves of the relation splits are tried, as arrow words;
+    Paths are built for the kept pairs alone.  If (p, q) is perfect, pq is a
+    minimal relation: q lies in R(p), so some split w = w[:k] q has w[:k] a
+    tail of p; w[:k] is then a candidate for L(q) and a right factor of p,
+    and p, right-minimal in L(q), equals it.  Both halves of a split are
+    nonzero and nontrivial, so R and L are read off with no path checks.
     """
     pres.basis()  # raises InfiniteDimensional, also when there is no relation
     quiver = pres.quiver
-    candidates = sorted(map(quiver.subword_path, _relation_splits(pres)["right"]),
-                        key=quiver.sort_key)
     pairs = []
-    for p in candidates:
-        r = annihilator_minimal(pres, p, "right")
-        if len(r) != 1:
-            continue
-        q = r[0]
-        l = annihilator_minimal(pres, q, "left")
-        if l == [p]:
-            pairs.append((p, q))
+    for p in _relation_splits(pres)["right"]:
+        r = _minimal_halves(pres, p, "right")
+        if len(r) == 1 and _minimal_halves(pres, r[0], "left") == [p]:
+            pairs.append((quiver.subword_path(p), quiver.subword_path(r[0])))
+    pairs.sort(key=lambda pair: quiver.sort_key(pair[0]))
     seen_left = set()
     seen_right = set()
     for p, q in pairs:

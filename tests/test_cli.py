@@ -81,6 +81,14 @@ def test_glue_pair_errors_are_input_errors(capsys, spec):
     assert err.startswith("error:")
 
 
+def test_glue_pairs_ignore_whitespace_around_vertices(capsys):
+    # vertex names hold no whitespace, so both sides of a pair are stripped
+    expected = run(capsys, "glue", fixture_path("z6r3"), "--pairs", "3:6")
+    assert expected[0] == 0
+    for spec in (" 3 : 6", "3 :6 ", " 3:6,"):
+        assert run(capsys, "glue", fixture_path("z6r3"), "--pairs", spec) == expected, spec
+
+
 def test_gorenstein_text_runs_each_check_once(capsys, monkeypatch):
     # the text lines are rendered from the JSON report, so one text call runs
     # the Nakayama and gentle checks once each, wherever the CLI reaches them
@@ -403,3 +411,70 @@ def test_trace_shares_the_profiles_opposite(capsys, monkeypatch):
         code, _, _ = run(capsys, "oracle", fixture_path(name), "--check", "gorenstein", "--trace")
         assert code == 0
         assert len(built) == 2, name  # the parsed file and its opposite
+
+
+# main parses with one parser per process; these calls share it
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    import monosing.cli as cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for _ in range(20):
+        assert run(capsys, "info", fixture_path("z3r2"))[0] == 0
+    assert len(builds) == 1
+
+
+def test_default_window_after_an_explicit_window(capsys):
+    # --window's default is None, so a call without it falls back to
+    # max(1, 2 * dim A) even after a call that set it
+    path = fixture_path("z3r2")
+    window = max(1, 2 * parse_presentation_file(path).dimension())
+    assert window != 3
+    code, out, _ = run(capsys, "oracle", path, "--check", "tilting", "--window", "3")
+    assert (code, out) == (0, "vanishing     True (window 3)\n")
+    code, out, _ = run(capsys, "oracle", path, "--check", "tilting")
+    assert (code, out) == (0, f"vanishing     True (window {window})\n")
+
+
+def alone(capsys, *argv):
+    """A call with a freshly built parser, as a one-shot process makes it."""
+    import monosing.cli as cli
+
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def test_glue_views_do_not_leak_into_later_calls(capsys):
+    calls = [("glue", fixture_path("z6r3"), "--pairs", "3:6", *view)
+             for view in (["--report"], ["--bar"], [])]
+    expected = [alone(capsys, *argv) for argv in calls]
+    assert [run(capsys, *argv) for argv in calls] == expected
+    assert len({out for _, out, _ in expected}) == 3
+
+
+def test_usage_error_leaves_the_parser_intact(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", fixture_path("z3r2"), "--check", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    code, out, _ = run(capsys, "oracle", fixture_path("z3r2"), "--check", "tilting")
+    expected_code, digest, _ = CHECK_SHA256["z3r2"]["tilting"]
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (expected_code, digest)
+
+
+def test_help_is_the_parsers_help(capsys):
+    from monosing.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()

@@ -449,6 +449,46 @@ def test_corpus_draws_are_pinned(name, seed):
     assert digest.hexdigest() == CORPUS_DIGESTS[(name, seed)]
 
 
+def test_large_corpus_draws_are_pinned():
+    # the 4th draw once listed every word of up to 6 arrows before sampling
+    rng = random.Random(174011)
+    text = "".join(presentation_to_text(random_presentation(rng, 10, 16, 6))
+                   for _ in range(4))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6a7939578f883567ef9a5c66a3f03e602e3a7cff1ad228f2c76484c860e4f05e"
+
+
+def all_words_reference(quiver, length):
+    """corpus._all_words as it was: every word of ``length`` arrows, listed."""
+    words = [[a] for a in quiver.arrows]
+    for _ in range(length - 1):
+        nxt = []
+        for w in words:
+            for a in quiver.arrows_from[w[-1].target]:
+                nxt.append(w + [a])
+        words = nxt
+    return [tuple(a.name for a in reversed(w)) for w in words]  # composition order
+
+
+def test_word_sequence_matches_the_listing_reference():
+    from conftest import FIXTURE_NAMES, load
+    from monosing.corpus import seeded_rng
+
+    quivers = [load(name).quiver for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    quivers += [random_presentation(rng, require_finite=False).quiver for _ in range(100)]
+    for quiver in quivers:
+        reference = []
+        for max_len in range(2, 7):
+            reference += all_words_reference(quiver, max_len)
+            words = corpus_module._Words(quiver, max_len)
+            assert len(words) == len(reference)
+            assert list(words) == reference
+            assert [words[i] for i in range(len(words))] == reference
+        with pytest.raises(IndexError):
+            words[len(words)]
+
+
 def sort_key_reference(quiver, p):
     """Quiver.sort_key as it was: (length, traversal-order arrow indices)."""
     if p.is_trivial:
