@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from collections.abc import Sequence
 
 from .gluing import Involution, glue, glue_is_finite_dimensional
@@ -46,6 +47,9 @@ class _Words(Sequence):
         self.size = sum(self.sizes)
 
     def __len__(self):
+        if self.size > sys.maxsize:  # len() and random.sample need an index-sized int
+            raise ValueError(f"the word population has {self.size} words, "
+                             f"more than the largest index {sys.maxsize}")
         return self.size
 
     def __getitem__(self, i):

@@ -289,11 +289,15 @@ def gorenstein_to_json(pres):
     verdict = is_one_gorenstein(pres)
     out = {"one_gorenstein": verdict.verdict}
     if verdict.verdict:
-        out["witness"] = {
-            str(p): [str(x) for x in cyc] for p, cyc in sorted(
-                verdict.witnesses.items(), key=lambda kv: pres.quiver.sort_key(kv[0])
-            )
-        }
+        # each successor cycle is rendered once, and its witnesses share the
+        # list; the cycles are disjoint, so a cycle's first member names it
+        rendered = {}
+        out["witness"] = {}
+        for p, cyc in sorted(verdict.witnesses.items(),
+                             key=lambda kv: pres.quiver.sort_key(kv[0])):
+            if cyc[0] not in rendered:
+                rendered[cyc[0]] = [str(x) for x in cyc]
+            out["witness"][str(p)] = rendered[cyc[0]]
         cycles = relation_cycles(pres)
         out["cycles"] = [
             {"arrows": list(c.traversal()), "n": c.n, "r": c.r,

@@ -47,6 +47,17 @@ coordinates of an arrow's image are its entries at the free columns, each
 divided by its kernel vector's entry there, and the image must be the
 combination they give, else the kernel is not closed under the action.
 
+A module spanned by paths, D(e_v A) included, acts by index maps: each arrow
+sends a basis vector to one basis vector or to zero, and its builder keeps
+that map beside the matrix.  On such a module no linear algebra runs.  The
+top lifts are the basis vectors no arrow hits; each cover column is a basis
+vector or zero, found by one lookup per arrow; and within a degree the
+kernel has e_j for each zero column j and e_j - e_i for each later column j
+of the fibre whose first column is i, which is exactly ``la.nullspace``'s
+basis with the same free columns.  The projective P of every dense step has
+index maps, so P acts on the kernel by re-indexing.  A syzygy has no maps
+and takes the echelon path.
+
 Hom from a class (v, W) to a module N is decided by generator images: a map
 is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
 for every minimal killed path x; graded maps of shift s take as unknowns
@@ -140,7 +151,14 @@ class Representation:
     An arrow missing from ``mats`` acts by zero.  Builders leave out the
     arrows with a zero-dimensional end; their matrix is made on first read,
     as ``[]`` when it has no rows.
+
+    ``maps`` is set by the path-span builders (the projectives, the class
+    modules, the regular module and D(e_v A)): per arrow of ``mats``, the
+    tuple whose entry j is the row of the one 1 in column j, or None for a
+    zero column.  A module without maps, such as every syzygy, has None.
     """
+
+    maps = None
 
     def __init__(self, pres, dims, mats, degrees=None, key=None, validate=True):
         self.pres = pres
@@ -261,9 +279,10 @@ def _path_span(pres, elems):
     order, and an arrow prepends itself when the longer word is listed under
     the same tag and sends the path to zero otherwise, so a list closed under
     right factors spans a quotient of the projectives.  Returns
-    ``(dims, mats, by_vertex)`` over the support only, with ``by_vertex[v]``
-    the elements placed at v; ``mats`` leaves out the arrows with a
-    zero-dimensional end.
+    ``(dims, mats, maps, by_vertex)`` over the support only, with
+    ``by_vertex[v]`` the elements placed at v and ``maps`` each arrow's
+    index map (see ``Representation``); ``mats`` and ``maps`` leave out the
+    arrows with a zero-dimensional end.
     """
     by_vertex = {}
     index = {}
@@ -272,15 +291,15 @@ def _path_span(pres, elems):
         index[(tag, x.arrows)] = len(placed)
         placed.append((tag, x))
     dims = {v: len(placed) for v, placed in by_vertex.items()}
-    mats = {}
+    mats, maps = {}, {}
     for a in _supported_arrows(pres, dims):
+        image = tuple(index.get((tag, (a.name,) + x.arrows)) for tag, x in by_vertex[a.source])
         m = la.zeros(dims[a.target], dims[a.source])
-        for j, (tag, x) in enumerate(by_vertex[a.source]):
-            i = index.get((tag, (a.name,) + x.arrows))
+        for j, i in enumerate(image):
             if i is not None:
                 m[i][j] = 1
-        mats[a.name] = m
-    return dims, mats, by_vertex
+        mats[a.name], maps[a.name] = m, image
+    return dims, mats, maps, by_vertex
 
 
 def _supported_arrows(pres, dims):
@@ -299,9 +318,11 @@ def path_module_rep(pres, p):
 def _class_rep(pres, key):
     """The cyclic module A e_v modulo the paths from v outside the key's
     words; x.g sits in degree len(x), and g = e_v comes first."""
-    dims, mats, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
+    dims, mats, maps, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
     degrees = {u: tuple(x.length for _, x in placed) for u, placed in by_vertex.items()}
-    return Representation(pres, dims, mats, degrees=degrees, key=key)
+    rep = Representation(pres, dims, mats, degrees=degrees, key=key)
+    rep.maps = maps
+    return rep
 
 
 def _class_paths(pres, key):
@@ -313,9 +334,11 @@ def _class_paths(pres, key):
 
 def regular_rep(pres):
     """The left regular module: basis all nonzero paths grouped by target."""
-    dims, mats, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
+    dims, mats, maps, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
     degrees = {v: tuple(w.length for _, w in placed) for v, placed in by_vertex.items()}
-    return Representation(pres, dims, mats, degrees=degrees)
+    rep = Representation(pres, dims, mats, degrees=degrees)
+    rep.maps = maps
+    return rep
 
 
 def dual_regular_rep(pres):
@@ -366,32 +389,40 @@ class ProjectiveLayer:
     pbasis: dict  # vertex of P's support -> list of (gen index, path)
     rep: object  # Representation of P
     tops: list = None  # per generator of a cover: the (vertex, index) of the basis vector it lifts
+    hits: dict = None  # a cover of a module with maps: per vertex, each column's row or None
 
 
 def _build_projective(pres, gens):
     basis = pres.basis()
     elems = [(gi, x) for gi, (v, _) in enumerate(gens) for x in basis.from_vertex(v)]
-    dims, mats, pbasis = _path_span(pres, elems)
+    dims, mats, maps, pbasis = _path_span(pres, elems)
     degrees = {v: tuple(gens[gi][1] + x.length for gi, x in placed)
                for v, placed in pbasis.items()}
     rep = Representation(pres, dims, mats, degrees=degrees, validate=False)
+    rep.maps = maps
     return ProjectiveLayer(gens=list(gens), pbasis=pbasis, rep=rep)
 
 
 def top_lifts(rep):
-    """Standard-basis lifts of top(M) = M/rad M, per support vertex, homogeneous."""
+    """Standard-basis lifts of top(M) = M/rad M, per support vertex, homogeneous.
+
+    On a module with index maps they are the basis vectors no arrow hits."""
     dims = rep.dims
     arrows_into = rep.pres.quiver.arrows_into
     lifts = {}
     for v in rep.support:
         n = dims[v]
-        into = [rep.mats[a.name] for a in arrows_into[v] if dims[a.source]]
+        into = [a.name for a in arrows_into[v] if dims[a.source]]
         if not into:
             lifts[v] = list(range(n))  # nothing reaches v: every basis vector is a top
             continue
+        if rep.maps is not None:
+            hit = {i for a in into for i in rep.maps[a]}
+            lifts[v] = [j for j in range(n) if j not in hit]
+            continue
         # row i of [images of the arrows into v | identity]: a basis vector is
         # a top lift when its identity column pivots past the radical's columns
-        stacked = [[x for m in into for x in m[i]] + [int(k == i) for k in range(n)]
+        stacked = [[x for a in into for x in rep.mats[a][i]] + [int(k == i) for k in range(n)]
                    for i in range(n)]
         rad = len(stacked[0]) - n
         lifts[v] = [p - rad for p in la.pivot_columns(stacked) if p >= rad]
@@ -402,8 +433,10 @@ def projective_cover(rep):
     """(layer, cover matrices): minimal cover P -> M with P from top lifts.
 
     Images of the projective basis are grown one arrow at a time, so each
-    column costs a matrix-vector product.  ``cover`` has one block per
-    vertex of P's support, which contains M's since the cover is onto.
+    column costs a matrix-vector product, or on a module with index maps
+    one lookup: each image is a basis vector or zero, kept by its index in
+    ``layer.hits``.  ``cover`` has one block per vertex of P's support,
+    which contains M's since the cover is onto.
     """
     pres = rep.pres
     lifts = top_lifts(rep)
@@ -415,11 +448,15 @@ def projective_cover(rep):
             tops.append((v, j))
     layer = _build_projective(pres, gens)
     layer.tops = tops
-    images = {}  # (gen index, word) -> vector in M at the word's target
-    for gi, (v, j) in enumerate(tops):
-        vec = [0] * rep.dims[v]
-        vec[j] = 1
-        images[(gi, ())] = vec
+    maps = rep.maps
+    if maps is None:
+        images = {}  # (gen index, word) -> vector in M at the word's target
+        for gi, (v, j) in enumerate(tops):
+            vec = [0] * rep.dims[v]
+            vec[j] = 1
+            images[(gi, ())] = vec
+    else:
+        images = {(gi, ()): j for gi, (_, j) in enumerate(tops)}  # an index, or None for 0
     for placed in layer.pbasis.values():
         for gi, x in placed:
             word = x.arrows
@@ -432,12 +469,24 @@ def projective_cover(rep):
             base = images[(gi, word)]
             while stackw:
                 word = stackw.pop()
-                base = la.mat_vec(rep.mats[word[0]], base)
+                if maps is None:
+                    base = la.mat_vec(rep.mats[word[0]], base)
+                elif base is not None:  # an arrow left out of maps acts by zero
+                    base = maps[word[0]][base] if word[0] in maps else None
                 images[(gi, word)] = base
     cover = {}
+    if maps is None:
+        for v, placed in layer.pbasis.items():
+            columns = [images[(gi, x.arrows)] for gi, x in placed]
+            cover[v] = [list(row) for row in zip(*columns)]
+        return layer, cover
+    layer.hits = {}
     for v, placed in layer.pbasis.items():
-        columns = [images[(gi, x.arrows)] for gi, x in placed]
-        cover[v] = [list(row) for row in zip(*columns)]
+        hits = layer.hits[v] = [images[(gi, x.arrows)] for gi, x in placed]
+        m = cover[v] = la.zeros(rep.dims[v], len(hits))
+        for col, i in enumerate(hits):
+            if i is not None:
+                m[i][col] = 1
     return layer, cover
 
 
@@ -450,8 +499,14 @@ def _module_cover(rep):
 
 def _kernel_blocks(rep, layer, cover):
     """Homogeneous kernel basis of the cover, per vertex of P's support, as
-    (free column, vector) pairs: the free column is the vector's last
-    nonzero entry, and every other vector at the vertex is zero there."""
+    (free column, vector) pairs, each vector a dict {column: entry}: the
+    free column is the vector's last nonzero entry, and every other vector
+    at the vertex is zero there.
+
+    On a module with index maps each cover column is a basis vector or
+    zero, so within a degree a zero column j gives e_j and each later
+    column j of a fibre gives e_j - e_first: ``la.nullspace``'s basis, with
+    the same free columns in the same order, and no elimination."""
     kernel = {}
     for v in layer.rep.support:
         ncols = layer.rep.dims[v]
@@ -460,63 +515,82 @@ def _kernel_blocks(rep, layer, cover):
         for j, d in enumerate(pdeg):
             groups.setdefault(d, []).append(j)
         cols = []
-        m = cover[v]
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
             idx = groups[dkey]
-            sub = [[row[j] for j in idx] for row in m]
+            if rep.maps is not None:
+                hits, first = layer.hits[v], {}
+                for j in idx:
+                    i = hits[j]
+                    if i is None:
+                        cols.append((j, {j: 1}))
+                    elif i in first:
+                        cols.append((j, {first[i]: -1, j: 1}))
+                    else:
+                        first[i] = j
+                continue
+            sub = [[row[j] for j in idx] for row in cover[v]]
             for vec in la.nullspace(sub, len(idx)):
-                full = [0] * ncols
-                for pos, j in enumerate(idx):
-                    if vec[pos]:
-                        full[j], free = vec[pos], j
-                cols.append((free, full))
+                full = {j: x for j, x in zip(idx, vec) if x}
+                cols.append((max(full), full))
         kernel[v] = cols
     return kernel
 
 
 def syzygy_step(rep):
     """Minimal cover (kept on the module) and its kernel; returns (layer,
-    cover, kernel rep, kernel columns).  Coordinate i of an arrow's image is
-    its entry at the free column f_i of kernel vector k_i over k_i[f_i], and
-    the image must be the combination of the k_i with those coefficients."""
+    cover, kernel rep, kernel columns).  P's arrows act on a kernel vector
+    by its index maps.  Coordinate i of an arrow's image is its entry at the
+    free column f_i of kernel vector k_i over k_i[f_i], and the image must
+    be the combination of the k_i with those coefficients."""
     pres = rep.pres
     layer, cover = _module_cover(rep)
     blocks = _kernel_blocks(rep, layer, cover)
-    kernel = {v: [vec for _, vec in pairs] for v, pairs in blocks.items()}
+    P = layer.rep
     # minimality: kernel must avoid the generator coordinates
     for v, placed in layer.pbasis.items():
         gen_positions = [j for j, (gi, x) in enumerate(placed) if x.is_trivial]
-        for vec in kernel[v]:
-            if any(vec[j] != 0 for j in gen_positions):
+        for _, vec in blocks[v]:
+            if any(j in vec for j in gen_positions):
                 raise InternalInvariantViolation("projective cover is not minimal")
-    dims = {v: len(cols) for v, cols in kernel.items() if cols}
+    dims = {v: len(pairs) for v, pairs in blocks.items() if pairs}
     # the action on the kernel; an arrow into a zero kernel space must still
     # send every kernel vector to zero, so closure is checked before skipping
+    free = {v: {f: (i, k) for i, (f, k) in enumerate(pairs)} for v, pairs in blocks.items()}
     mats = {}
     for src in dims:
         for a in pres.quiver.arrows_from[src]:
             tgt = a.target
-            if not layer.rep.dims[tgt]:
+            if not P.dims[tgt]:
                 continue
-            pa = layer.rep.mats[a.name]
+            image = P.maps[a.name]
             m = la.zeros(dims.get(tgt, 0), dims[src])
-            for j, vec in enumerate(kernel[src]):
-                img = la.mat_vec(pa, vec)
-                for i, (f, k) in enumerate(blocks[tgt]):
-                    c = img[f] if k[f] == 1 else Fraction(img[f], k[f])
-                    if c:
-                        m[i][j] = c
-                        for t, x in enumerate(k):
-                            if x:
-                                img[t] -= c * x
-                if any(img):
+            for j, (_, vec) in enumerate(blocks[src]):
+                # one entry per basis path hit: a.x determines x, so P's map is one-to-one
+                img = {image[t]: x for t, x in vec.items() if image[t] is not None}
+                for f, y in list(img.items()):
+                    if f not in free[tgt]:
+                        continue
+                    i, k = free[tgt][f]
+                    c = y if k[f] == 1 else Fraction(y, k[f])
+                    m[i][j] = c
+                    for t, x in k.items():
+                        img[t] = img.get(t, 0) - c * x
+                if any(img.values()):
                     raise InternalInvariantViolation("syzygy is not closed under the action")
             if tgt in dims:
                 mats[a.name] = m
     degrees = None
     if rep.degrees is not None:
-        degrees = {v: tuple(layer.rep.degrees[v][f] for f, _ in blocks[v]) for v in dims}
+        degrees = {v: tuple(P.degrees[v][f] for f, _ in blocks[v]) for v in dims}
     krep = Representation(pres, dims, mats, degrees=degrees, validate=False)
+    kernel = {}  # the dense columns, over P's basis at each vertex
+    for v, pairs in blocks.items():
+        kernel[v] = []
+        for _, vec in pairs:
+            full = [0] * P.dims[v]
+            for t, x in vec.items():
+                full[t] = x
+            kernel[v].append(full)
     return layer, cover, krep, kernel
 
 
@@ -866,10 +940,26 @@ def injective_summand_rep(pres, v):
     transposed.  The dual of a path w sits at s(w) in degree -len(w)."""
     pres.quiver.trivial_path(v)  # UnknownVertex off the quiver
     paths = [Path(w.arrows[::-1], w.target, w.source) for w in pres.basis().into_vertex(v)]
-    dims, mats, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
+    dims, mats, maps, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
     degrees = {u: tuple(-x.length for _, x in placed) for u, placed in by_vertex.items()}
-    return Representation(pres, dims, {a: la.transpose(m) for a, m in mats.items()},
-                          degrees=degrees)
+    rep = Representation(pres, dims, {a: la.transpose(m) for a, m in mats.items()},
+                         degrees=degrees)
+    arrow = pres.quiver.arrow_by_name
+    rep.maps = {a: _inverse_map(image, dims[arrow[a].source]) for a, image in maps.items()}
+    return rep
+
+
+def _inverse_map(image, n):
+    """The index map of the transpose of the 0/1 matrix with ``n`` rows and
+    the index map ``image``, which has at most one 1 in each row."""
+    inverse = [None] * n
+    for j, i in enumerate(image):
+        if i is not None:
+            if inverse[i] is not None:
+                raise InternalInvariantViolation("an arrow of D(e_v A) sends a basis vector "
+                                                 "to two")
+            inverse[i] = j
+    return tuple(inverse)
 
 
 def _injective_summand_key(pres, v):

@@ -24,6 +24,7 @@ cyclic generator classifies the stable Gorenstein projectives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation, TrivialPath, ZeroPath
@@ -145,13 +146,22 @@ def _rotate_to_least(cycle, key):
     return tuple(cycle[i:] + cycle[:i])
 
 
-@dataclass
 class GpModuleDescriptor:
-    """The cyclic module over a perfect path: basis, dimension vector, top."""
+    """The cyclic module over a perfect path: generator, dimension vector,
+    top, and its sorted basis, built when ``basis`` is first read."""
 
-    generator: object  # Path
-    basis: list
-    dim_vector: dict
+    def __init__(self, pres, generator):
+        self.generator = generator  # Path
+        self._pres = pres
+        # one basis path q'p per word q' of p's survivor key, at t(q')
+        target = pres.quiver.target
+        self.dim_vector = dict.fromkeys(pres.quiver.vertices, 0)
+        for w in pres.survivor_key(generator)[1]:
+            self.dim_vector[target(w[0]) if w else generator.target] += 1
+
+    @functools.cached_property
+    def basis(self):
+        return self._pres.cyclic_module_basis(self.generator)[0]
 
     @property
     def top_vertex(self):
@@ -173,8 +183,7 @@ def classify_stable_gproj(pres):
     for p in sorted(graph.perfect_set(), key=pres.quiver.sort_key):
         if pres.key_is_projective(pres.survivor_key(p)):
             raise InternalInvariantViolation(f"perfect path {p} generates a projective module")
-        basis, vec = pres.cyclic_module_basis(p)
-        out.append(GpModuleDescriptor(generator=p, basis=basis, dim_vector=vec))
+        out.append(GpModuleDescriptor(pres, p))
     return out
 
 

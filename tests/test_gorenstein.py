@@ -13,6 +13,7 @@ from monosing.gorenstein import (
     cycle_subalgebra,
     detect_self_injective_nakayama,
     gentle_check,
+    gorenstein_to_json,
     is_one_gorenstein,
     relation_cycles,
     singularity_decomposition,
@@ -200,3 +201,23 @@ def test_relation_cycles_are_computed_once_per_presentation(glu, lin, monkeypatc
     for _ in range(2):  # the refusal is not memoized away
         with pytest.raises(NotOneGorenstein):
             relation_cycles(lin)
+
+
+def test_witness_cycles_are_rendered_once(monkeypatch):
+    # Z_32 R_5 has 128 perfect paths in 2 successor cycles of 64, and every
+    # one is a witness; each cycle's strings are made once and shared, so a
+    # path is rendered as a witness key, a cycle entry and a cycle member,
+    # where one list per witness would take 128 * 64 strings
+    from conftest import nakayama
+
+    from monosing.presentation import Path
+
+    pres = nakayama(32, 5)
+    assert len(perfect_paths(pres).cycles) == 2
+    calls = []
+    real = Path.__str__
+    monkeypatch.setattr(Path, "__str__", lambda p: calls.append(p) or real(p))
+    data = gorenstein_to_json(pres)
+    assert len(data["witness"]) == 128
+    assert all(len(cycle) == 64 for cycle in data["witness"].values())
+    assert len(calls) <= 3 * 128, len(calls)

@@ -689,7 +689,7 @@ def path_builder_reference(pres, p):
     from monosing.oracle import _path_span
 
     basis, _ = pres.cyclic_module_basis(p)
-    dims, mats, by_vertex = _path_span(pres, [(None, w) for w in basis])
+    dims, mats, _, by_vertex = _path_span(pres, [(None, w) for w in basis])
     labels = {v: tuple(w.arrows[: w.length - p.length] for _, w in by_vertex[v])
               for v in by_vertex}
     degrees = {v: tuple(len(act) for act in labels[v]) for v in labels}
@@ -1064,10 +1064,11 @@ def dense_syzygy_reference(rep):
     mats = {}
     for a in q.arrows:
         m = la.zeros(dims[a.target], dims[a.source])
-        for j, vec in enumerate(kernel[a.source]):
-            img = la.mat_vec(P.mats[a.name], vec)
-            if any(img):
-                (sol,) = la.solve_many(la.transpose(kernel[a.target]), [img])
+        images = [(j, la.mat_vec(P.mats[a.name], vec)) for j, vec in enumerate(kernel[a.source])]
+        images = [(j, img) for j, img in images if any(img)]
+        if images:  # one solve per arrow, with every nonzero image as a right-hand side
+            sols = la.solve_many(la.transpose(kernel[a.target]), [img for _, img in images])
+            for (j, _), sol in zip(images, sols):
                 for i in range(dims[a.target]):
                     m[i][j] = sol[i]
         mats[a.name] = m
@@ -1126,6 +1127,126 @@ def test_support_walks_match_the_dense_steps():
                         outcomes[tr.status] = outcomes.get(tr.status, 0) + 1
     assert outcomes.get(FINITE, 0) > 300 and outcomes.get(PERIODIC, 0) > 80, outcomes
     assert compared > 1000, compared
+    # the heavy draw's non-cyclic summands at step 1 only: their first
+    # syzygies reach dimension 1,072, far past the cap above
+    heavy = heavy_draw()
+    noncyclic = 0
+    for pr in (heavy, heavy.opposite()):
+        for v in pr.quiver.vertices:
+            if oracle._injective_summand_key(pr, v) is None:
+                M = injective_summand_rep(pr, v)
+                _, _, S, _ = syzygy_step(M)
+                assert module_data(S) == module_data(dense_syzygy_reference(M))
+                noncyclic += 1
+    assert noncyclic == 11
+
+
+def heavy_draw():
+    """The 4th draw of random_presentation(Random(174011), 10, 16, 6): 9
+    vertices, 15 arrows and one relation of length 4, whose 11 non-cyclic
+    injective summands have first syzygies of dimension up to 1,072."""
+    import random
+
+    from monosing.corpus import random_presentation
+
+    rng = random.Random(174011)
+    return [random_presentation(rng, 10, 16, 6) for _ in range(4)][-1]
+
+
+# sha256 of json.dumps(..., sort_keys=True) of the heavy draw's trace report
+# and profile, pinned before the index maps
+HEAVY_SHA256 = {
+    "resolution_trace_report":
+        "3d1daba4fc7261636e65dde4c4f7fbf585add3082a21d9570bd5c1dc2809df5a",
+    "profile": "fdd98b9cdb3220e0b01667d1eddfa108fea7288c26c651e7ef9da3a7467db74e",
+}
+
+
+def test_the_heavy_draw_reports_are_pinned():
+    import hashlib
+    import json
+
+    from monosing.oracle import resolution_trace_report
+
+    pres = heavy_draw()
+    reports = {"profile": injective_dimension_profile(pres).to_json(),
+               "resolution_trace_report": resolution_trace_report(pres)}
+    for name, report in reports.items():
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_SHA256[name], name
+
+
+def test_index_maps_give_the_dense_cover_and_kernel():
+    # the same module with and without index maps, graded and ungraded, has
+    # the same top lifts, cover and kernel basis, free columns included
+    from monosing.oracle import (_kernel_blocks, injective_summand_rep, projective_cover,
+                                 top_lifts)
+
+    checked = 0
+    for pres in class_rule_corpus():
+        for pr in (pres, pres.opposite()):
+            modules = [regular_rep(pr)] + [build(pr, v) for v in pr.quiver.vertices
+                                           for build in (injective_summand_rep, simple_rep)]
+            for M in modules:
+                for degrees in (M.degrees, None):
+                    mapped = Representation(pr, M.dims, M.mats, degrees=degrees)
+                    mapped.maps = M.maps
+                    dense = Representation(pr, M.dims, M.mats, degrees=degrees)
+                    assert top_lifts(mapped) == top_lifts(dense)
+                    (layer, cover), (dense_layer, dense_cover) = \
+                        projective_cover(mapped), projective_cover(dense)
+                    assert (layer.gens, cover) == (dense_layer.gens, dense_cover)
+                    assert _kernel_blocks(mapped, layer, cover) == \
+                        _kernel_blocks(dense, dense_layer, dense_cover)
+                    checked += 1
+    assert checked > 2000, checked
+
+
+def test_a_dual_arrow_with_two_images_is_refused():
+    # the transpose of a path-span matrix has at most one 1 per column; two
+    # rows of the opposite's matrix that reach one basis vector break that
+    with pytest.raises(InternalInvariantViolation, match="to two"):
+        oracle._inverse_map((0, None, 0), 1)
+    assert oracle._inverse_map((1, None, 0), 3) == (2, 0, None)
+
+
+def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
+    # D(e_v A) and the projectives carry index maps, and the cover, the
+    # kernel and P's action on the kernel read them: no echelon or mat-vec
+    # runs on such a module, while a syzygy, which has no maps, still takes
+    # the dense path
+    import sys
+
+    from monosing import linalg
+    from monosing.corpus import random_presentation
+
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(50)]
+    resolved = counting(monkeypatch, "resolve")
+    calls = []  # (linalg function, caller, whether the module it works on has maps)
+
+    def watch(name):
+        real = getattr(linalg, name)
+
+        def wrapper(*args):
+            frame = sys._getframe(1)
+            caller = frame.f_code.co_name
+            # syzygy_step applies P's matrices; the others work on their rep
+            module = frame.f_locals["layer"].rep if caller == "syzygy_step" \
+                else frame.f_locals["rep"]
+            calls.append((name, caller, getattr(module, "maps", None) is not None))
+            return real(*args)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    for name in ("nullspace", "pivot_columns", "mat_vec"):
+        watch(name)
+    for pres in presentations:
+        injective_dimension_profile(pres)
+    assert resolved and all(getattr(M, "maps", None) is not None for (M,) in resolved)
+    assert [call for call in calls if call[2]] == []
+    assert {name for name, _, _ in calls} == {"nullspace", "pivot_columns", "mat_vec"}
 
 
 def test_the_profile_takes_dense_steps_without_a_solve(monkeypatch):

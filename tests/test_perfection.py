@@ -126,6 +126,31 @@ def test_classify_z2r3_dim_vectors(z2r3):
     )
 
 
+def test_descriptors_build_their_basis_only_when_read(monkeypatch):
+    # the crosscheck reads each descriptor's generator and dimension vector,
+    # which counts the survivor key's words by target vertex; the sorted
+    # Path basis is built on first read, as the gproj report reads it
+    from monosing.oracle import crosscheck_classification, injective_dimension_profile
+    from monosing.presentation import MonomialPresentation
+
+    calls = []
+    real = MonomialPresentation.cyclic_module_basis
+    monkeypatch.setattr(MonomialPresentation, "cyclic_module_basis",
+                        lambda pres, p: calls.append(p) or real(pres, p))
+    checked = 0
+    for pres in class_rule_corpus():
+        if not injective_dimension_profile(pres).gorenstein:
+            continue
+        crosscheck_classification(pres)
+        assert len(calls) == checked
+        for d in classify_stable_gproj(pres):
+            basis, vec = real(pres, d.generator)
+            assert d.dim_vector == vec and list(d.dim_vector) == list(vec)
+            assert d.basis == basis and d.basis is d.basis
+            checked += 1
+    assert len(calls) == checked > 100, checked
+
+
 def test_tops_are_simple_at_target(glu):
     for d in classify_stable_gproj(glu):
         assert d.top_vertex == d.generator.target

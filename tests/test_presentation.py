@@ -458,6 +458,24 @@ def test_large_corpus_draws_are_pinned():
         "6a7939578f883567ef9a5c66a3f03e602e3a7cff1ad228f2c76484c860e4f05e"
 
 
+def test_a_word_population_past_an_index_is_refused():
+    # one vertex with 40 loops has 40^2 + ... + 40^13 words of 2 to 13
+    # arrows, more than len() can return: the draw names the size instead of
+    # failing inside len() or random.sample
+    class Widest(random.Random):
+        def randint(self, a, b):
+            return b
+
+    size = sum(40 ** m for m in range(2, 14))
+    with pytest.raises(ValueError, match=f"population has {size} words"):
+        random_presentation(Widest(0), max_vertices=1, max_arrows=40, max_rel_len=13)
+    loops = Quiver(["1"], [Arrow(f"x{i + 1}", "1", "1") for i in range(40)])
+    words = corpus_module._Words(loops, 13)
+    assert words.size == size
+    with pytest.raises(ValueError, match=f"population has {size} words"):
+        len(words)
+
+
 def all_words_reference(quiver, length):
     """corpus._all_words as it was: every word of ``length`` arrows, listed."""
     words = [[a] for a in quiver.arrows]
