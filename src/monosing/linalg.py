@@ -64,10 +64,6 @@ def mat_vec(A, v):
     return out
 
 
-def is_zero_matrix(A):
-    return all(all(x == 0 for x in row) for row in A)
-
-
 def transpose(A):
     m, n = shape(A)
     return [[A[i][j] for i in range(m)] for j in range(n)]

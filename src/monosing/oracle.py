@@ -47,16 +47,22 @@ coordinates of an arrow's image are its entries at the free columns, each
 divided by its kernel vector's entry there, and the image must be the
 combination they give, else the kernel is not closed under the action.
 
-A module spanned by paths, D(e_v A) included, acts by index maps: each arrow
-sends a basis vector to one basis vector or to zero, and its builder keeps
-that map beside the matrix.  On such a module no linear algebra runs.  The
-top lifts are the basis vectors no arrow hits; each cover column is a basis
-vector or zero, found by one lookup per arrow; and within a degree the
-kernel has e_j for each zero column j and e_j - e_i for each later column j
-of the fibre whose first column is i, which is exactly ``la.nullspace``'s
-basis with the same free columns.  The projective P of every dense step has
-index maps, so P acts on the kernel by re-indexing.  A syzygy has no maps
-and takes the echelon path.
+Each module holds one primary form of its arrow action, and the dense
+matrices ``mats`` are only a view derived from it on first read.  A module
+spanned by paths, D(e_v A) included, keeps index maps: each arrow sends a
+basis vector to one basis vector or to zero.  On such a module no linear
+algebra runs.  The top lifts are the basis vectors no arrow hits; each cover
+column is a basis vector or zero, found by one lookup per arrow; and within
+a degree the kernel has e_j for each zero column j and e_j - e_i for each
+later column j of the fibre whose first column is i, which is exactly
+``la.nullspace``'s basis with the same free columns.  The projective P of
+every dense step has index maps, so P acts on the kernel by re-indexing.
+Every other module, every syzygy among them, keeps sparse columns {row:
+entry}.  Its top lifts reduce the images of the arrows into a vertex with
+the last nonzero index as pivot and keep the other indices, and its cover
+columns grow as sparse vectors, one arrow at a time.  Only the kernel of a
+cover that certifies no split runs ``la.nullspace``, on its own degree
+blocks made dense.
 
 Hom from a class (v, W) to a module N is decided by generator images: a map
 is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
@@ -114,6 +120,7 @@ between them, so it builds no module and solves nothing.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -134,7 +141,7 @@ DIM_CAP = 260  # not read by the oracle; benchmarks/run.py checks it never chang
 
 
 class Representation:
-    """Vertex spaces and arrow matrices (target-dim x source-dim) over Q.
+    """Vertex spaces over Q and the arrows' action between them.
 
     ``support`` lists the vertices with a nonzero space, in quiver order;
     every per-module loop of the oracle walks it and the arrows between its
@@ -148,26 +155,35 @@ class Representation:
     basis order, the generator ``e_v`` first at v.  Hom from a module with
     a key is decided by generator images.
 
-    An arrow missing from ``mats`` acts by zero.  Builders leave out the
-    arrows with a zero-dimensional end; their matrix is made on first read,
-    as ``[]`` when it has no rows.
+    The action is held in one primary form, and an arrow left out of it
+    acts by zero.  A path span (the projectives, the class modules, the
+    regular module and D(e_v A)) is given ``maps``: per arrow, the tuple
+    whose entry j is the index of the basis vector that basis vector j goes
+    to, or None when it goes to zero.  Every other module keeps ``columns``:
+    per arrow, one sparse column ``{row: entry}`` per basis vector of the
+    source.  A syzygy is given its columns; a module given dense ``mats``
+    (target-dim x source-dim lists of rows) keeps their columns.
 
-    ``maps`` is set by the path-span builders (the projectives, the class
-    modules, the regular module and D(e_v A)): per arrow of ``mats``, the
-    tuple whose entry j is the row of the one 1 in column j, or None for a
-    zero column.  A module without maps, such as every syzygy, has None.
+    ``mats`` is a view derived from the primary form: every arrow between
+    support vertices is built as a dense matrix when ``mats`` is first
+    read, and the other arrows get their zero matrix on first read, as
+    ``[]`` when it has no rows.  So ``Representation(pres, M.dims,
+    M.mats)`` is always a copy of the module M.
     """
 
-    maps = None
-
-    def __init__(self, pres, dims, mats, degrees=None, key=None, validate=True):
+    def __init__(self, pres, dims, mats=None, degrees=None, key=None, validate=True,
+                 maps=None, columns=None):
         self.pres = pres
         q = pres.quiver
         self.support = tuple(sorted([v for v, n in dims.items() if n], key=q.vertex_index))
         self.dims = dict.fromkeys(q.vertices, 0)
         self.dims.update({v: dims[v] for v in self.support})
-        arrow, size = q.arrow_by_name, self.dims
-        self.mats = _ZeroBlocks(mats, lambda a: (size[arrow[a].target], size[arrow[a].source]))
+        if mats is not None:
+            if validate:
+                self._check_shapes(mats)
+            columns = self._columns_of(mats)
+        self.maps = maps
+        self.columns = None if maps is not None else columns or {}
         self.degrees = None if degrees is None else self._on_support(degrees)
         self.key = key
         self._cache = {}
@@ -180,23 +196,89 @@ class Representation:
         full.update({v: tuple(per_vertex.get(v, ())) for v in self.support})
         return full
 
-    def _validate(self):
+    def _check_shapes(self, mats):
         arrows = self.pres.quiver.arrow_by_name
         dims = self.dims
-        for name, m in self.mats.items():  # every matrix given, zero ends included
+        for name, m in mats.items():  # every matrix given, zero ends included
             a = arrows[name]
             if len(m) != dims[a.target]:
                 raise InternalInvariantViolation(f"matrix for {name} has wrong row count")
             for row in m:
                 if len(row) != dims[a.source]:
                     raise InternalInvariantViolation(f"matrix for {name} has wrong column count")
+
+    def _columns_of(self, mats):
+        """The sparse columns of the dense matrices between support vertices."""
+        arrows = self.pres.quiver.arrow_by_name
+        dims = self.dims
+        columns = {}
+        for name, m in mats.items():
+            a = arrows[name]
+            if dims[a.source] and dims[a.target]:
+                columns[name] = [{i: row[j] for i, row in enumerate(m) if row[j]}
+                                 for j in range(dims[a.source])]
+        return columns
+
+    def _validate(self):
+        """Each arrow's map or columns fit the spaces at its ends, and every
+        minimal relation whose word stays inside the support acts by zero,
+        composed through the primary form."""
+        arrows = self.pres.quiver.arrow_by_name
+        dims = self.dims
+        form = "index map" if self.maps is not None else "column list"
+        for name, action in (self.maps if self.maps is not None else self.columns).items():
+            a = arrows[name]
+            if len(action) != dims[a.source]:
+                raise InternalInvariantViolation(f"{form} for {name} has wrong length")
+            rows = (action if self.maps is not None
+                    else [i for col in action for i in col])
+            if any(i is not None and not 0 <= i < dims[a.target] for i in rows):
+                raise InternalInvariantViolation(f"{form} for {name} leaves the target space")
+        q = self.pres.quiver
         relations = _relations_at(self.pres)
         for v in self.support:
             for f, stops in relations.get(v, ()):
                 if not all(dims[u] for u in stops):
                     continue  # the word passes through a zero space, so it acts by zero
-                if not la.is_zero_matrix(self.act(f.arrows)):
-                    raise InternalInvariantViolation(f"relation {f} acts nonzero")
+                for j in range(dims[q.source(f.arrows[-1])]):
+                    vec = {j: 1}
+                    for name in reversed(f.arrows):
+                        vec = self.image(name, vec)
+                    if vec:
+                        raise InternalInvariantViolation(f"relation {f} acts nonzero")
+
+    def image(self, name, vec):
+        """The image under the arrow ``name`` of a sparse vector {index:
+        entry} in its source space, as a sparse vector without zeros."""
+        out = {}
+        if self.maps is not None:
+            targets = self.maps.get(name)
+            if targets is not None:
+                for j, x in vec.items():
+                    i = targets[j]
+                    if i is not None:
+                        out[i] = out.get(i, 0) + x
+        else:
+            columns = self.columns.get(name)
+            if columns is not None:
+                for j, x in vec.items():
+                    for i, y in columns[j].items():
+                        out[i] = out.get(i, 0) + x * y
+        return {i: x for i, x in out.items() if x}
+
+    @functools.cached_property
+    def mats(self):
+        """Dense arrow matrices (target-dim x source-dim), derived from the
+        primary form in full on first read."""
+        dims = self.dims
+        built = {}
+        for a in _supported_arrows(self.pres, {v: dims[v] for v in self.support}):
+            m = built[a.name] = la.zeros(dims[a.target], dims[a.source])
+            for j in range(dims[a.source]):
+                for i, x in self.image(a.name, {j: 1}).items():
+                    m[i][j] = x
+        arrow = self.pres.quiver.arrow_by_name
+        return _ZeroBlocks(built, lambda a: (dims[arrow[a].target], dims[arrow[a].source]))
 
     @property
     def total_dim(self):
@@ -273,16 +355,16 @@ def zero_rep(pres):
 
 
 def _path_span(pres, elems):
-    """The 0/1 module spanned by tagged nonzero paths under left multiplication.
+    """The module spanned by tagged nonzero paths under left multiplication.
 
     ``elems`` lists ``(tag, path)``; each path is placed at its target in list
     order, and an arrow prepends itself when the longer word is listed under
     the same tag and sends the path to zero otherwise, so a list closed under
     right factors spans a quotient of the projectives.  Returns
-    ``(dims, mats, maps, by_vertex)`` over the support only, with
-    ``by_vertex[v]`` the elements placed at v and ``maps`` each arrow's
-    index map (see ``Representation``); ``mats`` and ``maps`` leave out the
-    arrows with a zero-dimensional end.
+    ``(dims, maps, by_vertex)`` over the support only, with ``by_vertex[v]``
+    the elements placed at v and ``maps`` each arrow's index map (see
+    ``Representation``); ``maps`` leaves out the arrows with a
+    zero-dimensional end.
     """
     by_vertex = {}
     index = {}
@@ -291,15 +373,9 @@ def _path_span(pres, elems):
         index[(tag, x.arrows)] = len(placed)
         placed.append((tag, x))
     dims = {v: len(placed) for v, placed in by_vertex.items()}
-    mats, maps = {}, {}
-    for a in _supported_arrows(pres, dims):
-        image = tuple(index.get((tag, (a.name,) + x.arrows)) for tag, x in by_vertex[a.source])
-        m = la.zeros(dims[a.target], dims[a.source])
-        for j, i in enumerate(image):
-            if i is not None:
-                m[i][j] = 1
-        mats[a.name], maps[a.name] = m, image
-    return dims, mats, maps, by_vertex
+    maps = {a.name: tuple(index.get((tag, (a.name,) + x.arrows)) for tag, x in by_vertex[a.source])
+            for a in _supported_arrows(pres, dims)}
+    return dims, maps, by_vertex
 
 
 def _supported_arrows(pres, dims):
@@ -318,11 +394,9 @@ def path_module_rep(pres, p):
 def _class_rep(pres, key):
     """The cyclic module A e_v modulo the paths from v outside the key's
     words; x.g sits in degree len(x), and g = e_v comes first."""
-    dims, mats, maps, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
+    dims, maps, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
     degrees = {u: tuple(x.length for _, x in placed) for u, placed in by_vertex.items()}
-    rep = Representation(pres, dims, mats, degrees=degrees, key=key)
-    rep.maps = maps
-    return rep
+    return Representation(pres, dims, degrees=degrees, key=key, maps=maps)
 
 
 def _class_paths(pres, key):
@@ -334,11 +408,9 @@ def _class_paths(pres, key):
 
 def regular_rep(pres):
     """The left regular module: basis all nonzero paths grouped by target."""
-    dims, mats, maps, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
+    dims, maps, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
     degrees = {v: tuple(w.length for _, w in placed) for v, placed in by_vertex.items()}
-    rep = Representation(pres, dims, mats, degrees=degrees)
-    rep.maps = maps
-    return rep
+    return Representation(pres, dims, degrees=degrees, maps=maps)
 
 
 def dual_regular_rep(pres):
@@ -389,54 +461,77 @@ class ProjectiveLayer:
     pbasis: dict  # vertex of P's support -> list of (gen index, path)
     rep: object  # Representation of P
     tops: list = None  # per generator of a cover: the (vertex, index) of the basis vector it lifts
-    hits: dict = None  # a cover of a module with maps: per vertex, each column's row or None
 
 
 def _build_projective(pres, gens):
     basis = pres.basis()
     elems = [(gi, x) for gi, (v, _) in enumerate(gens) for x in basis.from_vertex(v)]
-    dims, mats, maps, pbasis = _path_span(pres, elems)
+    dims, maps, pbasis = _path_span(pres, elems)
     degrees = {v: tuple(gens[gi][1] + x.length for gi, x in placed)
                for v, placed in pbasis.items()}
-    rep = Representation(pres, dims, mats, degrees=degrees, validate=False)
-    rep.maps = maps
+    rep = Representation(pres, dims, degrees=degrees, validate=False, maps=maps)
     return ProjectiveLayer(gens=list(gens), pbasis=pbasis, rep=rep)
 
 
 def top_lifts(rep):
     """Standard-basis lifts of top(M) = M/rad M, per support vertex, homogeneous.
 
-    On a module with index maps they are the basis vectors no arrow hits."""
+    On a module with index maps they are the basis vectors no arrow hits.
+    Otherwise the images of the arrows into v are reduced to a basis with
+    distinct last nonzero indices (``_last_index_pivots``), and the top
+    lifts are the other indices: e_i lies in rad M + <e_k : k < i> exactly
+    when some vector of rad M ends at i, so these are the identity columns
+    that ``la.pivot_columns`` keeps in ``[images | identity]``."""
     dims = rep.dims
     arrows_into = rep.pres.quiver.arrows_into
     lifts = {}
     for v in rep.support:
         n = dims[v]
         into = [a.name for a in arrows_into[v] if dims[a.source]]
-        if not into:
-            lifts[v] = list(range(n))  # nothing reaches v: every basis vector is a top
-            continue
         if rep.maps is not None:
-            hit = {i for a in into for i in rep.maps[a]}
-            lifts[v] = [j for j in range(n) if j not in hit]
-            continue
-        # row i of [images of the arrows into v | identity]: a basis vector is
-        # a top lift when its identity column pivots past the radical's columns
-        stacked = [[x for a in into for x in rep.mats[a][i]] + [int(k == i) for k in range(n)]
-                   for i in range(n)]
-        rad = len(stacked[0]) - n
-        lifts[v] = [p - rad for p in la.pivot_columns(stacked) if p >= rad]
+            hit = {i for a in into for i in rep.maps.get(a, ())}
+        else:
+            hit = _last_index_pivots(col for a in into for col in rep.columns.get(a, ()))
+        lifts[v] = [j for j in range(n) if j not in hit]
     return lifts
 
 
-def projective_cover(rep):
-    """(layer, cover matrices): minimal cover P -> M with P from top lifts.
+def _last_index_pivots(vectors):
+    """The last nonzero indices of an echelon basis of the span of the
+    sparse vectors: each vector is reduced by the basis vectors kept so
+    far, one per last index, each with entry 1 there."""
+    basis = {}
+    for vec in vectors:
+        vec = dict(vec)
+        while vec:
+            p = max(vec)
+            x = vec[p]
+            b = basis.get(p)
+            if b is None:
+                if x == -1:
+                    vec = {i: -y for i, y in vec.items()}
+                elif x != 1:
+                    vec = {i: Fraction(y) / x for i, y in vec.items()}
+                basis[p] = vec
+                break
+            for i, y in b.items():
+                t = vec.get(i, 0) - x * y
+                if t:
+                    vec[i] = t
+                else:
+                    del vec[i]
+    return basis.keys()
 
-    Images of the projective basis are grown one arrow at a time, so each
-    column costs a matrix-vector product, or on a module with index maps
-    one lookup: each image is a basis vector or zero, kept by its index in
-    ``layer.hits``.  ``cover`` has one block per vertex of P's support,
-    which contains M's since the cover is onto.
+
+def projective_cover(rep):
+    """(layer, cover blocks): minimal cover P -> M with P from top lifts.
+
+    Images of the projective basis are grown one arrow at a time, each
+    column from a shorter one, and kept sparse: on a module with index maps
+    an image is a basis vector or zero, kept as its index or None, and on
+    any other module it is a sparse column {row: entry}.  ``cover`` has one
+    block per vertex of P's support, which contains M's since the cover is
+    onto: the images of P's basis at that vertex, in basis order.
     """
     pres = rep.pres
     lifts = top_lifts(rep)
@@ -450,11 +545,7 @@ def projective_cover(rep):
     layer.tops = tops
     maps = rep.maps
     if maps is None:
-        images = {}  # (gen index, word) -> vector in M at the word's target
-        for gi, (v, j) in enumerate(tops):
-            vec = [0] * rep.dims[v]
-            vec[j] = 1
-            images[(gi, ())] = vec
+        images = {(gi, ()): {j: 1} for gi, (_, j) in enumerate(tops)}
     else:
         images = {(gi, ()): j for gi, (_, j) in enumerate(tops)}  # an index, or None for 0
     for placed in layer.pbasis.values():
@@ -470,24 +561,27 @@ def projective_cover(rep):
             while stackw:
                 word = stackw.pop()
                 if maps is None:
-                    base = la.mat_vec(rep.mats[word[0]], base)
+                    base = rep.image(word[0], base) if base else base
                 elif base is not None:  # an arrow left out of maps acts by zero
                     base = maps[word[0]][base] if word[0] in maps else None
                 images[(gi, word)] = base
-    cover = {}
-    if maps is None:
-        for v, placed in layer.pbasis.items():
-            columns = [images[(gi, x.arrows)] for gi, x in placed]
-            cover[v] = [list(row) for row in zip(*columns)]
-        return layer, cover
-    layer.hits = {}
-    for v, placed in layer.pbasis.items():
-        hits = layer.hits[v] = [images[(gi, x.arrows)] for gi, x in placed]
-        m = cover[v] = la.zeros(rep.dims[v], len(hits))
-        for col, i in enumerate(hits):
-            if i is not None:
-                m[i][col] = 1
+    cover = {v: [images[(gi, x.arrows)] for gi, x in placed]
+             for v, placed in layer.pbasis.items()}
     return layer, cover
+
+
+def _cover_matrix(rep, cover, v):
+    """The cover's block at v as a dense matrix, with one row per basis
+    vector of M_v and one column per basis vector of P_v."""
+    block = cover[v]
+    m = la.zeros(rep.dims[v], len(block))
+    for j, image in enumerate(block):
+        if rep.maps is None:
+            for i, x in image.items():
+                m[i][j] = x
+        elif image is not None:
+            m[image][j] = 1
+    return m
 
 
 @memoized
@@ -506,7 +600,10 @@ def _kernel_blocks(rep, layer, cover):
     On a module with index maps each cover column is a basis vector or
     zero, so within a degree a zero column j gives e_j and each later
     column j of a fibre gives e_j - e_first: ``la.nullspace``'s basis, with
-    the same free columns in the same order, and no elimination."""
+    the same free columns in the same order, and no elimination.  On any
+    other module each degree's block of sparse columns is made dense for
+    ``la.nullspace``; ``resolve`` takes a kernel only when the cover
+    certified no split."""
     kernel = {}
     for v in layer.rep.support:
         ncols = layer.rep.dims[v]
@@ -514,13 +611,14 @@ def _kernel_blocks(rep, layer, cover):
         groups = {}
         for j, d in enumerate(pdeg):
             groups.setdefault(d, []).append(j)
+        block = cover[v]
         cols = []
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
             idx = groups[dkey]
             if rep.maps is not None:
-                hits, first = layer.hits[v], {}
+                first = {}
                 for j in idx:
-                    i = hits[j]
+                    i = block[j]
                     if i is None:
                         cols.append((j, {j: 1}))
                     elif i in first:
@@ -528,7 +626,10 @@ def _kernel_blocks(rep, layer, cover):
                     else:
                         first[i] = j
                 continue
-            sub = [[row[j] for j in idx] for row in cover[v]]
+            sub = la.zeros(rep.dims[v], len(idx))
+            for c, j in enumerate(idx):
+                for i, x in block[j].items():
+                    sub[i][c] = x
             for vec in la.nullspace(sub, len(idx)):
                 full = {j: x for j, x in zip(idx, vec) if x}
                 cols.append((max(full), full))
@@ -538,10 +639,13 @@ def _kernel_blocks(rep, layer, cover):
 
 def syzygy_step(rep):
     """Minimal cover (kept on the module) and its kernel; returns (layer,
-    cover, kernel rep, kernel columns).  P's arrows act on a kernel vector
-    by its index maps.  Coordinate i of an arrow's image is its entry at the
-    free column f_i of kernel vector k_i over k_i[f_i], and the image must
-    be the combination of the k_i with those coefficients."""
+    cover, kernel rep, kernel columns), each kernel column a sparse vector
+    {column: entry} over P's basis at its vertex.  P's arrows act on a
+    kernel vector by its index maps.  Coordinate i of an arrow's image is
+    its entry at the free column f_i of kernel vector k_i over k_i[f_i],
+    and the image must be the combination of the k_i with those
+    coefficients; the kernel rep keeps those coordinates as its sparse
+    columns."""
     pres = rep.pres
     layer, cover = _module_cover(rep)
     blocks = _kernel_blocks(rep, layer, cover)
@@ -556,41 +660,36 @@ def syzygy_step(rep):
     # the action on the kernel; an arrow into a zero kernel space must still
     # send every kernel vector to zero, so closure is checked before skipping
     free = {v: {f: (i, k) for i, (f, k) in enumerate(pairs)} for v, pairs in blocks.items()}
-    mats = {}
+    columns = {}
     for src in dims:
         for a in pres.quiver.arrows_from[src]:
             tgt = a.target
             if not P.dims[tgt]:
                 continue
             image = P.maps[a.name]
-            m = la.zeros(dims.get(tgt, 0), dims[src])
-            for j, (_, vec) in enumerate(blocks[src]):
+            cols = []
+            for _, vec in blocks[src]:
                 # one entry per basis path hit: a.x determines x, so P's map is one-to-one
                 img = {image[t]: x for t, x in vec.items() if image[t] is not None}
+                col = {}
                 for f, y in list(img.items()):
                     if f not in free[tgt]:
                         continue
                     i, k = free[tgt][f]
                     c = y if k[f] == 1 else Fraction(y, k[f])
-                    m[i][j] = c
+                    col[i] = c
                     for t, x in k.items():
                         img[t] = img.get(t, 0) - c * x
                 if any(img.values()):
                     raise InternalInvariantViolation("syzygy is not closed under the action")
+                cols.append(col)
             if tgt in dims:
-                mats[a.name] = m
+                columns[a.name] = cols
     degrees = None
     if rep.degrees is not None:
         degrees = {v: tuple(P.degrees[v][f] for f, _ in blocks[v]) for v in dims}
-    krep = Representation(pres, dims, mats, degrees=degrees, validate=False)
-    kernel = {}  # the dense columns, over P's basis at each vertex
-    for v, pairs in blocks.items():
-        kernel[v] = []
-        for _, vec in pairs:
-            full = [0] * P.dims[v]
-            for t, x in vec.items():
-                full[t] = x
-            kernel[v].append(full)
+    krep = Representation(pres, dims, degrees=degrees, validate=False, columns=columns)
+    kernel = {v: [vec for _, vec in pairs] for v, pairs in blocks.items()}
     return layer, cover, krep, kernel
 
 
@@ -649,8 +748,9 @@ def _summand_classes(rep, layer, cover):
     """The class keys of rep's summands on its top lifts, or None when the
     cover does not certify a split (see the module docstring)."""
     words = [[] for _ in layer.gens]
+    zero = None if rep.maps is not None else {}  # a zero image of either form
     for v, placed in layer.pbasis.items():
-        nonzero = [col for col, column in enumerate(zip(*cover[v])) if any(column)]
+        nonzero = [col for col, image in enumerate(cover[v]) if image != zero]
         if len(nonzero) != rep.dims[v]:
             return None
         for col in nonzero:
@@ -850,9 +950,10 @@ def stable_hom_dim(M, N, degree_shift=None):
         return 0
     layer, cover = _module_cover(N)
     common = [v for v in M.support if N.dims[v]]  # a map is zero off these vertices
+    dense = {v: _cover_matrix(N, cover, v) for v in common}
     image = []
     for g in _hom_family_basis(M, layer.rep, degree_shift):
-        image.append([x for v in common for row in la.mat_mul(cover[v], g[v]) for x in row])
+        image.append([x for v in common for row in la.mat_mul(dense[v], g[v]) for x in row])
     if not image:
         return len(homs)
     # rank of the factoring subspace inside Hom(M, N)
@@ -936,17 +1037,16 @@ class SideStatus:
 
 def injective_summand_rep(pres, v):
     """D(e_v A) as a left module: the k-dual of the opposite's projective
-    A^op e_v, the path span of the reversed paths into v with every matrix
-    transposed.  The dual of a path w sits at s(w) in degree -len(w)."""
+    A^op e_v, the path span of the reversed paths into v with every index
+    map inverted, as its 0/1 matrix would be transposed.  The dual of a
+    path w sits at s(w) in degree -len(w)."""
     pres.quiver.trivial_path(v)  # UnknownVertex off the quiver
     paths = [Path(w.arrows[::-1], w.target, w.source) for w in pres.basis().into_vertex(v)]
-    dims, mats, maps, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
+    dims, maps, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
     degrees = {u: tuple(-x.length for _, x in placed) for u, placed in by_vertex.items()}
-    rep = Representation(pres, dims, {a: la.transpose(m) for a, m in mats.items()},
-                         degrees=degrees)
     arrow = pres.quiver.arrow_by_name
-    rep.maps = {a: _inverse_map(image, dims[arrow[a].source]) for a, image in maps.items()}
-    return rep
+    return Representation(pres, dims, degrees=degrees, maps={
+        a: _inverse_map(image, dims[arrow[a].source]) for a, image in maps.items()})
 
 
 def _inverse_map(image, n):
@@ -1162,7 +1262,12 @@ def crosscheck_classification(pres):
     exact.  The kept keys must be the survivor keys of the perfect paths,
     each once; MismatchDetected lists both sides by a generating path
     otherwise.  The report's dimension vectors, sorted, are the
-    descriptors', so no class module is built.
+    descriptors', so no class module is built.  They are sorted once, by
+    the sparse key ((-i, c) for the i-th vertex in name order with c != 0),
+    which orders dimension vectors exactly as their dense tuples in name
+    order do: at the first vertex where two vectors differ, the smaller
+    count is either a smaller pair or a zero, whose next pair has a
+    smaller -i, or the end of the key.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
@@ -1178,11 +1283,16 @@ def crosscheck_classification(pres):
             f"classification mismatch: homological [{', '.join(str(classes[k]) for k in kept)}]"
             f" vs perfect-path [{', '.join(str(d.generator) for d in comb)}]"
         )
+    names = sorted(pres.quiver.vertices)
+
+    def order(d):
+        dims = d.dim_vector
+        return tuple((-i, dims[v]) for i, v in enumerate(names) if dims[v])
+
     return {
         "homological_classes": len(kept),
         "combinatorial_classes": len(comb),
-        "dim_vectors": [dict(t) for t in sorted(tuple(sorted(d.dim_vector.items()))
-                                                for d in comb)],
+        "dim_vectors": [{v: d.dim_vector[v] for v in names} for d in sorted(comb, key=order)],
         "match": True,
     }
 

@@ -409,8 +409,8 @@ def test_crosscheck_builds_no_regular_module_and_solves_nothing(z3r2, glu, monke
 def dense_resolution_reference(M, depth):
     """resolve(pres, M, depth=depth) as it was before the one Ext rule:
     ``depth`` dense steps, or fewer when the syzygy dies, with the image in
-    P_(k-1) of each generator of P_k, the kernel vector it lifts.  Returns
-    (layers, differentials, syzygies)."""
+    P_(k-1) of each generator of P_k, the kernel vector it lifts, as a sparse
+    vector {column: entry}.  Returns (layers, differentials, syzygies)."""
     from monosing.oracle import _module_cover, syzygy_step
 
     layers, diffs, syzygies = [], [], []
@@ -428,7 +428,7 @@ def hom_complex_matrix_reference(layer_from, diffs, layer_to, N):
     """The matrix of Hom(P_(k-1), N) -> Hom(P_k, N) induced by d_k, as the
     oracle built it before the one Ext rule: Hom(P, N) is stacked per
     generator as N_v blocks, and ``diffs`` gives each generator of P_k its
-    image as (vertex, vector over layer_to.pbasis[vertex])."""
+    image as (vertex, sparse vector over layer_to.pbasis[vertex])."""
     from monosing import linalg as la
 
     col_offsets, off = [], 0
@@ -444,9 +444,7 @@ def hom_complex_matrix_reference(layer_from, diffs, layer_to, N):
     for gi, (v, _) in enumerate(layer_from.gens):
         w, vec = diffs[gi]
         assert w == v
-        for pos, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
+        for pos, coeff in vec.items():
             gj, x = layer_to.pbasis[w][pos]
             tv = layer_to.gens[gj][0]
             block = la.identity(N.dims[tv]) if x.is_trivial else N.act(x.arrows)
@@ -685,11 +683,23 @@ def test_hom_by_generator_images_needs_a_generator(z3r2):
 
 def path_builder_reference(pres, p):
     """The cyclic module on p built from its basis {q'p}, as path_module_rep
-    did before it became the class module of p's survivor key."""
-    from monosing.oracle import _path_span
-
+    did before it became the class module of p's survivor key: dense 0/1
+    matrices, an arrow sending each basis path to its left multiple or to 0."""
     basis, _ = pres.cyclic_module_basis(p)
-    dims, mats, _, by_vertex = _path_span(pres, [(None, w) for w in basis])
+    by_vertex, index = {}, {}
+    for w in basis:
+        placed = by_vertex.setdefault(w.target, [])
+        index[w.arrows] = len(placed)
+        placed.append((None, w))
+    dims = {v: len(placed) for v, placed in by_vertex.items()}
+    mats = {}
+    for a in pres.quiver.arrows:
+        if a.source in dims and a.target in dims:
+            m = mats[a.name] = [[0] * dims[a.source] for _ in range(dims[a.target])]
+            for j, (_, w) in enumerate(by_vertex[a.source]):
+                i = index.get((a.name,) + w.arrows)
+                if i is not None:
+                    m[i][j] = 1
     labels = {v: tuple(w.arrows[: w.length - p.length] for _, w in by_vertex[v])
               for v in by_vertex}
     degrees = {v: tuple(len(act) for act in labels[v]) for v in labels}
@@ -833,14 +843,15 @@ def family_stable_hom_reference(M, N, degree_shift=None):
     """stable_hom_dim from the dense hom_basis: families of Hom(M, N) and
     Hom(M, P_N), composed with the cover of N."""
     from monosing import linalg as la
-    from monosing.oracle import hom_basis, projective_cover
+    from monosing.oracle import _cover_matrix, hom_basis, projective_cover
 
     homs = hom_basis(M, N, degree_shift=degree_shift)
     if not homs:
         return 0
     layer, cover = projective_cover(N)
     common = [v for v in M.support if N.dims[v]]
-    image = [[x for v in common for row in la.mat_mul(cover[v], g[v]) for x in row]
+    image = [[x for v in common for row in la.mat_mul(_cover_matrix(N, cover, v), g[v])
+              for x in row]
              for g in hom_basis(M, layer.rep, degree_shift=degree_shift)]
     if not image:
         return len(homs)
@@ -1179,8 +1190,8 @@ def test_the_heavy_draw_reports_are_pinned():
 def test_index_maps_give_the_dense_cover_and_kernel():
     # the same module with and without index maps, graded and ungraded, has
     # the same top lifts, cover and kernel basis, free columns included
-    from monosing.oracle import (_kernel_blocks, injective_summand_rep, projective_cover,
-                                 top_lifts)
+    from monosing.oracle import (_cover_matrix, _kernel_blocks, injective_summand_rep,
+                                 projective_cover, top_lifts)
 
     checked = 0
     for pres in class_rule_corpus():
@@ -1189,13 +1200,15 @@ def test_index_maps_give_the_dense_cover_and_kernel():
                                            for build in (injective_summand_rep, simple_rep)]
             for M in modules:
                 for degrees in (M.degrees, None):
-                    mapped = Representation(pr, M.dims, M.mats, degrees=degrees)
-                    mapped.maps = M.maps
+                    mapped = Representation(pr, M.dims, degrees=degrees, maps=M.maps)
                     dense = Representation(pr, M.dims, M.mats, degrees=degrees)
+                    assert dense.maps is None  # the dense matrices' sparse columns
                     assert top_lifts(mapped) == top_lifts(dense)
                     (layer, cover), (dense_layer, dense_cover) = \
                         projective_cover(mapped), projective_cover(dense)
-                    assert (layer.gens, cover) == (dense_layer.gens, dense_cover)
+                    assert layer.gens == dense_layer.gens
+                    assert {v: _cover_matrix(mapped, cover, v) for v in cover} == \
+                        {v: _cover_matrix(dense, dense_cover, v) for v in dense_cover}
                     assert _kernel_blocks(mapped, layer, cover) == \
                         _kernel_blocks(dense, dense_layer, dense_cover)
                     checked += 1
@@ -1210,11 +1223,105 @@ def test_a_dual_arrow_with_two_images_is_refused():
     assert oracle._inverse_map((1, None, 0), 3) == (2, 0, None)
 
 
+def dense_top_lifts_reference(M):
+    """top_lifts as it was on a module without maps: the identity columns
+    that la.pivot_columns keeps in [images of the arrows into v | identity],
+    stacked from the dense ``mats`` view."""
+    from monosing import linalg as la
+
+    lifts = {}
+    for v in M.support:
+        n = M.dims[v]
+        into = [a.name for a in M.pres.quiver.arrows_into[v] if M.dims[a.source]]
+        if not into:
+            lifts[v] = list(range(n))
+            continue
+        stacked = [[x for a in into for x in M.mats[a][i]] + [int(k == i) for k in range(n)]
+                   for i in range(n)]
+        rad = len(stacked[0]) - n
+        lifts[v] = [p - rad for p in la.pivot_columns(stacked) if p >= rad]
+    return lifts
+
+
+def test_sparse_top_lifts_and_covers_match_the_dense_reference(monkeypatch):
+    # every module resolve covers, with maps or sparse columns, against the
+    # dense rules on its mats view: the top lifts of [R | I], and each cover
+    # column as mat_vec images of the top lift it grows from
+    from monosing import linalg as la
+    from monosing.corpus import random_presentation
+    from monosing.oracle import _cover_matrix, injective_summand_rep, top_lifts
+
+    covered = []
+    real_cover = oracle._module_cover
+    monkeypatch.setattr(oracle, "_module_cover",
+                        lambda M: covered.append(M) or real_cover(M))
+    presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
+    rng = seeded_rng()
+    presentations += [random_presentation(rng) for _ in range(50)]
+    for pres in presentations + [heavy_draw()]:
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                if oracle._injective_summand_key(pr, v) is None:
+                    D = injective_summand_rep(pr, v)
+                    resolve(D)
+                    if pres in presentations:  # ungraded, a column module from step 1 on
+                        resolve(Representation(pr, D.dims, D.mats))
+    covered = list({id(M): M for M in covered}.values())  # syzygy_step reads the cover again
+    forms = {"maps": 0, "columns": 0}
+    columns = 0
+    for M in covered:
+        assert top_lifts(M) == dense_top_lifts_reference(M)
+        layer, cover = real_cover(M)
+        for v, placed in layer.pbasis.items():
+            dense = []
+            for gi, x in placed:
+                u, j = layer.tops[gi]
+                image = [int(i == j) for i in range(M.dims[u])]
+                for a in reversed(x.arrows):
+                    image = la.mat_vec(M.mats[a], image)
+                dense.append(image)
+            block = _cover_matrix(M, cover, v)
+            assert [[row[j] for row in block] for j in range(len(placed))] == dense
+            columns += len(placed)
+        forms["maps" if M.maps is not None else "columns"] += 1
+    assert forms["maps"] > 50 and forms["columns"] > 150, forms
+    assert max(M.total_dim for M in covered) == 1072 and columns > 10000, columns
+
+
+def test_a_copy_of_the_mats_view_is_the_module(glu):
+    # mats is built in full from the primary form on first read, so a module
+    # made from it is the same module, whichever form the original holds
+    from monosing.oracle import _build_projective, _class_rep, injective_summand_rep, syzygy_step
+
+    D = injective_summand_rep(glu, "1")
+    _, _, S, _ = syzygy_step(injective_summand_rep(glu, "1"))
+    modules = [_build_projective(glu, [("1", 0), ("2", 1)]).rep,
+               _class_rep(glu, glu.survivor_key(glu.quiver.arrow_path("t1"))), D, S]
+    assert [M.maps is not None for M in modules] == [True, True, True, False]
+    for M in modules:
+        copy = Representation(glu, M.dims, M.mats, degrees=M.degrees)  # validates
+        assert copy.maps is None and module_data(copy) == module_data(M)
+
+
+def test_index_maps_are_validated(z2r3):
+    # a map must fit its ends, and every relation must act by zero through it
+    dims = {"1": 1, "2": 1}
+    with pytest.raises(InternalInvariantViolation, match="leaves the target space"):
+        Representation(z2r3, dims, maps={"a": (1,)})
+    with pytest.raises(InternalInvariantViolation, match="wrong length"):
+        Representation(z2r3, dims, maps={"a": (0, None)})
+    with pytest.raises(InternalInvariantViolation, match="relation .* acts nonzero"):
+        Representation(z2r3, dims, maps={"a": (0,), "b": (0,)})  # a b a acts as 1
+    M = Representation(z2r3, dims, maps={"a": (0,), "b": (None,)})
+    assert M.mats["a"] == [[1]] and M.mats["b"] == [[0]]
+
+
 def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
     # D(e_v A) and the projectives carry index maps, and the cover, the
-    # kernel and P's action on the kernel read them: no echelon or mat-vec
-    # runs on such a module, while a syzygy, which has no maps, still takes
-    # the dense path
+    # kernel and P's action on the kernel read them; a syzygy keeps sparse
+    # columns, whose top lifts and cover are sparse too.  So the profile
+    # calls neither mat_vec nor pivot_columns, and nullspace only for the
+    # kernel of a cover that certified no split
     import sys
 
     from monosing import linalg
@@ -1224,18 +1331,19 @@ def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
     rng = seeded_rng()
     presentations += [random_presentation(rng) for _ in range(50)]
     resolved = counting(monkeypatch, "resolve")
-    calls = []  # (linalg function, caller, whether the module it works on has maps)
+    calls = []  # (linalg function, caller, the module's cover certified no split)
 
     def watch(name):
         real = getattr(linalg, name)
 
         def wrapper(*args):
             frame = sys._getframe(1)
-            caller = frame.f_code.co_name
-            # syzygy_step applies P's matrices; the others work on their rep
-            module = frame.f_locals["layer"].rep if caller == "syzygy_step" \
-                else frame.f_locals["rep"]
-            calls.append((name, caller, getattr(module, "maps", None) is not None))
+            local = frame.f_locals
+            unsplit = (frame.f_code.co_name == "_kernel_blocks"
+                       and local["rep"].maps is None
+                       and oracle._summand_classes(local["rep"], local["layer"],
+                                                   local["cover"]) is None)
+            calls.append((name, frame.f_code.co_name, unsplit))
             return real(*args)
 
         monkeypatch.setattr(linalg, name, wrapper)
@@ -1244,9 +1352,9 @@ def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
         watch(name)
     for pres in presentations:
         injective_dimension_profile(pres)
-    assert resolved and all(getattr(M, "maps", None) is not None for (M,) in resolved)
-    assert [call for call in calls if call[2]] == []
-    assert {name for name, _, _ in calls} == {"nullspace", "pivot_columns", "mat_vec"}
+    assert resolved and all(M.maps is not None for (M,) in resolved)
+    assert calls and all(call == ("nullspace", "_kernel_blocks", True) for call in calls), \
+        {call for call in calls if not call[2]}
 
 
 def test_the_profile_takes_dense_steps_without_a_solve(monkeypatch):
@@ -1677,6 +1785,28 @@ def test_crosscheck_keys_match_the_gp_test_and_iso_scan():
                     same_dims += 1
     assert checked > 100 and levels > 20 and same_dims > 10, (checked, levels, same_dims)
     assert dropped > 0, dropped  # Ext into A rules some keys out
+
+
+def test_crosscheck_orders_dimension_vectors_as_the_dense_sort():
+    # the sparse key sorts the descriptors as their dense tuples in vertex
+    # name order did, "10" before "2" included, and the report lists every
+    # vertex in name order
+    from monosing.perfection import classify_stable_gproj
+
+    presentations = class_rule_corpus()
+    presentations += [nakayama(n, m) for n, m in ((10, 2), (11, 4), (12, 3), (13, 5), (21, 6))]
+    checked = unequal = 0
+    for pres in presentations:
+        if not injective_dimension_profile(pres).gorenstein:
+            continue
+        comb = classify_stable_gproj(pres)
+        dense = [dict(t) for t in sorted(tuple(sorted(d.dim_vector.items())) for d in comb)]
+        report = crosscheck_classification(pres)["dim_vectors"]
+        assert report == dense and [list(d) for d in report] == [list(d) for d in dense], \
+            pres.quiver.vertices
+        checked += 1
+        unequal += len({tuple(d.values()) for d in dense}) > 1
+    assert checked > 100 and unequal > 50, (checked, unequal)
 
 
 def test_crosscheck_resolves_nothing_and_scans_no_isomorphism(glu, monkeypatch):
