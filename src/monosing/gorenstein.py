@@ -7,7 +7,10 @@ members of each successor cycle yields a power of a primitive repetition-free
 arrow cycle c; distinct successor cycles can share the same c and are merged.
 Each c carries the cycle length n and the uniform relation length r (the
 constant value of consecutive perfect-path length sums), every cyclic window
-of r arrows along c lies in F, and no arrow lies on two distinct cycles.  The
+of r arrows along c lies in F, and no arrow lies on two distinct cycles.  As c
+repeats no arrow, each cycle is read by position: its canonical rotation ends
+at its arrow of least index, and a member can only be the window that starts
+at the one position of its first arrow, so the scan is linear in n.  The
 singularity category is then the disjoint union over cycles of the orbit
 category of type A_{r-1} under the n-th power of the AR translate.
 """
@@ -92,7 +95,10 @@ def relation_cycles(pres):
     Raises NotOneGorenstein otherwise, on every call, and
     InternalInvariantViolation whenever one of the guaranteed structural laws
     fails (uniform relation length, repetition-freeness, window membership in
-    F, arrow disjointness).
+    F, arrow disjointness).  A primitive word that repeats an arrow is refused
+    before it is rotated, so each arrow has one position on its cycle: the
+    canonical rotation ends at the arrow of least index, and each member is
+    checked only at the position of its first arrow.
     """
     verdict = is_one_gorenstein(pres)
     if not verdict:
@@ -104,9 +110,7 @@ def relation_cycles(pres):
     key = pres.quiver.sort_key
     grouped = {}  # canonical primitive word -> dict(r=, members=set())
     for cyc in graph.cycles:
-        word = ()
-        for p in cyc:
-            word = word + p.arrows
+        word = tuple(a for p in cyc for a in p.arrows)
         lengths = [p.length for p in cyc]
         sums = {lengths[i] + lengths[(i + 1) % len(lengths)] for i in range(len(lengths))}
         if len(sums) != 1:
@@ -132,8 +136,10 @@ def relation_cycles(pres):
         n, r = len(canon), entry["r"]
         _check_windows(pres, canon, r)
         members = tuple(sorted(entry["members"], key=key))
+        position = {a: i for i, a in enumerate(canon)}
         for p in members:
-            if not _is_cyclic_window(canon, p.arrows):
+            i = position.get(p.arrows[0])
+            if i is None or any(a != canon[(i + k) % n] for k, a in enumerate(p.arrows)):
                 raise InternalInvariantViolation(f"perfect path {p} is not a window of {canon}")
         cycles.append(RelationCycle(arrows=canon, n=n, r=r, members=members))
     seen_arrows = {}
@@ -157,16 +163,13 @@ def _primitive_word(word):
 
 
 def _canonical_rotation(word, quiver):
-    """Rotation whose traversal-order index sequence is lexicographically least."""
-    best = None
-    best_key = None
-    n = len(word)
-    for i in range(n):
-        rot = word[i:] + word[:i]
-        k = tuple(quiver.arrow_index(a) for a in reversed(rot))
-        if best_key is None or k < best_key:
-            best, best_key = rot, k
-    return best
+    """Rotation whose traversal-order index sequence is lexicographically least.
+
+    ``word`` repeats no arrow, so that is the rotation whose traversal starts,
+    that is whose composition word ends, at the arrow of least index.
+    """
+    last = min(range(len(word)), key=lambda i: quiver.arrow_index(word[i]))
+    return word[last + 1:] + word[:last + 1]
 
 
 def _check_windows(pres, word, r):
@@ -181,19 +184,12 @@ def _check_windows(pres, word, r):
             )
 
 
-def _is_cyclic_window(word, sub):
-    unrolled = word * (len(sub) // len(word) + 2)
-    return any(unrolled[i : i + len(sub)] == sub for i in range(len(word)))
-
-
 def cycle_subalgebra(pres, cycle):
     """The subalgebra on the arrows of the cycle, with the F-members it supports."""
-    arrows = [a for a in pres.quiver.arrows if a.name in set(cycle.arrows)]
-    vertices = [
-        v for v in pres.quiver.vertices if any(a.source == v or a.target == v for a in arrows)
-    ]
-    sub = Quiver(vertices, arrows)
     names = set(cycle.arrows)
+    arrows = [a for a in pres.quiver.arrows if a.name in names]
+    ends = {v for a in arrows for v in (a.source, a.target)}
+    sub = Quiver([v for v in pres.quiver.vertices if v in ends], arrows)
     gens = [
         sub.subword_path(f.arrows) for f in pres.minimal if all(a in names for a in f.arrows)
     ]

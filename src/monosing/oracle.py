@@ -1087,9 +1087,10 @@ def _class_trace(pres, key):
     return _class_walk(pres, ResolutionTrace(module=None), [key], 1)
 
 
+@memoized
 def _summand_trace(pres, v):
     """The resolution of D(e_v A): a cyclic summand is walked as its class,
-    and only the others are built and resolved."""
+    and only the others are built and resolved, once per presentation."""
     key = _injective_summand_key(pres, v)
     if key is None:
         return resolve(injective_summand_rep(pres, v))

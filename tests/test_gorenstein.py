@@ -20,7 +20,9 @@ from monosing.gorenstein import (
 )
 from monosing.oracle import injective_dimension_profile
 from monosing.perfection import classify_stable_gproj, perfect_paths
-from monosing.presentation import parse_presentation, presentation_to_text
+from monosing.presentation import Quiver, parse_presentation, presentation_to_text
+
+from conftest import class_rule_corpus, nakayama
 
 
 def test_verdicts(z3r2, lin, her):
@@ -221,3 +223,75 @@ def test_witness_cycles_are_rendered_once(monkeypatch):
     assert len(data["witness"]) == 128
     assert all(len(cycle) == 64 for cycle in data["witness"].values())
     assert len(calls) <= 3 * 128, len(calls)
+
+
+def relation_cycles_reference(pres):
+    """(arrows, n, r, members) of each relation cycle by the quadratic rules:
+    each cycle word grown by concatenation, the least of all n rotation keys,
+    and every offset of an unrolled copy tried for each member."""
+    quiver = pres.quiver
+    grouped = {}
+    for cyc in perfect_paths(pres).cycles:
+        word = ()
+        for p in cyc:
+            word = word + p.arrows
+        L = len(word)
+        prim = next(word[:d] for d in range(1, L + 1)
+                    if L % d == 0 and word == word[:d] * (L // d))
+        best, best_key = None, None
+        for i in range(len(prim)):
+            rot = prim[i:] + prim[:i]
+            k = tuple(quiver.arrow_index(a) for a in reversed(rot))
+            if best_key is None or k < best_key:
+                best, best_key = rot, k
+        entry = grouped.setdefault(best, (cyc[0].length + cyc[1 % len(cyc)].length, set()))
+        entry[1].update(cyc)
+    out = []
+    for canon in sorted(grouped, key=lambda w: tuple(quiver.arrow_index(a) for a in w)):
+        r, members = grouped[canon]
+        n = len(canon)
+        members = tuple(sorted(members, key=quiver.sort_key))
+        for p in members:
+            unrolled = canon * (p.length // n + 2)
+            assert any(unrolled[i:i + p.length] == p.arrows for i in range(n)), str(p)
+        out.append((canon, n, r, members))
+    return out
+
+
+def test_relation_cycles_match_the_quadratic_reference():
+    # reading a cycle by position gives the canonical rotation and members
+    # that the n-rotation and n-offset scans gave
+    rng = seeded_rng()
+    presentations = class_rule_corpus() + [parse_presentation(DISJOINT)]
+    presentations += [nakayama(n, m) for m in range(2, 9) for n in range(1, 13)]
+    presentations += [random_presentation(rng) for _ in range(200)]
+    presentations += [random_gentle_presentation(rng) for _ in range(100)]
+    presentations += [random_presentation(rng, 6, 9, 4) for _ in range(100)]
+    compared = 0
+    for pres in presentations:
+        if not is_one_gorenstein(pres).verdict:
+            continue
+        got = [(c.arrows, c.n, c.r, c.members) for c in relation_cycles(pres)]
+        assert got == relation_cycles_reference(pres), presentation_to_text(pres)
+        compared += 1
+    assert compared >= 200, compared
+
+
+def test_relation_cycles_read_each_arrow_a_bounded_number_of_times(monkeypatch):
+    # Z_400 R_5 has one cycle of 400 arrows met by 10 successor cycles; the
+    # n-rotation scan read 1,600,400 arrow indices there
+    pres = nakayama(400, 5)
+    calls = []
+    real = Quiver.arrow_index
+    monkeypatch.setattr(Quiver, "arrow_index", lambda q, a: calls.append(a) or real(q, a))
+    assert [(c.n, c.r) for c in relation_cycles(pres)] == [(400, 5)]
+    assert len(calls) <= 20 * 400, len(calls)
+
+
+def test_self_injective_nakayama_singularity_categories():
+    # kZ_n/J^m is self-injective with one relation cycle of n arrows and
+    # relation length m, so D_sg is D^b(A_{m-1})/tau^n
+    cases = [(n, m) for m in range(2, 9) for n in range(1, 65)] + [(800, 4), (6400, 2)]
+    for n, m in cases:
+        got = [(d.rank, d.period) for d in singularity_decomposition(nakayama(n, m))]
+        assert got == [(m - 1, n)], (n, m)

@@ -366,6 +366,25 @@ def test_trace_report_resolves_each_summand_once(monkeypatch):
     assert noncyclic == 8
 
 
+def test_profile_and_trace_report_share_each_resolution(monkeypatch):
+    # the profile and then the trace report resolve each non-cyclic summand
+    # once between them, also past a side the profile cut short at infinity
+    from monosing.oracle import _injective_summand_key, resolution_trace_report
+
+    resolved = counting(monkeypatch, "resolve")
+    counts = {}
+    for name, pres in [(name, load(name)) for name in ("lin", "glu", "loc1")] + \
+            [("heavy", heavy_draw())]:
+        resolved.clear()
+        injective_dimension_profile(pres)
+        resolution_trace_report(pres)
+        want = [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
+                if _injective_summand_key(pr, v) is None]
+        assert [args[0].pres for args in resolved] == [pr for pr, _ in want], name
+        counts[name] = len(resolved)
+    assert counts["heavy"] == 11 and sum(counts.values()) == 19, counts
+
+
 def test_trace_report_matches_the_dense_steps():
     # past the split the report counts class multisets; a dense resolution
     # to the same depth must give the same ranks and syzygy dimensions
