@@ -107,7 +107,7 @@ def relation_cycles(pres):
             f"not 1-Gorenstein: relation {f} factors as ({p})({q}) with {p} not perfect"
         )
     graph = perfect_paths(pres)
-    key = pres.quiver.sort_key
+    key = pres.basis().rank.__getitem__
     grouped = {}  # canonical primitive word -> dict(r=, members=set())
     for cyc in graph.cycles:
         word = tuple(a for p in cyc for a in p.arrows)
@@ -289,8 +289,8 @@ def gorenstein_to_json(pres):
         # list; the cycles are disjoint, so a cycle's first member names it
         rendered = {}
         out["witness"] = {}
-        for p, cyc in sorted(verdict.witnesses.items(),
-                             key=lambda kv: pres.quiver.sort_key(kv[0])):
+        rank = pres.basis().rank
+        for p, cyc in sorted(verdict.witnesses.items(), key=lambda kv: rank[kv[0]]):
             if cyc[0] not in rendered:
                 rendered[cyc[0]] = [str(x) for x in cyc]
             out["witness"][str(p)] = rendered[cyc[0]]

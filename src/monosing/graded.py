@@ -131,7 +131,7 @@ def type_a_quiver(pres):
     if not verdict:
         raise NotOneGorenstein("the type-A quiver needs a 1-Gorenstein presentation")
     graph = perfect_paths(pres)
-    key = pres.quiver.sort_key
+    key = pres.basis().rank.__getitem__
     groups = {}
     for p in sorted(graph.perfect_set(), key=key):
         groups.setdefault(p.arrows[0], []).append(p)

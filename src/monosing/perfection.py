@@ -43,11 +43,11 @@ def annihilator_minimal(pres, p, side):
         raise TrivialPath(f"{p} is trivial")
     if not pres.is_nonzero(p):
         raise ZeroPath(f"{p} is zero in the algebra")
-    pres.basis()  # raises InfiniteDimensional, as every basis-backed query does
+    rank = pres.basis().rank  # raises InfiniteDimensional, as every basis-backed query does
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     paths = [pres.quiver.subword_path(q) for q in _minimal_halves(pres, p.arrows, side)]
-    paths.sort(key=pres.quiver.sort_key)
+    paths.sort(key=rank.__getitem__)
     return paths
 
 
@@ -92,14 +92,14 @@ def perfect_pairs(pres):
     and p, right-minimal in L(q), equals it.  Both halves of a split are
     nonzero and nontrivial, so R and L are read off with no path checks.
     """
-    pres.basis()  # raises InfiniteDimensional, also when there is no relation
+    rank = pres.basis().rank  # raises InfiniteDimensional, also when there is no relation
     quiver = pres.quiver
     pairs = []
     for p in _relation_splits(pres)["right"]:
         r = _minimal_halves(pres, p, "right")
         if len(r) == 1 and _minimal_halves(pres, r[0], "left") == [p]:
             pairs.append((quiver.subword_path(p), quiver.subword_path(r[0])))
-    pairs.sort(key=lambda pair: quiver.sort_key(pair[0]))
+    pairs.sort(key=lambda pair: rank[pair[0]])
     seen_left = set()
     seen_right = set()
     for p, q in pairs:
@@ -134,7 +134,7 @@ def perfect_paths(pres):
     """The PerfectPairGraph; perfect paths are the successor-cycle members."""
     pairs = perfect_pairs(pres)
     successor = {p: q for p, q in pairs}
-    key = pres.quiver.sort_key
+    key = pres.basis().rank.__getitem__
     cycles = [_rotate_to_least(c, key)
               for c in successor_cycles(sorted(successor, key=key), successor)]
     cycles.sort(key=lambda c: key(c[0]))
@@ -147,17 +147,28 @@ def _rotate_to_least(cycle, key):
 
 
 class GpModuleDescriptor:
-    """The cyclic module over a perfect path: generator, dimension vector,
-    top, and its sorted basis, built when ``basis`` is first read."""
+    """The cyclic module over a perfect path: generator, the nonzero entries
+    of its dimension vector, top, and its sorted basis and full dimension
+    vector, each built when first read."""
 
     def __init__(self, pres, generator):
         self.generator = generator  # Path
         self._pres = pres
         # one basis path q'p per word q' of p's survivor key, at t(q')
         target = pres.quiver.target
-        self.dim_vector = dict.fromkeys(pres.quiver.vertices, 0)
+        counts = {}
         for w in pres.survivor_key(generator)[1]:
-            self.dim_vector[target(w[0]) if w else generator.target] += 1
+            v = target(w[0]) if w else generator.target
+            counts[v] = counts.get(v, 0) + 1
+        # the nonzero entries of the dimension vector, in vertex order
+        self.nonzero_dims = {v: counts[v] for v in sorted(counts, key=pres.quiver.vertex_index)}
+
+    @functools.cached_property
+    def dim_vector(self):
+        """The dimension vector over every vertex, in vertex order."""
+        vec = self._pres.quiver.zero_dims()
+        vec.update(self.nonzero_dims)
+        return vec
 
     @functools.cached_property
     def basis(self):
@@ -169,7 +180,7 @@ class GpModuleDescriptor:
 
     @property
     def total_dimension(self):
-        return sum(self.dim_vector.values())
+        return sum(self.nonzero_dims.values())
 
 
 def classify_stable_gproj(pres):
@@ -180,7 +191,7 @@ def classify_stable_gproj(pres):
     """
     graph = perfect_paths(pres)
     out = []
-    for p in sorted(graph.perfect_set(), key=pres.quiver.sort_key):
+    for p in sorted(graph.perfect_set(), key=pres.basis().rank.__getitem__):
         if pres.key_is_projective(pres.survivor_key(p)):
             raise InternalInvariantViolation(f"perfect path {p} generates a projective module")
         out.append(GpModuleDescriptor(pres, p))
@@ -201,7 +212,7 @@ def perfection_to_json(pres):
         "gp_modules": [
             {
                 "generator": str(d.generator),
-                "dim_vector": {v: n for v, n in d.dim_vector.items() if n},
+                "dim_vector": dict(d.nonzero_dims),
                 "basis": [str(q) for q in d.basis],
                 "top": d.top_vertex,
             }

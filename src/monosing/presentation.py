@@ -6,13 +6,28 @@ last arrow traversed and ``arrows[-1]`` the first.  The file format and all
 human-facing output list arrows in traversal order (first-traversed first);
 ``Path.traversal`` is that reversed view.  Concatenation ``p * q`` is defined
 when s(p) = t(q) and simply joins the words.
+
+A ``Path`` is a ``typing.NamedTuple``, so hashing, equality and construction
+run in C.  Being a tuple, it also takes ``len()`` (always 3) and sorts as a
+tuple: use ``p.length`` for its length, and sort paths only with a key, which
+for nonzero paths is ``basis().rank`` and for the zero paths of F is
+``Quiver.sort_key``.
+
+The relation automaton follows Aho–Corasick failure links, with one memoized
+transition per (prefix, arrow).  ``basis()`` walks it level by level: the
+trivial paths in vertex order, the arrows in arrow order, then each level's
+paths extended in order along their states' edges, which are in arrow order.
+That is the canonical order, so the basis is never sorted, and
+``PathBasis.rank`` gives each nonzero path's position in it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateIdentifier,
@@ -68,8 +83,7 @@ class Arrow:
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """An arrow word in composition order, or a trivial path at a vertex."""
 
     arrows: tuple  # tuple of arrow names, composition order
@@ -117,6 +131,7 @@ class Quiver:
                 raise UnknownVertex(f"arrow {a.name!r} has undeclared target {a.target!r}")
             self.arrow_by_name[a.name] = a
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self._zero_dims = dict.fromkeys(self.vertices, 0)
         self._arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
         self.arrows_from = {v: [] for v in self.vertices}
         self.arrows_into = {v: [] for v in self.vertices}
@@ -171,6 +186,10 @@ class Quiver:
 
     def vertex_index(self, v):
         return self._vertex_index[v]
+
+    def zero_dims(self):
+        """A new dict sending every vertex to 0, in vertex order."""
+        return self._zero_dims.copy()
 
     def arrow_index(self, name):
         return self._arrow_index[name]
@@ -240,9 +259,44 @@ class MonomialPresentation:
         one that begins a relation, so there are at most sum(|f| - 1) + |Q_0|
         states.  Each nonzero path from v is one walk from ``((), v)``; the
         algebra is finite-dimensional iff the automaton is acyclic.
+
+        Each transition is computed once per (prefix, arrow), down the
+        failure links: ``(a,) + u`` is dropped if it lies in F, kept if it
+        begins a relation, and otherwise ``a`` is read from the failure of
+        ``u``, its longest proper final factor that begins a relation.  This
+        is exact because F is minimal: a word that begins a relation has no
+        final factor in F, so no shorter factor can drop a kept arrow.
         """
+        forbidden = self._forbidden
         # the proper traversal-order prefixes of F: composition-order tails
         prefixes = {f.arrows[k:] for f in self.minimal for k in range(1, f.length)}
+        goto = {}  # (u, arrow name) -> next prefix, or None when a relation ends
+
+        def step(u, a):
+            chain = []
+            while True:
+                nxt = goto.get((u, a), _MISSING)
+                if nxt is not _MISSING:
+                    break
+                chain.append((u, a))
+                w = (a,) + u
+                if w in forbidden:
+                    nxt = None
+                    break
+                if w in prefixes:
+                    nxt = w
+                    break
+                if not u:
+                    nxt = ()
+                    break
+                u = failure[u]
+            for key in chain:
+                goto[key] = nxt
+            return nxt
+
+        failure = {}  # u -> its longest proper final factor that begins a relation
+        for u in sorted(prefixes, key=len):
+            failure[u] = step(failure[u[1:]], u[0]) if len(u) > 1 else ()
         frontier = [((), v) for v in self.quiver.vertices]
         states = set(frontier)
         edges = {}
@@ -251,10 +305,10 @@ class MonomialPresentation:
             word, end = state
             out = edges[state] = []
             for a in self.quiver.arrows_from[end]:
-                heads = [(a.name,) + word[:k] for k in range(len(word), -1, -1)]
-                if not self._forbidden.isdisjoint(heads):
+                nxt = step(word, a.name)
+                if nxt is None:
                     continue
-                nxt = (next((h for h in heads if h in prefixes), ()), a.target)
+                nxt = (nxt, a.target)
                 out.append((a.name, nxt))
                 if nxt not in states:
                     states.add(nxt)
@@ -272,7 +326,13 @@ class MonomialPresentation:
 
     @memoized
     def basis(self):
-        """The PathBasis of all nonzero paths; raises InfiniteDimensional."""
+        """The PathBasis of all nonzero paths; raises InfiniteDimensional.
+
+        The paths are walked out level by level in canonical order: the
+        trivial paths in vertex order, the arrows in arrow order, and then
+        each level's paths in order, each extended along its state's edges,
+        which the automaton lists in arrow order.
+        """
         cyc = self.automaton_cycle()
         if cyc is not None:
             word = "·".join(cyc)
@@ -281,15 +341,15 @@ class MonomialPresentation:
                 witness=cyc,
             )
         _, edges = self.automaton()
-        paths = []
-        frontier = [(self.quiver.trivial_path(v), ((), v)) for v in self.quiver.vertices]
-        while frontier:
-            p, state = frontier.pop()
-            paths.append(p)
-            for name, nxt in edges[state]:
-                frontier.append((Path((name,) + p.arrows, p.source, nxt[1]), nxt))
-        paths.sort(key=self.quiver.sort_key)
-        return PathBasis(self, paths)
+        q = self.quiver
+        levels = [[q.trivial_path(v) for v in q.vertices]]
+        after = {name: nxt for v in q.vertices for name, nxt in edges[((), v)]}
+        level = [(Path((a.name,), a.source, a.target), after[a.name]) for a in q.arrows]
+        while level:
+            levels.append([p for p, _ in level])
+            level = [(Path((name,) + p.arrows, p.source, nxt[1]), nxt)
+                     for p, state in level for name, nxt in edges[state]]
+        return PathBasis(self, levels)
 
     def dimension(self):
         return self.basis().dimension
@@ -302,8 +362,8 @@ class MonomialPresentation:
         _, words = self.survivor_key(p)
         target = self.quiver.target
         out = [Path(w + p.arrows, p.source, target(w[0])) if w else p for w in words]
-        out.sort(key=self.quiver.sort_key)
-        vec = {v: 0 for v in self.quiver.vertices}
+        out.sort(key=self.basis().rank.__getitem__)
+        vec = self.quiver.zero_dims()
         for q in out:
             vec[q.target] += 1
         return out, vec
@@ -454,19 +514,20 @@ def minimal_relations(pres):
 
 class PathBasis:
     """All nonzero paths, canonically ordered, with source/target/length
-    indexes; each index lists its paths in basis order."""
+    indexes; each index lists its paths in basis order, and ``rank`` maps
+    each path to its position.  ``levels[k]`` lists the paths of length k."""
 
-    def __init__(self, pres, paths):
+    def __init__(self, pres, levels):
         self.pres = pres
-        self.paths = tuple(paths)
-        self.dimension = len(paths)
+        self.paths = tuple(itertools.chain.from_iterable(levels))
+        self.dimension = len(self.paths)
+        self.rank = dict(zip(self.paths, range(self.dimension)))
+        self._by_length = dict(enumerate(levels))
         self._by_source = {}
         self._by_target = {}
-        self._by_length = {}
         for p in self.paths:
             self._by_source.setdefault(p.source, []).append(p)
             self._by_target.setdefault(p.target, []).append(p)
-            self._by_length.setdefault(p.length, []).append(p)
 
     def from_vertex(self, v):
         return self._by_source.get(v, [])
@@ -479,7 +540,8 @@ class PathBasis:
         return self._by_length.get(k, [])
 
     def nontrivial(self):
-        return [p for p in self.paths if not p.is_trivial]
+        """The paths of positive length: all but the leading trivial ones."""
+        return list(self.paths[len(self._by_length[0]):])
 
     def max_length(self):
         return max(self._by_length, default=0)

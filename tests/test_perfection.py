@@ -129,7 +129,8 @@ def test_classify_z2r3_dim_vectors(z2r3):
 def test_descriptors_build_their_basis_only_when_read(monkeypatch):
     # the crosscheck reads each descriptor's generator and dimension vector,
     # which counts the survivor key's words by target vertex; the sorted
-    # Path basis is built on first read, as the gproj report reads it
+    # Path basis is built on first read, as the gproj report reads it, and
+    # so is the dimension vector over every vertex
     from monosing.oracle import crosscheck_classification, injective_dimension_profile
     from monosing.presentation import MonomialPresentation
 
@@ -145,6 +146,10 @@ def test_descriptors_build_their_basis_only_when_read(monkeypatch):
         assert len(calls) == checked
         for d in classify_stable_gproj(pres):
             basis, vec = real(pres, d.generator)
+            # the report reads the nonzero entries; the full vector is built on first read
+            nonzero = {v: n for v, n in vec.items() if n}
+            assert d.nonzero_dims == nonzero and list(d.nonzero_dims) == list(nonzero)
+            assert "dim_vector" not in vars(d)
             assert d.dim_vector == vec and list(d.dim_vector) == list(vec)
             assert d.basis == basis and d.basis is d.basis
             checked += 1

@@ -16,6 +16,7 @@ from monosing.presentation import (
     MonomialPresentation,
     Path,
     Quiver,
+    find_cycle,
     memoized,
     minimal_relations,
     parse_presentation,
@@ -531,3 +532,116 @@ def test_sort_key_matches_the_traversal_reference():
                 assert q.sort_key(p) == sort_key_reference(q, p), str(p)
                 checked += 1
     assert checked > 3000, checked
+
+
+def automaton_reference(pres):
+    """The relation automaton by a heads scan: for each state and arrow, every
+    final factor of the new word is tested against F and against the
+    relation prefixes, longest first."""
+    prefixes = {f.arrows[k:] for f in pres.minimal for k in range(1, f.length)}
+    forbidden = {f.arrows for f in pres.minimal}
+    frontier = [((), v) for v in pres.quiver.vertices]
+    states = set(frontier)
+    edges = {}
+    while frontier:
+        state = frontier.pop()
+        word, end = state
+        out = edges[state] = []
+        for a in pres.quiver.arrows_from[end]:
+            heads = [(a.name,) + word[:k] for k in range(len(word), -1, -1)]
+            if not forbidden.isdisjoint(heads):
+                continue
+            nxt = (next((h for h in heads if h in prefixes), ()), a.target)
+            out.append((a.name, nxt))
+            if nxt not in states:
+                states.add(nxt)
+                frontier.append(nxt)
+    return states, edges
+
+
+def basis_walk_reference(pres, edges):
+    """The nonzero paths by a depth-first walk of the automaton's edges,
+    sorted by Quiver.sort_key."""
+    paths = []
+    frontier = [(pres.quiver.trivial_path(v), ((), v)) for v in pres.quiver.vertices]
+    while frontier:
+        p, state = frontier.pop()
+        paths.append(p)
+        for name, nxt in edges[state]:
+            frontier.append((Path((name,) + p.arrows, p.source, nxt[1]), nxt))
+    return sorted(paths, key=pres.quiver.sort_key)
+
+
+class CountingSet(set):
+    """A set that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, item):
+        self.lookups += 1
+        return super().__contains__(item)
+
+
+def core_corpus(require_finite=True):
+    from conftest import nakayama
+    from monosing.corpus import random_gentle_presentation, seeded_rng
+
+    rng = seeded_rng()
+    presentations = [random_presentation(rng, require_finite=require_finite)
+                     for _ in range(150)]
+    presentations += [random_gentle_presentation(rng) for _ in range(50)]
+    presentations += [nakayama(n, m) for m in range(2, 8) for n in range(1, 30)]
+    return presentations
+
+
+def test_automaton_and_basis_match_the_heads_scan_and_sort_references():
+    checked = infinite = 0
+    for pres in core_corpus(require_finite=False):
+        for pr in (pres, pres.opposite()):
+            # each transition tests one word against F
+            pr._forbidden = CountingSet(pr._forbidden)
+            states, edges = pr.automaton()
+            ref_states, ref_edges = automaton_reference(pr)
+            assert states == ref_states, presentation_to_text(pr)
+            assert edges == ref_edges, presentation_to_text(pr)
+            pairs = sum(len(pr.quiver.arrows_from[end]) for _, end in states)
+            assert pr._forbidden.lookups <= sum(f.length for f in pr.minimal) + pairs
+            if pr.automaton_cycle() is not None:
+                infinite += 1
+                continue
+            basis = pr.basis()
+            assert basis.paths == tuple(basis_walk_reference(pr, ref_edges))
+            assert basis.nontrivial() == [p for p in basis if not p.is_trivial]
+            assert [basis.of_length(k) for k in range(basis.max_length() + 1)] == [
+                [p for p in basis if p.length == k] for k in range(basis.max_length() + 1)]
+            checked += 1
+    assert checked > 500 and infinite > 20, (checked, infinite)
+
+
+def test_a_long_relation_on_five_loops_is_refused_with_the_same_witness():
+    a10 = one_relation_on_loops("abcde", "a" * 10)
+    for pr in (a10, a10.opposite()):
+        _, ref_edges = automaton_reference(pr)
+        ref_cycle, _ = find_cycle([((), "1")], ref_edges.__getitem__)
+        assert pr.automaton_cycle() == tuple(ref_cycle) == ("a",) * 9 + ("b",)
+        with pytest.raises(InfiniteDimensional) as exc:
+            pr.basis()
+        assert exc.value.witness == tuple(ref_cycle)
+
+
+def test_path_is_a_tuple_ordered_by_basis_rank():
+    p = Path(("b", "a"), "1", "3")
+    assert repr(p) == "Path(arrows=('b', 'a'), source='1', target='3')"
+    assert str(p) == "a·b" and p.length == 2 and p.traversal == ("a", "b")
+    assert hash(p) == hash((p.arrows, p.source, p.target))
+    assert str(Path((), "2", "2")) == "e_2"
+    checked = 0
+    for pres in core_corpus():
+        for pr in (pres, pres.opposite()):
+            basis = pr.basis()
+            shuffled = random.Random(checked).sample(basis.paths, basis.dimension)
+            assert sorted(shuffled, key=basis.rank.__getitem__) == sorted(
+                shuffled, key=pr.quiver.sort_key) == list(basis)
+            assert list(basis.rank.values()) == list(range(basis.dimension))
+            checked += basis.dimension
+    assert checked > 10000, checked
