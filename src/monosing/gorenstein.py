@@ -47,8 +47,8 @@ def is_one_gorenstein(pres):
     for f in sorted(pres.minimal, key=pres.quiver.sort_key):
         for i in range(1, f.length):
             p = pres.quiver.subword_path(f.arrows[:i])
-            q = pres.quiver.subword_path(f.arrows[i:])
             if p not in perfect:
+                q = pres.quiver.subword_path(f.arrows[i:])
                 verdict = OneGorensteinVerdict(False, failing=(f, p, q))
                 break
             witnesses[p] = graph.cycle_of(p)

@@ -16,10 +16,28 @@ such a right half w[k:], and R(p) is the set of those halves with no proper
 left factor among them.  L(p) is the mirror image: the left halves w[:k]
 whose right half is a head of p, with no proper right factor among them.
 
+One table per presentation holds R for every left half of the splits and L
+for every right half, built in order of word length by the failure
+recursion of Aho and Corasick (CACM 18, 1975).  The failure fail(p) of a
+left half p is its longest proper tail that is itself a left half; every
+shorter such tail is a tail of fail(p), so the candidates of p are its own
+halves right[p] and those of fail(p), and
+
+    R(p) = right[p] ∪ {y in R(fail p) : no member of right[p] is a head of y}.
+
+Own halves are never dropped: if x = w[k:] with w = p x in F had a proper
+head x' among the candidates, the relation s x' with s a tail of p would
+be a proper factor of w, against the minimality of F.  A candidate of
+fail(p) that is not in R(fail p) has a proper head there, so it stays out.
+L mirrors the rule with heads and tails swapped.  Any nonzero nontrivial p
+has the candidates of its longest tail that is a left half, so R(p) is read
+at that key, and is empty when p has no such tail.
+
 A pair (p, q) is perfect when both are nontrivial, pq = 0, R(p) = {q} and
-L(q) = {p}; ``perfect_pairs`` tests this on the arrow words of the splits.  The partial successor map p -> q is then injective in both
-directions and its cycles are exactly the perfect paths; the module over the
-cyclic generator classifies the stable Gorenstein projectives.
+L(q) = {p}; ``perfect_pairs`` reads the singletons off the table.  The
+partial successor map p -> q is then injective in both directions and its
+cycles are exactly the perfect paths; the module over the cyclic generator
+classifies the stable Gorenstein projectives.
 """
 
 from __future__ import annotations
@@ -34,10 +52,11 @@ from .presentation import memoized, successor_cycles
 def annihilator_minimal(pres, p, side):
     """L(p) (side="left") or R(p) (side="right"), canonically sorted.
 
-    Read off the relation splits: the candidates for R(p) are the right
-    halves w[k:] whose left half w[:k] is a tail of p's word, and a candidate
-    is dropped when one of its proper left factors is also a candidate.  L(p)
-    is the mirror image.
+    Every candidate for R(p) comes from a tail of p's word that is a left
+    half of a relation split, and each such tail is a tail of the longest
+    one, so R(p) is the table's entry at p's longest tail that is a left
+    half, and empty when there is none.  L(p) is the mirror image, at the
+    longest head of p that is a right half.
     """
     if p.is_trivial:
         raise TrivialPath(f"{p} is trivial")
@@ -46,25 +65,20 @@ def annihilator_minimal(pres, p, side):
     rank = pres.basis().rank  # raises InfiniteDimensional, as every basis-backed query does
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    paths = [pres.quiver.subword_path(q) for q in _minimal_halves(pres, p.arrows, side)]
+    table = _minimal_halves_table(pres)[side]
+    word = p.arrows
+    halves = ()
+    for k in range(len(word), 0, -1):
+        # the part of the word a straddling relation covers: a tail for R, a head for L
+        hit = table.get(word[-k:] if side == "right" else word[:k])
+        if hit is not None:
+            halves = hit
+            break
+    paths = [pres.quiver.subword_path(q) for q in halves]
     paths.sort(key=rank.__getitem__)
     return paths
 
 
-def _minimal_halves(pres, word, side):
-    """R (side="right") or L of a nonzero ``word``, as unsorted arrow words."""
-    far_half = _relation_splits(pres)[side]
-    cands = set()
-    for k in range(1, len(word) + 1):
-        # the part of the word a straddling relation covers: a tail for R, a head for L
-        near = word[-k:] if side == "right" else word[:k]
-        cands.update(far_half.get(near, ()))
-    if side == "right":
-        return [q for q in cands if not any(q[:i] in cands for i in range(1, len(q)))]
-    return [q for q in cands if not any(q[i:] in cands for i in range(1, len(q)))]
-
-
-@memoized
 def _relation_splits(pres):
     """Both halves of every split w = w[:k] w[k:] of every minimal relation.
 
@@ -82,6 +96,45 @@ def _relation_splits(pres):
 
 
 @memoized
+def _minimal_halves_table(pres):
+    """R of every left half and L of every right half of the relation splits.
+
+    ``["right"]`` maps each left half p to R(p) and ``["left"]`` each right
+    half q to L(q), as unsorted arrow words: the split index of
+    ``_relation_splits``, with each entry replaced in order of word length
+    by the failure recursion of the module docstring.
+    """
+    splits = _relation_splits(pres)
+    for side, index in splits.items():
+        _minimize(index, side == "right")
+    return splits
+
+
+def _minimize(index, right):
+    """Replace each entry of a split index by its minimal halves, in place.
+
+    With ``right`` the index maps left halves and its entries become R,
+    otherwise it maps right halves and they become L.  Keys are taken in order
+    of length, so a key's failure, its longest proper tail (for R) or head
+    (for L) that is a key, has its entry already minimal; the key keeps its
+    own halves and every inherited one of which no own half is a head (for
+    R) or tail (for L).
+    """
+    for word, own in sorted(index.items(), key=lambda item: len(item[0])):
+        inherited = None
+        for i in range(1, len(word)):
+            inherited = index.get(word[i:] if right else word[:-i])
+            if inherited is not None:
+                break
+        if inherited:
+            if right:
+                own = own + [y for y in inherited if all(y[:len(x)] != x for x in own)]
+            else:
+                own = own + [y for y in inherited if all(y[-len(x):] != x for x in own)]
+        index[word] = own
+
+
+@memoized
 def perfect_pairs(pres):
     """All perfect pairs (p, q), canonically sorted by p.
 
@@ -90,14 +143,16 @@ def perfect_pairs(pres):
     minimal relation: q lies in R(p), so some split w = w[:k] q has w[:k] a
     tail of p; w[:k] is then a candidate for L(q) and a right factor of p,
     and p, right-minimal in L(q), equals it.  Both halves of a split are
-    nonzero and nontrivial, so R and L are read off with no path checks.
+    nonzero and nontrivial, so R and L are read off the table with no path
+    checks, and a singleton R(p) = {q} is a right half, so L(q) is in it.
     """
     rank = pres.basis().rank  # raises InfiniteDimensional, also when there is no relation
     quiver = pres.quiver
+    table = _minimal_halves_table(pres)
+    lefts = table["left"]
     pairs = []
-    for p in _relation_splits(pres)["right"]:
-        r = _minimal_halves(pres, p, "right")
-        if len(r) == 1 and _minimal_halves(pres, r[0], "left") == [p]:
+    for p, r in table["right"].items():
+        if len(r) == 1 and lefts[r[0]] == [p]:
             pairs.append((quiver.subword_path(p), quiver.subword_path(r[0])))
     pairs.sort(key=lambda pair: rank[pair[0]])
     seen_left = set()

@@ -14,11 +14,19 @@ for nonzero paths is ``basis().rank`` and for the zero paths of F is
 ``Quiver.sort_key``.
 
 The relation automaton follows Aho–Corasick failure links, with one memoized
-transition per (prefix, arrow).  ``basis()`` walks it level by level: the
-trivial paths in vertex order, the arrows in arrow order, then each level's
-paths extended in order along their states' edges, which are in arrow order.
-That is the canonical order, so the basis is never sorted, and
-``PathBasis.rank`` gives each nonzero path's position in it.
+transition per (prefix, arrow).  It is built by one walk: ``find_cycle``'s
+depth-first search from the trivial states in vertex order lists each
+state's edges, in arrow order, through its successors callback, and the
+automaton keeps the first cycle that search meets as the refusal witness.
+``basis()`` walks it level by level: the trivial paths in vertex order, the
+arrows in arrow order, then each level's paths extended in order along their
+states' edges, which are in arrow order.  That is the canonical order, so
+the basis is never sorted, and ``PathBasis.rank`` gives each nonzero path's
+position in it.
+
+``dumps_json(obj)`` is ``json.dumps(obj, indent=2) + "\n"`` byte for byte,
+with every string encoded by json's C encoder; it raises TypeError on what
+``json`` rejects.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -266,6 +275,11 @@ class MonomialPresentation:
         ``u``, its longest proper final factor that begins a relation.  This
         is exact because F is minimal: a word that begins a relation has no
         final factor in F, so no shorter factor can drop a kept arrow.
+
+        Returns ``(states, edges, cycle)``.  ``find_cycle``'s search from the
+        trivial states in vertex order lists each state's edges, in arrow
+        order, once, through its successors callback; ``cycle`` is the first
+        cycle it meets as a traversal-order arrow word, or None.
         """
         forbidden = self._forbidden
         # the proper traversal-order prefixes of F: composition-order tails
@@ -297,29 +311,24 @@ class MonomialPresentation:
         failure = {}  # u -> its longest proper final factor that begins a relation
         for u in sorted(prefixes, key=len):
             failure[u] = step(failure[u[1:]], u[0]) if len(u) > 1 else ()
-        frontier = [((), v) for v in self.quiver.vertices]
-        states = set(frontier)
+        arrows_from = self.quiver.arrows_from
         edges = {}
-        while frontier:
-            state = frontier.pop()
+
+        def successors(state):
             word, end = state
             out = edges[state] = []
-            for a in self.quiver.arrows_from[end]:
+            for a in arrows_from[end]:
                 nxt = step(word, a.name)
-                if nxt is None:
-                    continue
-                nxt = (nxt, a.target)
-                out.append((a.name, nxt))
-                if nxt not in states:
-                    states.add(nxt)
-                    frontier.append(nxt)
-        return states, edges
+                if nxt is not None:
+                    out.append((a.name, (nxt, a.target)))
+            return out
+
+        cycle, _ = find_cycle([((), v) for v in self.quiver.vertices], successors)
+        return set(edges), edges, None if cycle is None else tuple(cycle)
 
     def automaton_cycle(self):
         """A reachable automaton cycle as a traversal-order arrow word, or None."""
-        _, edges = self.automaton()
-        cycle, _ = find_cycle([((), v) for v in self.quiver.vertices], edges.__getitem__)
-        return None if cycle is None else tuple(cycle)
+        return self.automaton()[2]
 
     def is_finite_dimensional(self):
         return self.automaton_cycle() is None
@@ -340,7 +349,7 @@ class MonomialPresentation:
                 f"nonzero paths of unbounded length: the arrow cycle {word} can be pumped",
                 witness=cyc,
             )
-        _, edges = self.automaton()
+        _, edges, _ = self.automaton()
         q = self.quiver
         levels = [[q.trivial_path(v) for v in q.vertices]]
         after = {name: nxt for v in q.vertices for name, nxt in edges[((), v)]}
@@ -426,14 +435,17 @@ class MonomialPresentation:
 def find_cycle(roots, successors):
     """Depth-first search from ``roots`` in order; returns (cycle, finished).
 
-    ``successors(node)`` lists ``(label, next node)`` pairs.  ``cycle`` is the
+    ``successors(node)`` lists ``(label, next node)`` pairs and is called
+    once per node reached, when the search enters it.  ``cycle`` is the
     label list of the first cycle met (from the node it closes on), or None;
-    ``finished`` lists the nodes whose search ended, each after all of its
-    successors, so without a cycle it is a reverse topological order.  The
-    search keeps its own stack, so its depth is not bounded by recursion.
+    the search still runs to the end, so ``finished`` lists every node
+    reached, each after all of its successors, and without a cycle it is a
+    reverse topological order.  The search keeps its own stack, so its
+    depth is not bounded by recursion.
     """
     pos = {}  # node -> stack position while on the stack, None once finished
     finished = []
+    cycle = None
     for root in roots:
         if root in pos:
             continue
@@ -443,20 +455,21 @@ def find_cycle(roots, successors):
         while stack:
             node, it = stack[-1]
             for label, nxt in it:
-                if nxt not in pos:
+                at = pos.get(nxt, _MISSING)
+                if at is _MISSING:
                     pos[nxt] = len(stack)
                     stack.append((nxt, iter(successors(nxt))))
                     trail.append(label)
                     break
-                if pos[nxt] is not None:
-                    return trail[pos[nxt]:] + [label], finished
+                if at is not None and cycle is None:
+                    cycle = trail[at:] + [label]
             else:
                 pos[node] = None
                 finished.append(node)
                 stack.pop()
                 if trail:
                     trail.pop()
-    return None, finished
+    return cycle, finished
 
 
 def successor_cycles(starts, successor):
@@ -626,5 +639,63 @@ def presentation_to_text(pres):
     return "\n".join(lines) + "\n"
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dumps_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, with every string encoded in C.
+
+    The indent sends ``json`` to its pure-Python encoder; this writes the
+    same bytes with ``encode_basestring_ascii``, and a list made only of
+    strings with one ``join``.  A value that ``json`` would reject raises
+    TypeError; a self-containing value is not detected.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, newline):
+    """One JSON value at indent 2; ``newline`` starts the value's own line."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_encode_str, obj))
+        except TypeError:  # not a list made only of strings
+            body = ("," + inner).join([_encode(x, inner) for x in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(_key(k)) + ": " + _encode(v, inner) for k, v in obj.items()]
+        ) + newline + "}"
+    return _scalar(obj)
+
+
+def _scalar(obj):
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _key(key):
+    """A dict key as json writes it: a string, or a scalar's JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -12,9 +12,22 @@ import monosing
 from monosing.cli import main
 from monosing.corpus import DEFAULT_SEED, random_presentation
 from monosing.oracle import injective_dimension_profile, resolution_trace_report
-from monosing.presentation import parse_presentation, parse_presentation_file
+from monosing.presentation import dumps_json, parse_presentation, parse_presentation_file
 
 from conftest import FIXTURE_NAMES, fixture_path
+
+
+@pytest.fixture(autouse=True)
+def reports_are_written_as_json_writes_them(monkeypatch):
+    # every report a CLI test renders has the bytes of json.dumps at indent 2
+    import monosing.cli
+
+    def checked(data):
+        out = dumps_json(data)
+        assert out == json.dumps(data, indent=2) + "\n"
+        return out
+
+    monkeypatch.setattr(monosing.cli, "dumps_json", checked)
 
 
 def run(capsys, *argv):

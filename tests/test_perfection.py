@@ -6,6 +6,7 @@ from monosing.corpus import random_gentle_presentation, random_presentation
 from monosing.errors import TrivialPath, ZeroPath
 from monosing.oracle import path_module_rep, stable_hom_dim, syzygy_rep
 from monosing.oracle import _iso_witness
+from monosing import perfection
 from monosing.perfection import (
     annihilator_minimal,
     classify_stable_gproj,
@@ -266,3 +267,89 @@ def test_perfect_pairs_match_the_all_paths_scan():
         assert pairs == reference_perfect_pairs(pres), pres.quiver.vertices
         found += len(pairs)
     assert found > 400, found
+
+
+# -- the table of minimal halves against the per-word rule -------------------------
+
+
+def splits_reference(pres):
+    """``[side]``: each half of a relation split mapped to its other halves."""
+    right, left = {}, {}
+    for f in pres.minimal:
+        w = f.arrows
+        for k in range(1, len(w)):
+            right.setdefault(w[:k], []).append(w[k:])
+            left.setdefault(w[k:], []).append(w[:k])
+    return {"right": right, "left": left}
+
+
+def minimal_halves_reference(splits, word, side):
+    """R (side="right") or L of a nonzero ``word`` by the per-word rule:
+    gather the halves at every tail (head) of the word, then drop each one
+    with a proper head (tail) among them."""
+    far_half = splits[side]
+    cands = set()
+    for k in range(1, len(word) + 1):
+        near = word[-k:] if side == "right" else word[:k]
+        cands.update(far_half.get(near, ()))
+    if side == "right":
+        return [q for q in cands if not any(q[:i] in cands for i in range(1, len(q)))]
+    return [q for q in cands if not any(q[i:] in cands for i in range(1, len(q)))]
+
+
+def test_the_halves_table_matches_the_per_word_rule():
+    rng = seeded_rng()
+    inputs = list(annihilator_inputs()) + [nakayama(400, 8)]
+    inputs += [random_presentation(rng, require_finite=False) for _ in range(150)]
+    inputs += [random_presentation(rng, 6, 9, 5, require_finite=False) for _ in range(150)]
+    keys = nontrivial = 0
+    for pres in inputs:
+        splits = splits_reference(pres)
+        table = perfection._minimal_halves_table(pres)
+        for side in ("right", "left"):
+            assert table[side].keys() == splits[side].keys()
+            for word, halves in table[side].items():
+                want = minimal_halves_reference(splits, word, side)
+                assert len(halves) == len(set(halves)) and set(halves) == set(want), (word, side)
+                keys += 1
+                nontrivial += len(want) > 1
+    assert keys > 10000 and nontrivial > 500, (keys, nontrivial)
+
+
+class ProbeCountingDict(dict):
+    """A dict that counts its key lookups (not its iteration or stores)."""
+
+    def __init__(self, items, probes):
+        super().__init__(items)
+        self.probes = probes
+
+    def __getitem__(self, key):
+        self.probes[0] += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes[0] += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.probes[0] += 1
+        return super().get(key, default)
+
+
+def test_the_halves_table_probes_each_key_fewer_times_than_its_length(monkeypatch):
+    # the failure of a key of length k is found among its k - 1 proper
+    # tails (heads), and one probe reads its entry, so building both sides
+    # probes the split and table dicts at most sum (|f|-1)(|f|-2)/2 times each
+    probes = {"right": [0], "left": [0]}
+    real = perfection._relation_splits
+    monkeypatch.setattr(perfection, "_relation_splits", lambda pres: {
+        side: ProbeCountingDict(index, probes[side]) for side, index in real(pres).items()})
+    rng = seeded_rng()
+    inputs = [nakayama(400, 8), nakayama(50, 2)] + class_rule_corpus()
+    inputs += [random_presentation(rng, require_finite=False) for _ in range(100)]
+    for pres in inputs:
+        for counter in probes.values():
+            counter[0] = 0
+        perfection._minimal_halves_table(pres)
+        bound = sum((f.length - 1) * (f.length - 2) // 2 for f in pres.minimal)
+        assert probes["right"][0] <= bound and probes["left"][0] <= bound, (probes, bound)

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from monosing.presentation import (
     MonomialPresentation,
     Path,
     Quiver,
+    dumps_json,
     find_cycle,
     memoized,
     minimal_relations,
@@ -362,7 +365,7 @@ def test_automaton_soundness_against_capped_search():
     rng = random.Random(40404)
     for _ in range(25):
         pres = random_presentation(rng, require_finite=False)
-        states, _ = pres.automaton()
+        states, _, _ = pres.automaton()
         long_path = has_nonzero_path_longer_than(pres, len(states))
         assert (pres.automaton_cycle() is not None) == long_path
 
@@ -559,6 +562,32 @@ def automaton_reference(pres):
     return states, edges
 
 
+def first_cycle_reference(roots, edges):
+    """The labels of the first cycle met by a depth-first search over the
+    dict ``edges`` from ``roots`` in order, which stops there; or None."""
+    pos = {}  # node -> stack position while on the stack, None once finished
+    for root in roots:
+        if root in pos:
+            continue
+        pos[root] = 0
+        stack, trail = [(root, iter(edges[root]))], []
+        while stack:
+            _, it = stack[-1]
+            for label, nxt in it:
+                if nxt not in pos:
+                    pos[nxt] = len(stack)
+                    stack.append((nxt, iter(edges[nxt])))
+                    trail.append(label)
+                    break
+                if pos[nxt] is not None:
+                    return trail[pos[nxt]:] + [label]
+            else:
+                pos[stack.pop()[0]] = None
+                if trail:
+                    trail.pop()
+    return None
+
+
 def basis_walk_reference(pres, edges):
     """The nonzero paths by a depth-first walk of the automaton's edges,
     sorted by Quiver.sort_key."""
@@ -600,10 +629,13 @@ def test_automaton_and_basis_match_the_heads_scan_and_sort_references():
         for pr in (pres, pres.opposite()):
             # each transition tests one word against F
             pr._forbidden = CountingSet(pr._forbidden)
-            states, edges = pr.automaton()
+            states, edges, cycle = pr.automaton()
             ref_states, ref_edges = automaton_reference(pr)
             assert states == ref_states, presentation_to_text(pr)
             assert edges == ref_edges, presentation_to_text(pr)
+            roots = [((), v) for v in pr.quiver.vertices]
+            ref_cycle = first_cycle_reference(roots, ref_edges)
+            assert cycle == (None if ref_cycle is None else tuple(ref_cycle)), presentation_to_text(pr)
             pairs = sum(len(pr.quiver.arrows_from[end]) for _, end in states)
             assert pr._forbidden.lookups <= sum(f.length for f in pr.minimal) + pairs
             if pr.automaton_cycle() is not None:
@@ -622,7 +654,7 @@ def test_a_long_relation_on_five_loops_is_refused_with_the_same_witness():
     a10 = one_relation_on_loops("abcde", "a" * 10)
     for pr in (a10, a10.opposite()):
         _, ref_edges = automaton_reference(pr)
-        ref_cycle, _ = find_cycle([((), "1")], ref_edges.__getitem__)
+        ref_cycle = first_cycle_reference([((), "1")], ref_edges)
         assert pr.automaton_cycle() == tuple(ref_cycle) == ("a",) * 9 + ("b",)
         with pytest.raises(InfiniteDimensional) as exc:
             pr.basis()
@@ -645,3 +677,96 @@ def test_path_is_a_tuple_ordered_by_basis_rank():
             assert list(basis.rank.values()) == list(range(basis.dimension))
             checked += basis.dimension
     assert checked > 10000, checked
+
+
+class CountingDict(dict):
+    """A dict that counts the reads of each key."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+
+def test_one_walk_lists_each_automaton_states_out_edges_once(monkeypatch):
+    # the cycle search builds the automaton's edges through its successors
+    # callback, so building the automaton is the one walk over its states:
+    # the finiteness test and the basis read the kept edges and cycle
+    import monosing.presentation as presentation
+
+    expanded = Counter()
+    real = presentation.find_cycle
+
+    def counting(roots, successors):
+        def listed(node):
+            expanded[node] += 1
+            return successors(node)
+        return real(roots, listed)
+
+    monkeypatch.setattr(presentation, "find_cycle", counting)
+    checked = 0
+    for pres in core_corpus():
+        pres._cache.clear()  # the draw tested its finiteness
+        for pr in (pres, pres.opposite()):
+            expanded.clear()
+            reads = Counter()
+            pr.quiver.arrows_from = CountingDict(pr.quiver.arrows_from, reads)
+            states, _, cycle = pr.automaton()
+            assert cycle is None and expanded == Counter(states)
+            assert pr.is_finite_dimensional() and pr.automaton_cycle() is None
+            pr.basis()
+            assert expanded == Counter(states)
+            assert reads == Counter(end for _, end in states)
+            checked += 1
+    assert checked > 500, checked
+
+
+def test_find_cycle_reports_the_first_cycle_and_finishes_every_node():
+    rng = random.Random(5150)
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        succ = {x: [(f"{x}>{y}", y) for y in rng.sample(range(n), rng.randint(0, 3) % (n + 1))]
+                for x in range(n)}
+        roots = rng.sample(range(n), rng.randint(1, n))
+        calls = Counter()
+        cycle, finished = find_cycle(roots, lambda x: calls.update([x]) or succ[x])
+        reached, todo = set(roots), list(roots)
+        while todo:
+            for _, y in succ[todo.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        assert sorted(finished) == sorted(reached) and calls == Counter(reached)
+        assert cycle == first_cycle_reference(roots, succ)
+        if cycle is not None:
+            cyclic += 1
+        else:
+            rank = {x: i for i, x in enumerate(finished)}
+            assert all(rank[y] < rank[x] for x in reached for _, y in succ[x])
+    assert cyclic > 50, cyclic
+
+
+def test_dumps_json_writes_the_json_modules_bytes():
+    cases = [
+        {}, [], (), [[]], [{}], {"a": {}}, {"a": [[], {}, [[]]]},
+        ["quote \" and backslash \\", "\x00\x1f\t\n\r\x7f", "a·b", "é € 😀"],
+        [True, 1, False, 0, None, -7, 10 ** 30],
+        (1, ("x", (2,))), [1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")],
+        {1: "int key", 2.5: "float key", True: "bool key", None: "null key", "s": "str key"},
+        {"·": ["e_1", "b·a"], "nested": {"deep": [{"x": [1, [2, [3]]]}, "y"]}},
+        ["a", 1], [1, "a"], ["a", ["b"]], "plain", 5, None, False,
+    ]
+    for case in cases:
+        assert dumps_json(case) == json.dumps(case, indent=2) + "\n", case
+
+
+@pytest.mark.parametrize("bad", [object(), {"a": b"x"}, ["s", {1, 2}], {(1, 2): 1}, [Path]])
+def test_dumps_json_rejects_what_json_rejects(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=2)
+    with pytest.raises(TypeError):
+        dumps_json(bad)
