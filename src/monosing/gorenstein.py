@@ -173,12 +173,14 @@ def _canonical_rotation(word, quiver):
 
 
 def _check_windows(pres, word, r):
+    """Each cyclic window of r arrows along the word lies in F; a window that
+    only contains a shorter relation breaks the law."""
     # windows may wrap the cycle several times when r exceeds its length
     n = len(word)
     unrolled = word * (r // n + 2)
     for i in range(n):
         window = unrolled[i : i + r]
-        if pres.word_is_nonzero(window):
+        if not pres.is_minimal_relation(window):
             raise InternalInvariantViolation(
                 f"cyclic window {'.'.join(window)} of length {r} is not a relation"
             )

@@ -36,16 +36,18 @@ factors, so y.x is killed exactly when it is nonzero: A.x is the class of
 x's survivor key, generated in degree len(x).
 
 Every module carries its support, the vertices with a nonzero space, and
-all per-module work follows it: builders, validation, covers, kernels and
+the per-module work follows it: builders, validation, covers, kernels and
 the split test walk the support and the arrows between its vertices, never
-the whole quiver, so a module on k vertices costs the same on any quiver.
-Each step asks the cover for a split before it takes the kernel, so the
-step that certifies a split builds no kernel.  A dense step solves nothing:
-``la.nullspace`` gives each kernel vector a free column, its last nonzero
-entry, where every other kernel vector at its vertex is zero, so the
-coordinates of an arrow's image are its entries at the free columns, each
-divided by its kernel vector's entry there, and the image must be the
-combination they give, else the kernel is not closed under the action.
+the whole quiver.  Only ``Representation.__init__`` fills ``dims`` and
+``degrees`` over every vertex, so a module on k vertices still costs one
+dict entry per vertex of the quiver.  Each step asks the cover for a split
+before it takes the kernel, so the step that certifies a split builds no
+kernel.  A dense step solves nothing: ``la.nullspace`` gives each kernel
+vector a free column, its last nonzero entry, where every other kernel
+vector at its vertex is zero, so the coordinates of an arrow's image are
+its entries at the free columns, each divided by its kernel vector's entry
+there, and the image must be the combination they give, else the kernel
+is not closed under the action.
 
 Each module holds one primary form of its arrow action, and the dense
 matrices ``mats`` are only a view derived from it on first read.  A module
@@ -56,13 +58,16 @@ column is a basis vector or zero, found by one lookup per arrow; and within
 a degree the kernel has e_j for each zero column j and e_j - e_i for each
 later column j of the fibre whose first column is i, which is exactly
 ``la.nullspace``'s basis with the same free columns.  The projective P of
-every dense step has index maps, so P acts on the kernel by re-indexing.
-Every other module, every syzygy among them, keeps sparse columns {row:
-entry}.  Its top lifts reduce the images of the arrows into a vertex with
-the last nonzero index as pivot and keep the other indices, and its cover
-columns grow as sparse vectors, one arrow at a time.  Only the kernel of a
-cover that certifies no split runs ``la.nullspace``, on its own degree
-blocks made dense.
+every dense step has index maps, so a kernel vector moves through
+``P.image`` by re-indexing.  Every other module, every syzygy among them,
+keeps sparse columns {row: entry}.  Its top lifts reduce the images of the
+arrows into a vertex with the last nonzero index as pivot and keep the
+other indices, and its cover columns are sparse vectors.  Either way the
+cover walks P once, in basis order: a path's right factor is shorter and
+starts at the same vertex, so its image is already known, and the path's
+image is its first arrow's image of that one.  Only the kernel of a cover
+that certifies no split runs ``la.nullspace``, on the degree blocks of
+the dense cover matrix.
 
 Hom from a class (v, W) to a module N is decided by generator images: a map
 is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
@@ -460,7 +465,6 @@ class ProjectiveLayer:
     gens: list  # [(vertex, degree)]
     pbasis: dict  # vertex of P's support -> list of (gen index, path)
     rep: object  # Representation of P
-    tops: list = None  # per generator of a cover: the (vertex, index) of the basis vector it lifts
 
 
 def _build_projective(pres, gens):
@@ -526,48 +530,38 @@ def _last_index_pivots(vectors):
 def projective_cover(rep):
     """(layer, cover blocks): minimal cover P -> M with P from top lifts.
 
-    Images of the projective basis are grown one arrow at a time, each
-    column from a shorter one, and kept sparse: on a module with index maps
-    an image is a basis vector or zero, kept as its index or None, and on
-    any other module it is a sparse column {row: entry}.  ``cover`` has one
-    block per vertex of P's support, which contains M's since the cover is
-    onto: the images of P's basis at that vertex, in basis order.
+    P is walked once, in basis order: generator by generator, the paths
+    from its vertex in canonical order, so each path's right factor
+    ``word[1:]``, shorter and from the same vertex, is already imaged, and
+    the path's image is its first arrow's image of that one.  Images are
+    kept sparse: on a module with index maps an image is a basis vector or
+    zero, kept as its index or None, and on any other module it is a sparse
+    column {row: entry}.  ``cover`` has one block per vertex of P's
+    support, which contains M's since the cover is onto: the images of P's
+    basis at that vertex, in basis order.
     """
-    pres = rep.pres
+    basis = rep.pres.basis()
+    maps = rep.maps
     lifts = top_lifts(rep)
     gens = []
-    tops = []
+    cover = {}
     for v in rep.support:
         for j in lifts[v]:
             gens.append((v, rep.degrees[v][j] if rep.degrees is not None else 0))
-            tops.append((v, j))
-    layer = _build_projective(pres, gens)
-    layer.tops = tops
-    maps = rep.maps
-    if maps is None:
-        images = {(gi, ()): {j: 1} for gi, (_, j) in enumerate(tops)}
-    else:
-        images = {(gi, ()): j for gi, (_, j) in enumerate(tops)}  # an index, or None for 0
-    for placed in layer.pbasis.values():
-        for gi, x in placed:
-            word = x.arrows
-            if (gi, word) in images:
-                continue
-            stackw = []
-            while (gi, word) not in images:
-                stackw.append(word)
-                word = word[1:]
-            base = images[(gi, word)]
-            while stackw:
-                word = stackw.pop()
-                if maps is None:
-                    base = rep.image(word[0], base) if base else base
-                elif base is not None:  # an arrow left out of maps acts by zero
-                    base = maps[word[0]][base] if word[0] in maps else None
-                images[(gi, word)] = base
-    cover = {v: [images[(gi, x.arrows)] for gi, x in placed]
-             for v, placed in layer.pbasis.items()}
-    return layer, cover
+            images = {}
+            for x in basis.from_vertex(v):
+                word = x.arrows
+                if not word:
+                    image = j if maps is not None else {j: 1}
+                elif maps is None:
+                    image = rep.image(word[0], images[word[1:]])
+                else:  # an arrow left out of maps acts by zero
+                    image = images[word[1:]]
+                    if image is not None:
+                        image = maps[word[0]][image] if word[0] in maps else None
+                images[word] = image
+                cover.setdefault(x.target, []).append(image)
+    return _build_projective(rep.pres, gens), cover
 
 
 def _cover_matrix(rep, cover, v):
@@ -602,8 +596,8 @@ def _kernel_blocks(rep, layer, cover):
     column j of a fibre gives e_j - e_first: ``la.nullspace``'s basis, with
     the same free columns in the same order, and no elimination.  On any
     other module each degree's block of sparse columns is made dense for
-    ``la.nullspace``; ``resolve`` takes a kernel only when the cover
-    certified no split."""
+    ``la.nullspace``, its columns read off ``_cover_matrix``; ``resolve``
+    takes a kernel only when the cover certified no split."""
     kernel = {}
     for v in layer.rep.support:
         ncols = layer.rep.dims[v]
@@ -612,10 +606,11 @@ def _kernel_blocks(rep, layer, cover):
         for j, d in enumerate(pdeg):
             groups.setdefault(d, []).append(j)
         block = cover[v]
+        dense = _cover_matrix(rep, cover, v) if rep.maps is None else None
         cols = []
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
             idx = groups[dkey]
-            if rep.maps is not None:
+            if dense is None:
                 first = {}
                 for j in idx:
                     i = block[j]
@@ -626,10 +621,7 @@ def _kernel_blocks(rep, layer, cover):
                     else:
                         first[i] = j
                 continue
-            sub = la.zeros(rep.dims[v], len(idx))
-            for c, j in enumerate(idx):
-                for i, x in block[j].items():
-                    sub[i][c] = x
+            sub = [[row[j] for j in idx] for row in dense]
             for vec in la.nullspace(sub, len(idx)):
                 full = {j: x for j, x in zip(idx, vec) if x}
                 cols.append((max(full), full))
@@ -640,9 +632,9 @@ def _kernel_blocks(rep, layer, cover):
 def syzygy_step(rep):
     """Minimal cover (kept on the module) and its kernel; returns (layer,
     cover, kernel rep, kernel columns), each kernel column a sparse vector
-    {column: entry} over P's basis at its vertex.  P's arrows act on a
-    kernel vector by its index maps.  Coordinate i of an arrow's image is
-    its entry at the free column f_i of kernel vector k_i over k_i[f_i],
+    {column: entry} over P's basis at its vertex.  A kernel vector moves
+    through ``P.image``, P's index maps.  Coordinate i of an arrow's image
+    is its entry at the free column f_i of kernel vector k_i over k_i[f_i],
     and the image must be the combination of the k_i with those
     coefficients; the kernel rep keeps those coordinates as its sparse
     columns."""
@@ -664,13 +656,9 @@ def syzygy_step(rep):
     for src in dims:
         for a in pres.quiver.arrows_from[src]:
             tgt = a.target
-            if not P.dims[tgt]:
-                continue
-            image = P.maps[a.name]
             cols = []
             for _, vec in blocks[src]:
-                # one entry per basis path hit: a.x determines x, so P's map is one-to-one
-                img = {image[t]: x for t, x in vec.items() if image[t] is not None}
+                img = P.image(a.name, vec)
                 col = {}
                 for f, y in list(img.items()):
                     if f not in free[tgt]:

@@ -254,6 +254,10 @@ class MonomialPresentation:
     def is_nonzero(self, p):
         return self.word_is_nonzero(p.arrows)
 
+    def is_minimal_relation(self, arrows):
+        """True iff the composition word lies in F."""
+        return arrows in self._forbidden
+
     # -- basis enumeration -----------------------------------------------
 
     @memoized
@@ -367,11 +371,12 @@ class MonomialPresentation:
         """Basis {q'p nonzero} of Ap and its dimension vector by target vertex.
 
         Includes p itself (trivial q').  Raises ZeroPath when p is zero.
+        The paths q'p are listed in the basis order of the q' from t(p),
+        which is their own, since q'p sorts like q'.
         """
-        _, words = self.survivor_key(p)
-        target = self.quiver.target
-        out = [Path(w + p.arrows, p.source, target(w[0])) if w else p for w in words]
-        out.sort(key=self.basis().rank.__getitem__)
+        v, words = self.survivor_key(p)
+        out = [Path(x.arrows + p.arrows, p.source, x.target) if x.arrows else p
+               for x in self.basis().from_vertex(v) if x.arrows in words]
         vec = self.quiver.zero_dims()
         for q in out:
             vec[q.target] += 1

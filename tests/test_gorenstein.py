@@ -295,3 +295,15 @@ def test_self_injective_nakayama_singularity_categories():
     for n, m in cases:
         got = [(d.rank, d.period) for d in singularity_decomposition(nakayama(n, m))]
         assert got == [(m - 1, n)], (n, m)
+
+
+def test_a_window_that_only_contains_a_relation_breaks_the_window_law():
+    # on the loop x with F = {x.x}, the cyclic window x.x lies in F but
+    # x.x.x only contains a relation, so a relation length of 3 is refused
+    from monosing.errors import InternalInvariantViolation
+    from monosing.gorenstein import _check_windows
+
+    pres = parse_presentation("vertex 1\narrow x 1 1\nrelation x x\n")
+    _check_windows(pres, ("x",), 2)
+    with pytest.raises(InternalInvariantViolation, match="not a relation"):
+        _check_windows(pres, ("x",), 3)

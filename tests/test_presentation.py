@@ -251,6 +251,26 @@ def test_cyclic_module_basis(z3r2, z2r3):
     assert {str(p) for p in basis} == {"e_2", "b", "b·a"}
 
 
+def test_cyclic_module_basis_needs_no_sort():
+    # q'p is listed in the basis order of the q' from t(p), with no sort:
+    # it equals the paths q'p sorted by basis rank, on every nonzero path
+    from conftest import class_rule_corpus
+
+    checked = 0
+    for pres in class_rule_corpus():
+        for pr in (pres, pres.opposite()):
+            basis = pr.basis()
+            for p in basis:
+                out, vec = pr.cyclic_module_basis(p)
+                _, words = pr.survivor_key(p)
+                ref = sorted((pr.quiver.subword_path(w + p.arrows) if w else p for w in words),
+                             key=basis.rank.__getitem__)
+                assert out == ref, (presentation_to_text(pr), p)
+                assert sum(vec.values()) == len(out)
+                checked += 1
+    assert checked > 2000, checked
+
+
 def test_cyclic_module_zero_path(z2r3):
     aba = paths_of(z2r3, "a", "b", "a")
     with pytest.raises(ZeroPath):
