@@ -80,8 +80,9 @@ Hom has a basis of the u with x.u outside W' for every minimal killed x.
 The cover A e_w -> A e_w/I' sends each path to itself or to zero, so the
 maps that factor through it are the u with every x.u zero in A, and the
 stable Hom counts the u with x.u outside W' for every x and nonzero in A
-for some x.  ``stable_hom_dim`` and the torsionless test compose map
-families, built from generator images when the source is cyclic.
+for some x.  ``stable_hom_dim`` reads the Ext rule's sequence in its
+second argument, with no map family built; only the torsionless test and
+``_iso_witness`` compose families, from generator images on a cyclic source.
 
 Three kinds of module are classes from the start and are never built for
 their pd.  A cyclic injective summand D(e_v A) is the class
@@ -91,8 +92,8 @@ w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
 its one-generator cover would certify at step 1, which is exactly what
 ``resolve`` reports; the profile builds and resolves only the non-cyclic
 summands, and the global dimension builds nothing.  A non-cyclic summand
-is built as the k-dual of the opposite's projective A^op e_v.  The path
-module A.p is the class of p's survivor key, which the presentation owns
+is built by its own action (``injective_summand_rep``).  The path module
+A.p is the class of p's survivor key, which the presentation owns
 (``survivor_key``, and ``path_classes`` for the distinct non-projective
 keys of the nontrivial paths).
 
@@ -137,7 +138,7 @@ from .errors import (
     NotGorenstein,
     PresentationMismatch,
 )
-from .presentation import Path, find_cycle, memoized
+from .presentation import find_cycle, memoized
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
@@ -161,8 +162,8 @@ class Representation:
     a key is decided by generator images.
 
     The action is held in one primary form, and an arrow left out of it
-    acts by zero.  A path span (the projectives, the class modules, the
-    regular module and D(e_v A)) is given ``maps``: per arrow, the tuple
+    acts by zero.  A path span (the projectives, the class modules and the
+    regular module) and D(e_v A) are given ``maps``: per arrow, the tuple
     whose entry j is the index of the basis vector that basis vector j goes
     to, or None when it goes to zero.  Every other module keeps ``columns``:
     per arrow, one sparse column ``{row: entry}`` per basis vector of the
@@ -246,10 +247,7 @@ class Representation:
                 if not all(dims[u] for u in stops):
                     continue  # the word passes through a zero space, so it acts by zero
                 for j in range(dims[q.source(f.arrows[-1])]):
-                    vec = {j: 1}
-                    for name in reversed(f.arrows):
-                        vec = self.image(name, vec)
-                    if vec:
+                    if _word_image(self, f.arrows, {j: 1}):
                         raise InternalInvariantViolation(f"relation {f} acts nonzero")
 
     def image(self, name, vec):
@@ -295,19 +293,13 @@ class Representation:
     def dim_vector(self):
         return dict(self.dims)
 
-    @memoized
-    def act(self, word):
-        """Matrix of the composition-order arrow word."""
-        q = self.pres.quiver
-        if not word:
-            raise ValueError("empty word; use the identity at a vertex")
-        rows = self.dims[q.target(word[0])]
-        cols = self.dims[q.source(word[-1])]
-        if any(self.dims[q.source(a)] == 0 for a in word) or rows == 0:
-            return la.zeros(rows, cols)
-        if len(word) == 1:
-            return self.mats[word[0]]
-        return la.mat_mul(self.mats[word[0]], self.act(word[1:]))
+
+def _word_image(M, word, vec):
+    """The image under the composition-order arrow word of a sparse vector
+    of M, one ``image`` per arrow, the last arrow of the word first."""
+    for name in reversed(word):
+        vec = M.image(name, vec)
+    return vec
 
 
 class _ZeroBlocks(dict):
@@ -859,10 +851,9 @@ def _generator_images(v, words, N, free):
         return []
     rows = []
     for x in _minimal_killed(N.pres, v, words):
-        for r in N.act(x.arrows):
-            row = [r[i] for i in free]
-            if any(row):
-                rows.append(row)
+        images = [_word_image(N, x.arrows, {i: 1}) for i in free]
+        for r in sorted({r for image in images for r in image}):
+            rows.append([image.get(r, 0) for image in images])
     ys = []
     for vec in la.nullspace(rows, len(free)):
         y = [0] * N.dims[v]
@@ -897,22 +888,24 @@ def hom_basis_from_cyclic(M, N, degree_shift=None):
 
     def build(y):
         columns = {}  # the images x.y of M's basis x.g, by vertex in basis order
+        vec = {i: val for i, val in enumerate(y) if val}
         for x in _class_paths(M.pres, M.key):
-            if N.dims[x.target]:
-                columns.setdefault(x.target, []).append(
-                    la.mat_vec(N.act(x.arrows), y) if x.arrows else y)
+            n = N.dims[x.target]
+            if n:
+                image = _word_image(N, x.arrows, vec)
+                columns.setdefault(x.target, []).append([image.get(i, 0) for i in range(n)])
         return _family(M, N, {v: [list(row) for row in zip(*cols)]
                               for v, cols in columns.items()})
 
     return ys, build
 
 
-def hom_dim(M, N):
-    """dim Hom_A(M, N)."""
+def hom_dim(M, N, degree_shift=None):
+    """dim Hom_A(M, N), of the maps of shift ``degree_shift`` when given."""
     if M.key is not None:
-        ys, _ = hom_basis_from_cyclic(M, N)
+        ys, _ = hom_basis_from_cyclic(M, N, degree_shift)
         return len(ys)
-    return len(hom_basis(M, N))
+    return len(hom_basis(M, N, degree_shift))
 
 
 def _hom_family_basis(M, N, degree_shift=None):
@@ -927,25 +920,17 @@ def stable_hom_dim(M, N, degree_shift=None):
     """dim of Hom(M, N) modulo maps factoring through a projective.
 
     A map factors through a projective iff it factors through the minimal
-    cover P_N -> N, so the quotient is by the image of Hom(M, P_N) under the
-    cover projection, composed as map families.  With ``degree_shift`` s,
-    both Hom spaces keep only the maps sending degree d to degree d + s (M
-    and N must carry degrees).  Between two classes the oracle counts words
-    instead (``_class_stable_hom``).
+    cover P_N -> N.  Hom(M, -) is left exact on 0 -> Omega N -> P_N -> N,
+    so those maps number hom(M, P_N) - hom(M, Omega N).  With
+    ``degree_shift`` s every Hom keeps only the maps sending degree d to
+    degree d + s (M and N must carry degrees).  Between two classes the
+    oracle counts words instead (``_class_stable_hom``).
     """
-    homs = _hom_family_basis(M, N, degree_shift)
-    if not homs:
+    hom = hom_dim(M, N, degree_shift)
+    if not hom:
         return 0
-    layer, cover = _module_cover(N)
-    common = [v for v in M.support if N.dims[v]]  # a map is zero off these vertices
-    dense = {v: _cover_matrix(N, cover, v) for v in common}
-    image = []
-    for g in _hom_family_basis(M, layer.rep, degree_shift):
-        image.append([x for v in common for row in la.mat_mul(dense[v], g[v]) for x in row])
-    if not image:
-        return len(homs)
-    # rank of the factoring subspace inside Hom(M, N)
-    return len(homs) - la.rank(image)
+    layer, _ = _module_cover(N)
+    return hom - hom_dim(M, layer.rep, degree_shift) + hom_dim(M, syzygy_rep(N), degree_shift)
 
 
 def _ext1(hom_omega, top, hom_x):
@@ -1024,30 +1009,23 @@ class SideStatus:
 
 
 def injective_summand_rep(pres, v):
-    """D(e_v A) as a left module: the k-dual of the opposite's projective
-    A^op e_v, the path span of the reversed paths into v with every index
-    map inverted, as its 0/1 matrix would be transposed.  The dual of a
-    path w sits at s(w) in degree -len(w)."""
+    """D(e_v A) as a left module: the dual of each path w into v sits at
+    s(w), in ``into_vertex(v)`` order, in degree -len(w).  The arrow a
+    sends it to the dual of w[:-1] when w traverses a first (w[-1] == a),
+    and to zero otherwise."""
     pres.quiver.trivial_path(v)  # UnknownVertex off the quiver
-    paths = [Path(w.arrows[::-1], w.target, w.source) for w in pres.basis().into_vertex(v)]
-    dims, maps, by_vertex = _path_span(pres.opposite(), [(None, x) for x in paths])
-    degrees = {u: tuple(-x.length for _, x in placed) for u, placed in by_vertex.items()}
-    arrow = pres.quiver.arrow_by_name
-    return Representation(pres, dims, degrees=degrees, maps={
-        a: _inverse_map(image, dims[arrow[a].source]) for a, image in maps.items()})
-
-
-def _inverse_map(image, n):
-    """The index map of the transpose of the 0/1 matrix with ``n`` rows and
-    the index map ``image``, which has at most one 1 in each row."""
-    inverse = [None] * n
-    for j, i in enumerate(image):
-        if i is not None:
-            if inverse[i] is not None:
-                raise InternalInvariantViolation("an arrow of D(e_v A) sends a basis vector "
-                                                 "to two")
-            inverse[i] = j
-    return tuple(inverse)
+    by_vertex = {}
+    index = {}
+    for w in pres.basis().into_vertex(v):
+        placed = by_vertex.setdefault(w.source, [])
+        index[w.arrows] = len(placed)
+        placed.append(w.arrows)
+    dims = {u: len(placed) for u, placed in by_vertex.items()}
+    maps = {a.name: tuple(index[w[:-1]] if w and w[-1] == a.name else None
+                          for w in by_vertex[a.source])
+            for a in _supported_arrows(pres, dims)}
+    degrees = {u: tuple(-len(w) for w in placed) for u, placed in by_vertex.items()}
+    return Representation(pres, dims, degrees=degrees, maps=maps)
 
 
 def _injective_summand_key(pres, v):

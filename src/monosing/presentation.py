@@ -118,27 +118,37 @@ class Path(NamedTuple):
         return "·".join(self.traversal)
 
 
+def _declaration_error(vertices, arrows):
+    """The first bad declaration as (position, error), or None: a repeated
+    vertex first, then the first arrow that repeats a name or has an
+    undeclared end.  The position counts the vertices, then the arrows."""
+    seen = set()
+    for i, v in enumerate(vertices):
+        if v in seen:
+            return i, DuplicateIdentifier(f"duplicate vertex {v!r}")
+        seen.add(v)
+    names = set()
+    for i, a in enumerate(arrows, start=len(vertices)):
+        if a.name in names:
+            return i, DuplicateIdentifier(f"duplicate arrow {a.name!r}")
+        if a.source not in seen:
+            return i, UnknownVertex(f"arrow {a.name!r} has undeclared source {a.source!r}")
+        if a.target not in seen:
+            return i, UnknownVertex(f"arrow {a.name!r} has undeclared target {a.target!r}")
+        names.add(a.name)
+    return None
+
+
 class Quiver:
     """A finite quiver; vertices and arrows keep their declaration order."""
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(vertices)
         self.arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                raise DuplicateIdentifier(f"duplicate vertex {v!r}")
-            seen.add(v)
-        vset = set(self.vertices)
-        self.arrow_by_name = {}
-        for a in self.arrows:
-            if a.name in self.arrow_by_name:
-                raise DuplicateIdentifier(f"duplicate arrow {a.name!r}")
-            if a.source not in vset:
-                raise UnknownVertex(f"arrow {a.name!r} has undeclared source {a.source!r}")
-            if a.target not in vset:
-                raise UnknownVertex(f"arrow {a.name!r} has undeclared target {a.target!r}")
-            self.arrow_by_name[a.name] = a
+        bad = _declaration_error(self.vertices, self.arrows)
+        if bad is not None:
+            raise bad[1]
+        self.arrow_by_name = {a.name: a for a in self.arrows}
         self._vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self._zero_dims = dict.fromkeys(self.vertices, 0)
         self._arrow_index = {a.name: i for i, a in enumerate(self.arrows)}
@@ -584,10 +594,12 @@ def parse_presentation(text):
         relation <arrowid> <arrowid> [...]   # traversal order
 
     Relation tokens are given in traversal order (first-traversed first) and
-    stored in composition order.
+    stored in composition order.  A vertex may be declared after the arrows
+    that use it; every error names the line of its statement.
     """
     vertices = []
     arrows = []
+    vertex_lines, arrow_lines = [], []  # the statement line of each declaration
     relation_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -599,14 +611,20 @@ def parse_presentation(text):
             if not rest:
                 raise ParseError("vertex statement needs at least one identifier", lineno)
             vertices.extend(rest)
+            vertex_lines.extend([lineno] * len(rest))
         elif head == "arrow":
             if len(rest) != 3:
                 raise ParseError("arrow statement needs: arrow <id> <source> <target>", lineno)
-            arrows.append(tuple(rest))
+            arrows.append(Arrow(*rest))
+            arrow_lines.append(lineno)
         elif head == "relation":
             relation_lines.append((lineno, rest))
         else:
             raise ParseError(f"unknown statement {head!r}", lineno)
+    bad = _declaration_error(vertices, arrows)
+    if bad is not None:
+        position, error = bad
+        raise type(error)(str(error), (vertex_lines + arrow_lines)[position])
     quiver = Quiver(vertices, arrows)
     generators = []
     for lineno, names in relation_lines:

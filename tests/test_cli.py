@@ -240,6 +240,14 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_declaration_error_names_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.quiver"
+    bad.write_text("vertex 1 2\narrow a 1 2\narrow a 2 1\n")
+    code, out, err = run(capsys, "info", str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: duplicate arrow 'a'\n"
+
+
 def test_byte_determinism_across_runs(capsys):
     for name in FIXTURE_NAMES:
         for command in ["info", "basis", "perfect", "gorenstein", "singcat", "graded"]:

@@ -66,6 +66,25 @@ def test_parse_duplicate_identifiers():
         parse_presentation("vertex 1 2\narrow a 1 2\narrow a 2 1\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("vertex 1\n# a comment\nvertex 2 1\n", 3, "duplicate vertex '1'"),
+    ("vertex 1 2\narrow a 1 2\n\narrow a 2 1\n", 4, "duplicate arrow 'a'"),
+    ("vertex 1\narrow a 1 3\n", 2, "undeclared target '3'"),
+    ("arrow a 0 1\nvertex 1\n", 1, "undeclared source '0'"),
+])
+def test_declaration_errors_name_their_line(text, line, message):
+    from monosing.errors import ParseError
+
+    with pytest.raises(ParseError, match=f"^line {line}: .*{message}") as info:
+        parse_presentation(text)
+    assert info.value.line == line
+
+
+def test_a_vertex_may_follow_the_arrows_that_use_it():
+    pres = parse_presentation("arrow a 1 2\nvertex 1\nvertex 2\n")
+    assert pres.quiver.vertices == ("1", "2") and pres.quiver.source("a") == "1"
+
+
 def test_parse_unknown_arrow_in_relation():
     from monosing.errors import UnknownArrow
 
