@@ -90,12 +90,30 @@ their pd.  A cyclic injective summand D(e_v A) is the class
 when the paths into v number len(w) + 1, so that each is a final factor of
 w.  The simple S_v is the class (v, {e_v}).  Each is walked as the class
 its one-generator cover would certify at step 1, which is exactly what
-``resolve`` reports; the profile builds and resolves only the non-cyclic
-summands, and the global dimension builds nothing.  A non-cyclic summand
-is built by its own action (``injective_summand_rep``).  The path module
-A.p is the class of p's survivor key, which the presentation owns
+``resolve`` reports, and the global dimension builds nothing.  The path
+module A.p is the class of p's survivor key, which the presentation owns
 (``survivor_key``, and ``path_classes`` for the distinct non-projective
 keys of the nontrivial paths).
+
+A non-cyclic D(e_v A) has its first syzygy read off the maximal paths w_i
+into v, its top (``_fibre_split``).  The column (i, x) of P0 = sum of the
+A e_s(w_i) goes to the dual of q when w_i = q.x and to zero otherwise, so
+Omega^1 is spanned by the killed columns and the fibre differences
+(i, x_i) - (j, x_j) over a common final factor q.  An arrow c sends a
+difference at q to the difference at q' when q = q'.c, and otherwise to
+(i, c.x_i) - (j, c.x_j), a signed pair of minimal killed columns, or one
+of them when the other path is zero.  So the top of Omega^1 has one
+minimal killed column per ungrounded group of signed pairs and one
+difference per extra block of each fibre, grouped by the arrow before q.
+When their classes' words number dim P0 - dim D(e_v A) at every vertex,
+Omega^1 is their direct sum, and a class walk from step 2 that ends finite
+is the summand's trace, with no module built.  Otherwise the summand is
+built by its own action (``injective_summand_rep``) and resolved: a
+failed certificate leaves the split to the dense step, and an infinite
+trace reports the step at which the dense cover split and the first
+class cycle met, both of which depend on the dense lifts.  Projective
+ranks and syzygy dimensions are invariants of the minimal resolution, so
+a finite trace reads the same either way.
 
 The crosscheck compares keys.  Over a Gorenstein algebra of level d the
 Gorenstein-projective modules are the d-th syzygies and the M with
@@ -138,7 +156,7 @@ from .errors import (
     NotGorenstein,
     PresentationMismatch,
 )
-from .presentation import find_cycle, memoized
+from .presentation import Path, find_cycle, memoized
 
 FINITE = "Finite"
 PERIODIC = "PeriodicityDetected"
@@ -1053,14 +1071,96 @@ def _class_trace(pres, key):
     return _class_walk(pres, ResolutionTrace(module=None), [key], 1)
 
 
+@dataclass(frozen=True)
+class _Counted:
+    """A syzygy the fibre rule counts but never builds: the trace report
+    reads only its dimension."""
+
+    total_dim: int
+
+
+@memoized
+def _class_dims(pres, key):
+    """The dimension vector of the class module of ``key``, as a Counter
+    over its nonzero entries: each word sits at its target."""
+    v, words = key
+    target = pres.quiver.target
+    return Counter(target(w[0]) if w else v for w in words)
+
+
+def _fibre_split(pres, v):
+    """(P0's generators, dim Omega^1, the classes of Omega^1's top
+    generators, certificate) for the non-cyclic D(e_v A), read off the
+    maximal paths into v with no module built (see the module docstring).
+    Omega^1 is the direct sum of the classes when the certificate holds:
+    their words number dim P0 - dim D(e_v A) at every vertex.
+
+    P0's generators are listed in ``top_lifts`` order.  A minimal killed
+    column (i, c.x_i) belongs to exactly one group of signed pairs, the one
+    of its final factor q (w_i = q.x_i) and its arrow c, so the components
+    of the pairs are these groups, with no union-find: a group is tied to
+    the ground when some c.x_j is zero in A, and otherwise its first
+    member is a generator.
+    """
+    basis = pres.basis()
+    quiver = pres.quiver
+    into = basis.into_vertex(v)
+    extended = {w.arrows[:-1] for w in into if w.arrows}
+    tops = sorted((w for w in into if w.arrows not in extended),
+                  key=lambda w: quiver.vertex_index(w.source))
+    fibres = {}
+    for w in tops:
+        for k in range(w.length + 1):
+            fibres.setdefault(w.arrows[:k], []).append((w.source, w.arrows[k:]))
+    classes = []
+    for q, members in fibres.items():  # members: (s(w_i), x_i) with w_i = q.x_i
+        u = quiver.source(q[-1]) if q else v
+        # one minimal killed column per ungrounded group (q, c)
+        for c in quiver.arrows_from[u]:
+            if q and c.name == q[-1]:
+                continue
+            if all(pres.word_is_nonzero((c.name,) + x) for _, x in members):
+                s, x = members[0]
+                classes.append(pres.survivor_key(Path((c.name,) + x, s, c.target)))
+        # one difference per block past the first, blocks by the arrow before q
+        blocks = {}
+        for s, x in members:
+            blocks.setdefault(x[:1], (s, x))
+        if len(blocks) > 1:
+            (s, x), *rest = blocks.values()
+            words = pres.survivor_key(Path(x, s, u))[1]
+            classes += [(u, words | pres.survivor_key(Path(y, t, u))[1]) for t, y in rest]
+    omega = Counter()  # dim P0 - dim D(e_v A), per vertex
+    for w in tops:
+        omega.update(p.target for p in basis.from_vertex(w.source))
+    omega.subtract(w.source for w in into)
+    counted = Counter()
+    for key in classes:
+        counted.update(_class_dims(pres, key))
+    gens = [(w.source, -w.length) for w in tops]
+    return gens, omega.total(), classes, counted == omega
+
+
 @memoized
 def _summand_trace(pres, v):
-    """The resolution of D(e_v A): a cyclic summand is walked as its class,
-    and only the others are built and resolved, once per presentation."""
+    """The resolution of D(e_v A), once per presentation.  A cyclic summand
+    is walked as its class.  Any other is split by the fibre rule
+    (``_fibre_split``) and its classes walked from step 2, with no module
+    built, when the certificate holds and the walk ends finite.  Otherwise
+    it is built and resolved: a periodic trace reports the step at which
+    the dense cover split and the first cycle met from its classes, and
+    both depend on the dense lifts."""
     key = _injective_summand_key(pres, v)
-    if key is None:
-        return resolve(injective_summand_rep(pres, v))
-    return _class_trace(pres, key)
+    if key is not None:
+        return _class_trace(pres, key)
+    gens, dim, classes, split = _fibre_split(pres, v)
+    if split:
+        trace = ResolutionTrace(module=None,
+                                layers=[ProjectiveLayer(gens, pbasis=None, rep=None)],
+                                syzygies=[_Counted(dim)])
+        if _class_walk(pres, trace, classes, 2).status == FINITE:
+            return trace
+    return resolve(injective_summand_rep(pres, v))
 
 
 def _dual_regular_pd(pres):
@@ -1230,11 +1330,13 @@ def crosscheck_classification(pres):
     each once; MismatchDetected lists both sides by a generating path
     otherwise.  The report's dimension vectors, sorted, are the
     descriptors', so no class module is built.  They are sorted once, by
-    the sparse key ((-i, c) for the i-th vertex in name order with c != 0),
-    which orders dimension vectors exactly as their dense tuples in name
-    order do: at the first vertex where two vectors differ, the smaller
-    count is either a smaller pair or a zero, whose next pair has a
-    smaller -i, or the end of the key.
+    a key read off the nonzero entries alone: the pairs (-i, c) for the
+    i-th vertex in name order with c != 0, by increasing i.  It orders
+    dimension vectors exactly as their dense tuples in name order do: at
+    the first vertex where two vectors differ, the smaller count is either
+    a smaller pair or a zero, whose next pair has a smaller -i, or the end
+    of the key.  Each dense vector is a copy of one zero vector over the
+    names, updated with the nonzero entries.
     """
     prof = injective_dimension_profile(pres)
     if not prof.gorenstein:
@@ -1251,15 +1353,16 @@ def crosscheck_classification(pres):
             f" vs perfect-path [{', '.join(str(d.generator) for d in comb)}]"
         )
     names = sorted(pres.quiver.vertices)
+    rank = {v: -i for i, v in enumerate(names)}
+    zero = dict.fromkeys(names, 0)
 
     def order(d):
-        dims = d.dim_vector
-        return tuple((-i, dims[v]) for i, v in enumerate(names) if dims[v])
+        return sorted(((rank[v], c) for v, c in d.nonzero_dims.items()), reverse=True)
 
     return {
         "homological_classes": len(kept),
         "combinatorial_classes": len(comb),
-        "dim_vectors": [{v: d.dim_vector[v] for v in names} for d in sorted(comb, key=order)],
+        "dim_vectors": [{**zero, **d.nonzero_dims} for d in sorted(comb, key=order)],
         "match": True,
     }
 

@@ -24,6 +24,17 @@ def nakayama(n, m):
     return parse_presentation("\n".join(lines) + "\n")
 
 
+def w_line_text(k, relation=False):
+    """W_k: the line 0 -> 1 -> ... -> k with two parallel arrows a_i, b_i
+    per step and no relation, or the one relation a0.a1."""
+    lines = ["vertex " + " ".join(str(i) for i in range(k + 1))]
+    for i in range(k):
+        lines += [f"arrow a{i} {i} {i + 1}", f"arrow b{i} {i} {i + 1}"]
+    if relation:
+        lines.append("relation a0 a1")
+    return "\n".join(lines) + "\n"
+
+
 def class_rule_corpus():
     """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]

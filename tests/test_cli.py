@@ -412,6 +412,41 @@ def test_trace_report_lists_every_dense_step(tmp_path, capsys):
     assert finite > 40
 
 
+# sha256 of `oracle --check gorenstein --trace --json` stdout on W_k, without
+# and with the relation a0.a1, pinned while every non-cyclic injective
+# summand was still built and resolved
+W_LINE_TRACE_SHA256 = {
+    (1, False): "9b93dc93f1223b57b9cfd7e4d7c239db30dd708b8a89fce98a33c677e77b4f31",
+    (2, False): "f6e4af0b78e6d30ff7edb6e1c62cc449eda5b88eda15f9f5572e71f82734198f",
+    (2, True): "813c93c915f7915a0da2014114deddad3c54541b2fd3c78d7ac83f9f42a4ae71",
+    (3, False): "e0b55e64d5aac8f28d06b256e7904e07115f8f43a50e25447a717e26663fea9c",
+    (3, True): "861a777260c61f15318b8339f3c641e09fc0317d879048c83db7303336c90590",
+    (4, False): "e11f6a03c8ba8f4c923c898f8acff1fd248b6254e4a4e3b642737c77328ee27b",
+    (4, True): "2a0fdde951434787d53596379144b930250519dab9da4699ee232fd17f2c0eca",
+    (5, False): "1a35261a136dcf82c6acf0b311179f52933d16c33e8ad41df38b672326c992da",
+    (5, True): "2cfbf3f7d043f207aec86ca646da102d88236a62cb16c00767e14c6dbc08bca4",
+    (6, False): "644883ff8cad4002308ca60c7fc78fcaaae4572e112fb2fa392a01fd7b320d84",
+    (6, True): "8dbdba530031c2ddd7c98088d74e6e3cdf651843bba6b148a11cb225510f88d8",
+}
+
+
+@pytest.mark.parametrize("k, relation", sorted(W_LINE_TRACE_SHA256))
+def test_w_line_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, k, relation):
+    # each side of W_k has k non-cyclic injective summands, and the fibre
+    # rule ends every one of them finite, so nothing is resolved
+    import monosing.oracle
+    from conftest import w_line_text
+
+    resolved = []
+    real = monosing.oracle.resolve
+    monkeypatch.setattr(monosing.oracle, "resolve", lambda rep: resolved.append(rep) or real(rep))
+    path = tmp_path / "w.quiver"
+    path.write_text(w_line_text(k, relation), encoding="utf-8")
+    code, out, _ = run(capsys, "oracle", str(path), "--check", "gorenstein", "--trace", "--json")
+    assert code == 0 and resolved == []
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == W_LINE_TRACE_SHA256[k, relation]
+
+
 def test_trace_shares_the_profiles_opposite(capsys, monkeypatch):
     # the profile and the trace report resolve the same opposite presentation,
     # so `oracle --check gorenstein --trace` builds it once

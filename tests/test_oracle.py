@@ -343,8 +343,20 @@ def test_a_module_is_covered_once(glu, monkeypatch):
     assert len(covered) == len({id(args[0]) for args in covered})
 
 
+def densely_resolved(pres):
+    """The non-cyclic summands, both sides, that the profile still builds and
+    resolves: the fibre certificate fails, or the classes reach a cycle."""
+    from monosing.oracle import _fibre_split, _injective_summand_key, _summand_trace
+
+    return [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
+            if _injective_summand_key(pr, v) is None
+            and (not _fibre_split(pr, v)[3] or _summand_trace(pr, v).status == PERIODIC)]
+
+
 def test_trace_report_resolves_each_summand_once(monkeypatch):
-    # a cyclic summand is walked as its class; each other one is resolved once
+    # a cyclic summand is walked as its class, and so is every other one
+    # whose fibre certificate holds and whose classes end finite; each
+    # remaining one is resolved once
     from monosing.oracle import (
         _injective_summand_key,
         injective_summand_rep,
@@ -352,24 +364,28 @@ def test_trace_report_resolves_each_summand_once(monkeypatch):
     )
 
     resolved = counting(monkeypatch, "resolve")
-    noncyclic = 0
+    noncyclic = dense = 0
     for name in ("lin", "glu", "loc1"):
         pres = load(name)
         resolved.clear()
         resolution_trace_report(pres)
-        want = [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
-                if _injective_summand_key(pr, v) is None]
+        want = densely_resolved(pres)
         assert [args[0].pres for args in resolved] == [pr for pr, _ in want]
         assert [args[0].dims for args in resolved] == \
             [injective_summand_rep(pr, v).dims for pr, v in want]
-        noncyclic += len(want)
-    assert noncyclic == 8
+        noncyclic += sum(_injective_summand_key(pr, v) is None
+                         for pr in (pres, pres.opposite()) for v in pr.quiver.vertices)
+        dense += len(want)
+    # loc1's two: one certified split whose classes reach a cycle, one
+    # failed certificate
+    assert (noncyclic, dense) == (8, 2)
 
 
 def test_profile_and_trace_report_share_each_resolution(monkeypatch):
-    # the profile and then the trace report resolve each non-cyclic summand
-    # once between them, also past a side the profile cut short at infinity
-    from monosing.oracle import _injective_summand_key, resolution_trace_report
+    # the profile and then the trace report resolve each densely resolved
+    # summand once between them, also past a side the profile cut short at
+    # infinity
+    from monosing.oracle import resolution_trace_report
 
     resolved = counting(monkeypatch, "resolve")
     counts = {}
@@ -378,11 +394,11 @@ def test_profile_and_trace_report_share_each_resolution(monkeypatch):
         resolved.clear()
         injective_dimension_profile(pres)
         resolution_trace_report(pres)
-        want = [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
-                if _injective_summand_key(pr, v) is None]
-        assert [args[0].pres for args in resolved] == [pr for pr, _ in want], name
+        assert [args[0].pres for args in resolved] == \
+            [pr for pr, _ in densely_resolved(pres)], name
         counts[name] = len(resolved)
-    assert counts["heavy"] == 11 and sum(counts.values()) == 19, counts
+    # the heavy draw's 11 non-cyclic summands all end finite by the fibre rule
+    assert counts == {"lin": 0, "glu": 0, "loc1": 2, "heavy": 0}, counts
 
 
 def test_trace_report_matches_the_dense_steps():
@@ -1260,6 +1276,58 @@ def test_every_non_cyclic_dual_summand_splits_within_two_kernels():
                     assert trace.classes is not None, (presentation_to_text(pr), v)
                     kernels[len(trace.syzygies)] += 1
     assert set(kernels) == {1, 2} and kernels[2] > 10, kernels
+
+
+def test_the_fibre_rule_matches_the_dense_step():
+    # the fibre rule reads P0, Omega^1's dimension and its top generators'
+    # classes off the maximal paths into v; the dense step builds D(e_v A),
+    # covers it and covers its kernel.  The ranks, the dimension and the top
+    # count are invariants of the minimal resolution, a certified split has
+    # the dense split's classes, and the walk from it the dense status and pd
+    from collections import Counter
+
+    from monosing.corpus import random_gentle_presentation, random_presentation
+    from monosing.oracle import (ResolutionTrace, _class_walk, _fibre_split,
+                                 _injective_summand_key, _summand_trace,
+                                 injective_summand_rep)
+
+    rng = seeded_rng()
+    presentations = class_rule_corpus()
+    presentations += [random_presentation(rng) for _ in range(300)]
+    presentations += [random_gentle_presentation(rng, 12, 18) for _ in range(100)]
+    presentations += [random_presentation(rng, 6, 9, 4) for _ in range(300)]
+    seen = Counter()
+    for pres in presentations:
+        for pr in (pres, pres.opposite()):
+            for v in pr.quiver.vertices:
+                if _injective_summand_key(pr, v) is not None:
+                    continue
+                gens, dim, classes, split = _fibre_split(pr, v)
+                dense = resolve(injective_summand_rep(pr, v))
+                where = (presentation_to_text(pr), v)
+                assert gens == dense.layers[0].gens, where
+                assert dim == dense.syzygies[0].total_dim, where
+                assert Counter(u for u, _ in classes) == \
+                    Counter(u for u, _ in dense.layers[1].gens), where
+                seen["noncyclic"] += 1
+                if not split:
+                    seen["uncertified"] += 1
+                    continue
+                if len(dense.syzygies) == 1:
+                    assert Counter(classes) == Counter(dense.classes), where
+                    seen["same classes"] += 1
+                walk = _class_walk(pr, ResolutionTrace(module=None), classes, 2)
+                assert walk.status == dense.status, where
+                seen[walk.status] += 1
+                if walk.status == FINITE:
+                    assert walk.pd == dense.pd, where
+                    trace = _summand_trace(pr, v)
+                    assert trace.module is None and trace.pd == dense.pd, where
+    # the floors fail, even without the top count above, when a group of
+    # signed pairs with a zero member still gives a generator (no ground),
+    # or when a fibre is not grouped by the arrow before q
+    assert seen[FINITE] > 550 and seen[PERIODIC] > 220, seen
+    assert seen["same classes"] > 800 and seen["uncertified"] < seen["noncyclic"] / 8, seen
 
 
 def test_the_heavy_draw_reports_are_pinned():
