@@ -106,14 +106,18 @@ of them when the other path is zero.  So the top of Omega^1 has one
 minimal killed column per ungrounded group of signed pairs and one
 difference per extra block of each fibre, grouped by the arrow before q.
 When their classes' words number dim P0 - dim D(e_v A) at every vertex,
-Omega^1 is their direct sum, and a class walk from step 2 that ends finite
-is the summand's trace, with no module built.  Otherwise the summand is
-built by its own action (``injective_summand_rep``) and resolved: a
-failed certificate leaves the split to the dense step, and an infinite
-trace reports the step at which the dense cover split and the first
-class cycle met, both of which depend on the dense lifts.  Projective
-ranks and syzygy dimensions are invariants of the minimal resolution, so
-a finite trace reads the same either way.
+Omega^1 is their direct sum, and the class walk from step 2 is the
+summand's trace, with no module built.  The classes are listed as the
+dense cover of Omega^1 lists its generators: the dense kernel orders
+Omega^1's basis at a vertex by degree and then by P0 column (generator,
+then path in basis order), and its top lifts, pivoted on last indices,
+keep the least column of each component of rad Omega^1, which is the
+column the fibre rule picks.  So an infinite trace names the same split
+step and first class cycle as the dense resolution, and projective ranks
+and syzygy dimensions, invariants of the minimal resolution, read the
+same anyway.  Only when the certificate fails is the summand built by its
+own action (``injective_summand_rep``) and resolved, the split left to
+the dense step.
 
 The crosscheck compares keys.  Over a Gorenstein algebra of level d the
 Gorenstein-projective modules are the d-th syzygies and the M with
@@ -1101,35 +1105,48 @@ def _fibre_split(pres, v):
     of the pairs are these groups, with no union-find: a group is tied to
     the ground when some c.x_j is zero in A, and otherwise its first
     member is a generator.
+
+    The classes come in the dense cover's order of Omega^1's top lifts:
+    by the quiver index of the column's vertex, its degree, i and the
+    basis rank of its path.  A killed column (i, c.x_i) sits at t(c) in
+    degree 1 - len(q); a difference at q sits at s(q) in degree -len(q),
+    placed by its later member (i, x_i), the first of its block.
     """
     basis = pres.basis()
     quiver = pres.quiver
     into = basis.into_vertex(v)
     extended = {w.arrows[:-1] for w in into if w.arrows}
-    tops = sorted((w for w in into if w.arrows not in extended),
-                  key=lambda w: quiver.vertex_index(w.source))
+    index = quiver.vertex_index
+    rank = basis.rank
+    tops = sorted((w for w in into if w.arrows not in extended), key=lambda w: index(w.source))
     fibres = {}
-    for w in tops:
+    for i, w in enumerate(tops):
         for k in range(w.length + 1):
-            fibres.setdefault(w.arrows[:k], []).append((w.source, w.arrows[k:]))
-    classes = []
-    for q, members in fibres.items():  # members: (s(w_i), x_i) with w_i = q.x_i
+            fibres.setdefault(w.arrows[:k], []).append((i, w.source, w.arrows[k:]))
+    lifts = []  # (the lift's place in the dense cover's order, its class)
+    for q, members in fibres.items():  # members: (i, s(w_i), x_i) with w_i = q.x_i
         u = quiver.source(q[-1]) if q else v
         # one minimal killed column per ungrounded group (q, c)
         for c in quiver.arrows_from[u]:
             if q and c.name == q[-1]:
                 continue
-            if all(pres.word_is_nonzero((c.name,) + x) for _, x in members):
-                s, x = members[0]
-                classes.append(pres.survivor_key(Path((c.name,) + x, s, c.target)))
+            if all(pres.word_is_nonzero((c.name,) + x) for _, _, x in members):
+                i, s, x = members[0]
+                y = Path((c.name,) + x, s, c.target)
+                lifts.append(((index(c.target), 1 - len(q), i, rank[y]), pres.survivor_key(y)))
         # one difference per block past the first, blocks by the arrow before q
         blocks = {}
-        for s, x in members:
-            blocks.setdefault(x[:1], (s, x))
+        for i, s, x in members:
+            blocks.setdefault(x[:1], (i, s, x))
         if len(blocks) > 1:
-            (s, x), *rest = blocks.values()
+            (_, s, x), *rest = blocks.values()
             words = pres.survivor_key(Path(x, s, u))[1]
-            classes += [(u, words | pres.survivor_key(Path(y, t, u))[1]) for t, y in rest]
+            for i, t, y in rest:
+                p = Path(y, t, u)
+                lifts.append(((index(u), -len(q), i, rank[p]),
+                              (u, words | pres.survivor_key(p)[1])))
+    lifts.sort(key=lambda lift: lift[0])
+    classes = [key for _, key in lifts]
     omega = Counter()  # dim P0 - dim D(e_v A), per vertex
     for w in tops:
         omega.update(p.target for p in basis.from_vertex(w.source))
@@ -1145,22 +1162,18 @@ def _fibre_split(pres, v):
 def _summand_trace(pres, v):
     """The resolution of D(e_v A), once per presentation.  A cyclic summand
     is walked as its class.  Any other is split by the fibre rule
-    (``_fibre_split``) and its classes walked from step 2, with no module
-    built, when the certificate holds and the walk ends finite.  Otherwise
-    it is built and resolved: a periodic trace reports the step at which
-    the dense cover split and the first cycle met from its classes, and
-    both depend on the dense lifts."""
+    (``_fibre_split``) and its classes, in the dense order, walked from
+    step 2 with no module built, finite or periodic, when the certificate
+    holds.  Otherwise it is built and resolved."""
     key = _injective_summand_key(pres, v)
     if key is not None:
         return _class_trace(pres, key)
     gens, dim, classes, split = _fibre_split(pres, v)
-    if split:
-        trace = ResolutionTrace(module=None,
-                                layers=[ProjectiveLayer(gens, pbasis=None, rep=None)],
-                                syzygies=[_Counted(dim)])
-        if _class_walk(pres, trace, classes, 2).status == FINITE:
-            return trace
-    return resolve(injective_summand_rep(pres, v))
+    if not split:
+        return resolve(injective_summand_rep(pres, v))
+    trace = ResolutionTrace(module=None, layers=[ProjectiveLayer(gens, pbasis=None, rep=None)],
+                            syzygies=[_Counted(dim)])
+    return _class_walk(pres, trace, classes, 2)
 
 
 def _dual_regular_pd(pres):

@@ -35,6 +35,13 @@ def w_line_text(k, relation=False):
     return "\n".join(lines) + "\n"
 
 
+def l_line_text(k):
+    """L_k: W_k with a loop x at m = k // 2 and the relations x.x and
+    a_{m-1}.x, so that many injective summands have infinite pd."""
+    m = k // 2
+    return w_line_text(k) + f"arrow x {m} {m}\nrelation x x\nrelation a{m - 1} x\n"
+
+
 def class_rule_corpus():
     """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]

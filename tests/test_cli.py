@@ -430,21 +430,50 @@ W_LINE_TRACE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("k, relation", sorted(W_LINE_TRACE_SHA256))
-def test_w_line_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, k, relation):
-    # each side of W_k has k non-cyclic injective summands, and the fibre
-    # rule ends every one of them finite, so nothing is resolved
+def unresolved_trace_sha256(tmp_path, capsys, monkeypatch, text):
+    """The sha256 of `oracle --check gorenstein --trace --json` on the
+    presentation ``text``, asserting that it resolves no module."""
     import monosing.oracle
-    from conftest import w_line_text
 
     resolved = []
     real = monosing.oracle.resolve
     monkeypatch.setattr(monosing.oracle, "resolve", lambda rep: resolved.append(rep) or real(rep))
-    path = tmp_path / "w.quiver"
-    path.write_text(w_line_text(k, relation), encoding="utf-8")
+    path = tmp_path / "line.quiver"
+    path.write_text(text, encoding="utf-8")
     code, out, _ = run(capsys, "oracle", str(path), "--check", "gorenstein", "--trace", "--json")
     assert code == 0 and resolved == []
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == W_LINE_TRACE_SHA256[k, relation]
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("k, relation", sorted(W_LINE_TRACE_SHA256))
+def test_w_line_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, k, relation):
+    # each side of W_k has k non-cyclic injective summands, and the fibre
+    # rule ends every one of them finite, so nothing is resolved
+    from conftest import w_line_text
+
+    text = w_line_text(k, relation)
+    assert unresolved_trace_sha256(tmp_path, capsys, monkeypatch, text) == \
+        W_LINE_TRACE_SHA256[k, relation]
+
+
+L_LINE_TRACE_SHA256 = {
+    2: "3d23659f8b6f01a24e9ed8fb33ebf5a1da20135f53240a3c89916586979d60cf",
+    3: "3c13f806019fdcfd89a9d799e8bbbde9369ed1001b93c4888e28e3c2604be928",
+    4: "f6b4f3c758bfcdc6cfb331bef1491d41a2fe6ba1f64bc9b13ff28ba3be3c0563",
+    5: "9b423d2470a31d52da449f4c9b8e64df6b12bc8c1fe760791e797fbe39fdafa0",
+    6: "5c41465032b59caa4fcaac83aff4ab8843a3aa6dbfcd34c64aaeae1a5ff2d274",
+}
+
+
+@pytest.mark.parametrize("k", sorted(L_LINE_TRACE_SHA256))
+def test_l_line_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, k):
+    # the loop at k // 2 makes 3 to 8 injective summands of L_k periodic;
+    # the fibre rule certifies every non-cyclic one and lists its classes
+    # in the dense order, so the periodic details are walked, not resolved
+    from conftest import l_line_text
+
+    assert unresolved_trace_sha256(tmp_path, capsys, monkeypatch, l_line_text(k)) == \
+        L_LINE_TRACE_SHA256[k]
 
 
 def test_trace_shares_the_profiles_opposite(capsys, monkeypatch):
