@@ -49,25 +49,22 @@ its entries at the free columns, each divided by its kernel vector's entry
 there, and the image must be the combination they give, else the kernel
 is not closed under the action.
 
-Each module holds one primary form of its arrow action, and the dense
-matrices ``mats`` are only a view derived from it on first read.  A module
-spanned by paths, D(e_v A) included, keeps index maps: each arrow sends a
-basis vector to one basis vector or to zero.  On such a module no linear
-algebra runs.  The top lifts are the basis vectors no arrow hits; each cover
-column is a basis vector or zero, found by one lookup per arrow; and within
-a degree the kernel has e_j for each zero column j and e_j - e_i for each
-later column j of the fibre whose first column is i, which is exactly
-``la.nullspace``'s basis with the same free columns.  The projective P of
-every dense step has index maps, so a kernel vector moves through
-``P.image`` by re-indexing.  Every other module, every syzygy among them,
-keeps sparse columns {row: entry}.  Its top lifts reduce the images of the
-arrows into a vertex with the last nonzero index as pivot and keep the
-other indices, and its cover columns are sparse vectors.  Either way the
-cover walks P once, in basis order: a path's right factor is shorter and
-starts at the same vertex, so its image is already known, and the path's
-image is its first arrow's image of that one.  Only the kernel of a cover
-that certifies no split runs ``la.nullspace``, on the degree blocks of
-the dense cover matrix.
+Each module holds its arrow action in one form, sparse columns
+{row: entry}, one per basis vector of an arrow's source, and the dense
+matrices ``mats`` are only a view derived from them on first read.  A
+module spanned by paths, D(e_v A) included, sends each basis vector to one
+basis vector or to zero, so its columns are {i: 1} or empty.  The top
+lifts reduce the images of the arrows into a vertex with the last nonzero
+index as pivot and keep the other indices; on unit columns the pivots are
+the hit indices.  The cover walks P once, in basis order: a path's right
+factor is shorter and starts at the same vertex, so its image is already
+known, and the path's image is its first arrow's image of that one.  The
+kernel rule is chosen by the shape of the cover's columns, one degree
+block at a time.  When each column of the block is zero or a basis vector,
+the kernel has e_j for each zero column j and e_j - e_i for each later
+column j of the fibre whose first column is i, which is exactly
+``la.nullspace``'s basis with the same free columns, found with no
+elimination.  Any other block is made dense for ``la.nullspace``.
 
 Hom from a class (v, W) to a module N is decided by generator images: a map
 is fixed by the image y in N_v of the generator, and y is one iff x.y = 0
@@ -159,6 +156,7 @@ from .errors import (
     MismatchDetected,
     NotGorenstein,
     PresentationMismatch,
+    UnknownArrow,
 )
 from .presentation import Path, find_cycle, memoized
 
@@ -183,16 +181,17 @@ class Representation:
     basis order, the generator ``e_v`` first at v.  Hom from a module with
     a key is decided by generator images.
 
-    The action is held in one primary form, and an arrow left out of it
-    acts by zero.  A path span (the projectives, the class modules and the
-    regular module) and D(e_v A) are given ``maps``: per arrow, the tuple
-    whose entry j is the index of the basis vector that basis vector j goes
-    to, or None when it goes to zero.  Every other module keeps ``columns``:
-    per arrow, one sparse column ``{row: entry}`` per basis vector of the
-    source.  A syzygy is given its columns; a module given dense ``mats``
-    (target-dim x source-dim lists of rows) keeps their columns.
+    The action is held in one form, ``columns``: per arrow, one sparse
+    column ``{row: entry}`` per basis vector of the source, and an arrow
+    left out of it acts by zero.  A path span (the projectives, the class
+    modules and the regular module) and D(e_v A) send each basis vector to
+    one basis vector or to zero, so their columns are ``{i: 1}`` or ``{}``.
+    A syzygy is given its columns; a module given dense ``mats``
+    (target-dim x source-dim lists of rows) keeps their columns.  With
+    ``validate``, a vertex off the quiver raises UnknownVertex, an arrow
+    off it UnknownArrow and a negative dimension ValueError.
 
-    ``mats`` is a view derived from the primary form: every arrow between
+    ``mats`` is a view derived from the columns: every arrow between
     support vertices is built as a dense matrix when ``mats`` is first
     read, and the other arrows get their zero matrix on first read, as
     ``[]`` when it has no rows.  So ``Representation(pres, M.dims,
@@ -200,9 +199,11 @@ class Representation:
     """
 
     def __init__(self, pres, dims, mats=None, degrees=None, key=None, validate=True,
-                 maps=None, columns=None):
+                 columns=None):
         self.pres = pres
         q = pres.quiver
+        if validate:
+            self._check_names(dims, columns if mats is None else mats)
         self.support = tuple(sorted([v for v, n in dims.items() if n], key=q.vertex_index))
         self.dims = dict.fromkeys(q.vertices, 0)
         self.dims.update({v: dims[v] for v in self.support})
@@ -210,8 +211,7 @@ class Representation:
             if validate:
                 self._check_shapes(mats)
             columns = self._columns_of(mats)
-        self.maps = maps
-        self.columns = None if maps is not None else columns or {}
+        self.columns = columns or {}
         self.degrees = None if degrees is None else self._on_support(degrees)
         self.key = key
         self._cache = {}
@@ -223,6 +223,18 @@ class Representation:
         full = dict.fromkeys(self.pres.quiver.vertices, ())
         full.update({v: tuple(per_vertex.get(v, ())) for v in self.support})
         return full
+
+    def _check_names(self, dims, action):
+        """Every vertex and arrow named lies on the quiver, and no dimension
+        is negative."""
+        q = self.pres.quiver
+        for v, n in dims.items():
+            q.trivial_path(v)  # UnknownVertex off the quiver
+            if n < 0:
+                raise ValueError(f"dimension {n} at vertex {v!r} is negative")
+        for name in action or ():
+            if name not in q.arrow_by_name:
+                raise UnknownArrow(f"unknown arrow {name!r}")
 
     def _check_shapes(self, mats):
         arrows = self.pres.quiver.arrow_by_name
@@ -248,20 +260,17 @@ class Representation:
         return columns
 
     def _validate(self):
-        """Each arrow's map or columns fit the spaces at its ends, and every
-        minimal relation whose word stays inside the support acts by zero,
-        composed through the primary form."""
+        """Each arrow's columns fit the spaces at its ends, and every minimal
+        relation whose word stays inside the support acts by zero, composed
+        through the columns."""
         arrows = self.pres.quiver.arrow_by_name
         dims = self.dims
-        form = "index map" if self.maps is not None else "column list"
-        for name, action in (self.maps if self.maps is not None else self.columns).items():
+        for name, action in self.columns.items():
             a = arrows[name]
             if len(action) != dims[a.source]:
-                raise InternalInvariantViolation(f"{form} for {name} has wrong length")
-            rows = (action if self.maps is not None
-                    else [i for col in action for i in col])
-            if any(i is not None and not 0 <= i < dims[a.target] for i in rows):
-                raise InternalInvariantViolation(f"{form} for {name} leaves the target space")
+                raise InternalInvariantViolation(f"column list for {name} has wrong length")
+            if any(not 0 <= i < dims[a.target] for col in action for i in col):
+                raise InternalInvariantViolation(f"column list for {name} leaves the target space")
         q = self.pres.quiver
         relations = _relations_at(self.pres)
         for v in self.support:
@@ -276,25 +285,17 @@ class Representation:
         """The image under the arrow ``name`` of a sparse vector {index:
         entry} in its source space, as a sparse vector without zeros."""
         out = {}
-        if self.maps is not None:
-            targets = self.maps.get(name)
-            if targets is not None:
-                for j, x in vec.items():
-                    i = targets[j]
-                    if i is not None:
-                        out[i] = out.get(i, 0) + x
-        else:
-            columns = self.columns.get(name)
-            if columns is not None:
-                for j, x in vec.items():
-                    for i, y in columns[j].items():
-                        out[i] = out.get(i, 0) + x * y
+        columns = self.columns.get(name)
+        if columns is not None:
+            for j, x in vec.items():
+                for i, y in columns[j].items():
+                    out[i] = out.get(i, 0) + x * y
         return {i: x for i, x in out.items() if x}
 
     @functools.cached_property
     def mats(self):
         """Dense arrow matrices (target-dim x source-dim), derived from the
-        primary form in full on first read."""
+        columns in full on first read."""
         dims = self.dims
         built = {}
         for a in _supported_arrows(self.pres, {v: dims[v] for v in self.support}):
@@ -380,10 +381,10 @@ def _path_span(pres, elems):
     order, and an arrow prepends itself when the longer word is listed under
     the same tag and sends the path to zero otherwise, so a list closed under
     right factors spans a quotient of the projectives.  Returns
-    ``(dims, maps, by_vertex)`` over the support only, with ``by_vertex[v]``
-    the elements placed at v and ``maps`` each arrow's index map (see
-    ``Representation``); ``maps`` leaves out the arrows with a
-    zero-dimensional end.
+    ``(dims, columns, by_vertex)`` over the support only, with
+    ``by_vertex[v]`` the elements placed at v and ``columns`` each arrow's
+    columns, ``{i: 1}`` for the element i it sends a path to and ``{}`` for
+    zero; ``columns`` leaves out the arrows with a zero-dimensional end.
     """
     by_vertex = {}
     index = {}
@@ -392,9 +393,11 @@ def _path_span(pres, elems):
         index[(tag, x.arrows)] = len(placed)
         placed.append((tag, x))
     dims = {v: len(placed) for v, placed in by_vertex.items()}
-    maps = {a.name: tuple(index.get((tag, (a.name,) + x.arrows)) for tag, x in by_vertex[a.source])
-            for a in _supported_arrows(pres, dims)}
-    return dims, maps, by_vertex
+    columns = {}
+    for a in _supported_arrows(pres, dims):
+        hits = (index.get((tag, (a.name,) + x.arrows)) for tag, x in by_vertex[a.source])
+        columns[a.name] = [{} if i is None else {i: 1} for i in hits]
+    return dims, columns, by_vertex
 
 
 def _supported_arrows(pres, dims):
@@ -413,9 +416,9 @@ def path_module_rep(pres, p):
 def _class_rep(pres, key):
     """The cyclic module A e_v modulo the paths from v outside the key's
     words; x.g sits in degree len(x), and g = e_v comes first."""
-    dims, maps, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
+    dims, columns, by_vertex = _path_span(pres, [(None, x) for x in _class_paths(pres, key)])
     degrees = {u: tuple(x.length for _, x in placed) for u, placed in by_vertex.items()}
-    return Representation(pres, dims, degrees=degrees, key=key, maps=maps)
+    return Representation(pres, dims, degrees=degrees, key=key, columns=columns)
 
 
 def _class_paths(pres, key):
@@ -427,9 +430,9 @@ def _class_paths(pres, key):
 
 def regular_rep(pres):
     """The left regular module: basis all nonzero paths grouped by target."""
-    dims, maps, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
+    dims, columns, by_vertex = _path_span(pres, [(w.source, w) for w in pres.basis()])
     degrees = {v: tuple(w.length for _, w in placed) for v, placed in by_vertex.items()}
-    return Representation(pres, dims, degrees=degrees, maps=maps)
+    return Representation(pres, dims, degrees=degrees, columns=columns)
 
 
 def dual_regular_rep(pres):
@@ -451,22 +454,18 @@ def direct_sum(pres, reps):
     for r in reps:
         for v in r.support:
             dims[v] = dims.get(v, 0) + r.dims[v]
-    mats = {}
+    columns = {}
     for a in _supported_arrows(pres, dims):
-        m = la.zeros(dims[a.target], dims[a.source])
-        ri = ci = 0
+        cols = columns[a.name] = []
+        offset = 0  # the summand's first row at the target
         for r in reps:
-            rows, cols = r.dims[a.target], r.dims[a.source]
-            if rows and cols:
-                for i, row in enumerate(r.mats[a.name]):
-                    m[ri + i][ci:ci + cols] = row
-            ri += rows
-            ci += cols
-        mats[a.name] = m
+            for j in range(r.dims[a.source]):
+                cols.append({offset + i: x for i, x in r.image(a.name, {j: 1}).items()})
+            offset += r.dims[a.target]
     degrees = None
     if all(r.degrees is not None for r in reps):
         degrees = {v: tuple(d for r in reps for d in r.degrees[v]) for v in dims}
-    return Representation(pres, dims, mats, degrees=degrees, validate=False)
+    return Representation(pres, dims, degrees=degrees, validate=False, columns=columns)
 
 
 # -- minimal covers, syzygies, resolutions ------------------------------------
@@ -484,33 +483,29 @@ class ProjectiveLayer:
 def _build_projective(pres, gens):
     basis = pres.basis()
     elems = [(gi, x) for gi, (v, _) in enumerate(gens) for x in basis.from_vertex(v)]
-    dims, maps, pbasis = _path_span(pres, elems)
+    dims, columns, pbasis = _path_span(pres, elems)
     degrees = {v: tuple(gens[gi][1] + x.length for gi, x in placed)
                for v, placed in pbasis.items()}
-    rep = Representation(pres, dims, degrees=degrees, validate=False, maps=maps)
+    rep = Representation(pres, dims, degrees=degrees, validate=False, columns=columns)
     return ProjectiveLayer(gens=list(gens), pbasis=pbasis, rep=rep)
 
 
 def top_lifts(rep):
     """Standard-basis lifts of top(M) = M/rad M, per support vertex, homogeneous.
 
-    On a module with index maps they are the basis vectors no arrow hits.
-    Otherwise the images of the arrows into v are reduced to a basis with
-    distinct last nonzero indices (``_last_index_pivots``), and the top
-    lifts are the other indices: e_i lies in rad M + <e_k : k < i> exactly
-    when some vector of rad M ends at i, so these are the identity columns
-    that ``la.pivot_columns`` keeps in ``[images | identity]``."""
+    The images of the arrows into v are reduced to a basis with distinct
+    last nonzero indices (``_last_index_pivots``), and the top lifts are the
+    other indices: e_i lies in rad M + <e_k : k < i> exactly when some
+    vector of rad M ends at i, so these are the identity columns that
+    ``la.pivot_columns`` keeps in ``[images | identity]``.  On unit columns
+    the pivots are the indices the arrows hit."""
     dims = rep.dims
     arrows_into = rep.pres.quiver.arrows_into
     lifts = {}
     for v in rep.support:
-        n = dims[v]
         into = [a.name for a in arrows_into[v] if dims[a.source]]
-        if rep.maps is not None:
-            hit = {i for a in into for i in rep.maps.get(a, ())}
-        else:
-            hit = _last_index_pivots(col for a in into for col in rep.columns.get(a, ()))
-        lifts[v] = [j for j in range(n) if j not in hit]
+        hit = _last_index_pivots(col for a in into for col in rep.columns.get(a, ()))
+        lifts[v] = [j for j in range(dims[v]) if j not in hit]
     return lifts
 
 
@@ -547,15 +542,12 @@ def projective_cover(rep):
     P is walked once, in basis order: generator by generator, the paths
     from its vertex in canonical order, so each path's right factor
     ``word[1:]``, shorter and from the same vertex, is already imaged, and
-    the path's image is its first arrow's image of that one.  Images are
-    kept sparse: on a module with index maps an image is a basis vector or
-    zero, kept as its index or None, and on any other module it is a sparse
+    the path's image is its first arrow's image of that one, a sparse
     column {row: entry}.  ``cover`` has one block per vertex of P's
     support, which contains M's since the cover is onto: the images of P's
     basis at that vertex, in basis order.
     """
     basis = rep.pres.basis()
-    maps = rep.maps
     lifts = top_lifts(rep)
     gens = []
     cover = {}
@@ -565,14 +557,7 @@ def projective_cover(rep):
             images = {}
             for x in basis.from_vertex(v):
                 word = x.arrows
-                if not word:
-                    image = j if maps is not None else {j: 1}
-                elif maps is None:
-                    image = rep.image(word[0], images[word[1:]])
-                else:  # an arrow left out of maps acts by zero
-                    image = images[word[1:]]
-                    if image is not None:
-                        image = maps[word[0]][image] if word[0] in maps else None
+                image = rep.image(word[0], images[word[1:]]) if word else {j: 1}
                 images[word] = image
                 cover.setdefault(x.target, []).append(image)
     return _build_projective(rep.pres, gens), cover
@@ -584,11 +569,8 @@ def _cover_matrix(rep, cover, v):
     block = cover[v]
     m = la.zeros(rep.dims[v], len(block))
     for j, image in enumerate(block):
-        if rep.maps is None:
-            for i, x in image.items():
-                m[i][j] = x
-        elif image is not None:
-            m[image][j] = 1
+        for i, x in image.items():
+            m[i][j] = x
     return m
 
 
@@ -605,13 +587,13 @@ def _kernel_blocks(rep, layer, cover):
     free column is the vector's last nonzero entry, and every other vector
     at the vertex is zero there.
 
-    On a module with index maps each cover column is a basis vector or
-    zero, so within a degree a zero column j gives e_j and each later
-    column j of a fibre gives e_j - e_first: ``la.nullspace``'s basis, with
-    the same free columns in the same order, and no elimination.  On any
-    other module each degree's block of sparse columns is made dense for
-    ``la.nullspace``, its columns read off ``_cover_matrix``; ``resolve``
-    takes a kernel only when the cover certified no split."""
+    The rule follows the columns' shape.  When every cover column of a
+    degree block is zero or a basis vector, a zero column j gives e_j and
+    each later column j of a fibre gives e_j - e_first: ``la.nullspace``'s
+    basis, with the same free columns in the same order, and no
+    elimination.  Any other block is made dense for ``la.nullspace``, its
+    columns read off ``_cover_matrix``; ``resolve`` takes a kernel only
+    when the cover certified no split."""
     kernel = {}
     for v in layer.rep.support:
         ncols = layer.rep.dims[v]
@@ -620,21 +602,24 @@ def _kernel_blocks(rep, layer, cover):
         for j, d in enumerate(pdeg):
             groups.setdefault(d, []).append(j)
         block = cover[v]
-        dense = _cover_matrix(rep, cover, v) if rep.maps is None else None
+        dense = None
         cols = []
         for dkey in sorted(groups, key=lambda x: (x is not None, x)):
             idx = groups[dkey]
-            if dense is None:
+            if all(not block[j] or list(block[j].values()) == [1] for j in idx):
                 first = {}
                 for j in idx:
-                    i = block[j]
-                    if i is None:
+                    if not block[j]:
                         cols.append((j, {j: 1}))
-                    elif i in first:
+                        continue
+                    (i,) = block[j]
+                    if i in first:
                         cols.append((j, {first[i]: -1, j: 1}))
                     else:
                         first[i] = j
                 continue
+            if dense is None:
+                dense = _cover_matrix(rep, cover, v)
             sub = [[row[j] for j in idx] for row in dense]
             for vec in la.nullspace(sub, len(idx)):
                 full = {j: x for j, x in zip(idx, vec) if x}
@@ -647,7 +632,7 @@ def syzygy_step(rep):
     """Minimal cover (kept on the module) and its kernel; returns (layer,
     cover, kernel rep, kernel columns), each kernel column a sparse vector
     {column: entry} over P's basis at its vertex.  A kernel vector moves
-    through ``P.image``, P's index maps.  Coordinate i of an arrow's image
+    through ``P.image``, P's unit columns.  Coordinate i of an arrow's image
     is its entry at the free column f_i of kernel vector k_i over k_i[f_i],
     and the image must be the combination of the k_i with those
     coefficients; the kernel rep keeps those coordinates as its sparse
@@ -711,15 +696,15 @@ class ResolutionTrace:
 def resolve(rep):
     """Minimal resolution of rep with its termination status.
 
-    It covers the module, keeping the cover on it (``_module_cover``), and
-    first asks whether the cover certifies a split into summand classes,
-    which are then walked (``Finite`` or ``PeriodicityDetected``, see the
-    module docstring); otherwise it takes the kernel, a dense syzygy step,
-    until the resolution is still alive
-    after bound + 1 steps, where bound = 2 + (number of nontrivial basis
-    paths) is the sound upper limit on finite projective dimensions over a
-    monomial algebra (``PeriodicityDetected``).  After a walk the layers
-    stop at the split and the syzygies one step before it.
+    Each step covers the module, keeping the cover on it
+    (``_module_cover``), and asks whether the cover certifies a split into
+    summand classes, which are then walked (``Finite`` or
+    ``PeriodicityDetected``, see the module docstring).  Otherwise the step
+    takes the kernel, a dense syzygy step.  A resolution still alive after
+    bound + 1 steps is ``PeriodicityDetected``: bound = 2 + (number of
+    nontrivial basis paths) is the sound upper limit on finite projective
+    dimensions over a monomial algebra.  After a walk the layers stop at
+    the split and the syzygies one step before it.
     """
     pres = rep.pres
     basis = pres.basis()
@@ -750,9 +735,8 @@ def _summand_classes(rep, layer, cover):
     """The class keys of rep's summands on its top lifts, or None when the
     cover does not certify a split (see the module docstring)."""
     words = [[] for _ in layer.gens]
-    zero = None if rep.maps is not None else {}  # a zero image of either form
     for v, placed in layer.pbasis.items():
-        nonzero = [col for col, image in enumerate(cover[v]) if image != zero]
+        nonzero = [col for col, image in enumerate(cover[v]) if image]
         if len(nonzero) != rep.dims[v]:
             return None
         for col in nonzero:
@@ -1043,11 +1027,11 @@ def injective_summand_rep(pres, v):
         index[w.arrows] = len(placed)
         placed.append(w.arrows)
     dims = {u: len(placed) for u, placed in by_vertex.items()}
-    maps = {a.name: tuple(index[w[:-1]] if w and w[-1] == a.name else None
-                          for w in by_vertex[a.source])
-            for a in _supported_arrows(pres, dims)}
+    columns = {a.name: [{index[w[:-1]]: 1} if w and w[-1] == a.name else {}
+                        for w in by_vertex[a.source]]
+               for a in _supported_arrows(pres, dims)}
     degrees = {u: tuple(-len(w) for w in placed) for u, placed in by_vertex.items()}
-    return Representation(pres, dims, degrees=degrees, maps=maps)
+    return Representation(pres, dims, degrees=degrees, columns=columns)
 
 
 def _injective_summand_key(pres, v):

@@ -654,12 +654,14 @@ def presentation_to_json(pres):
 
 
 def presentation_to_text(pres):
-    lines = ["vertex " + " ".join(pres.quiver.vertices)]
+    """The file format of ``parse_presentation``, one statement a line; the
+    empty presentation writes no line."""
+    lines = ["vertex " + " ".join(pres.quiver.vertices)] if pres.quiver.vertices else []
     for a in pres.quiver.arrows:
         lines.append(f"arrow {a.name} {a.source} {a.target}")
     for g in pres.generators:
         lines.append("relation " + " ".join(g.traversal))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -2,7 +2,7 @@ import pytest
 
 from monosing import oracle
 from monosing.corpus import gorenstein_corpus, seeded_rng
-from monosing.errors import InternalInvariantViolation, NotGorenstein
+from monosing.errors import InternalInvariantViolation, NotGorenstein, UnknownArrow, UnknownVertex
 from monosing.oracle import (
     FINITE,
     PERIODIC,
@@ -1243,7 +1243,7 @@ def heavy_draw():
 
 
 # sha256 of json.dumps(..., sort_keys=True) of the heavy draw's trace report
-# and profile, pinned before the index maps
+# and profile
 HEAVY_SHA256 = {
     "resolution_trace_report":
         "3d1daba4fc7261636e65dde4c4f7fbf585add3082a21d9570bd5c1dc2809df5a",
@@ -1345,32 +1345,67 @@ def test_the_heavy_draw_reports_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == HEAVY_SHA256[name], name
 
 
-def test_index_maps_give_the_dense_cover_and_kernel():
-    # the same module with and without index maps, graded and ungraded, has
-    # the same top lifts, cover and kernel basis, free columns included
-    from monosing.oracle import (_cover_matrix, _kernel_blocks, injective_summand_rep,
-                                 projective_cover, top_lifts)
+def degree_blocks(M, layer):
+    """(vertex, column indices) of each degree block of M's cover, in the
+    order _kernel_blocks takes them: one block per vertex when M is
+    ungraded."""
+    for v in layer.rep.support:
+        n = layer.rep.dims[v]
+        pdeg = layer.rep.degrees[v] if M.degrees is not None else (None,) * n
+        groups = {}
+        for j, d in enumerate(pdeg):
+            groups.setdefault(d, []).append(j)
+        for d in sorted(groups, key=lambda x: (x is not None, x)):
+            yield v, groups[d]
 
-    checked = 0
+
+def is_unit_block(block, idx):
+    """Is every column of the block zero or a basis vector?"""
+    return all(len(block[j]) == 0 or (len(block[j]) == 1 and set(block[j].values()) == {1})
+               for j in idx)
+
+
+def nullspace_kernel_blocks(M, layer, cover):
+    """_kernel_blocks with every degree block made dense for la.nullspace."""
+    from monosing import linalg as la
+    from monosing.oracle import _cover_matrix
+
+    kernel = {v: [] for v in layer.rep.support}
+    for v, idx in degree_blocks(M, layer):
+        dense = _cover_matrix(M, cover, v)
+        for vec in la.nullspace([[row[j] for j in idx] for row in dense], len(idx)):
+            full = {j: x for j, x in zip(idx, vec) if x}
+            kernel[v].append((max(full), full))
+    return kernel
+
+
+def test_the_unit_block_kernel_rule_is_the_nullspace_basis(monkeypatch):
+    # on a degree block of zero and unit cover columns _kernel_blocks reads
+    # the kernel off the fibres, with no elimination; on every cover the
+    # corpus resolves, graded and ungraded, its basis is la.nullspace's,
+    # free columns and their order included
+    from collections import Counter
+
+    from monosing.oracle import _kernel_blocks, injective_summand_rep
+
+    covered = []
+    real_cover = oracle._module_cover
+    monkeypatch.setattr(oracle, "_module_cover",
+                        lambda M: covered.append(M) or real_cover(M))
     for pres in class_rule_corpus():
         for pr in (pres, pres.opposite()):
             modules = [regular_rep(pr)] + [build(pr, v) for v in pr.quiver.vertices
                                            for build in (injective_summand_rep, simple_rep)]
             for M in modules:
-                for degrees in (M.degrees, None):
-                    mapped = Representation(pr, M.dims, degrees=degrees, maps=M.maps)
-                    dense = Representation(pr, M.dims, M.mats, degrees=degrees)
-                    assert dense.maps is None  # the dense matrices' sparse columns
-                    assert top_lifts(mapped) == top_lifts(dense)
-                    (layer, cover), (dense_layer, dense_cover) = \
-                        projective_cover(mapped), projective_cover(dense)
-                    assert layer.gens == dense_layer.gens
-                    assert {v: _cover_matrix(mapped, cover, v) for v in cover} == \
-                        {v: _cover_matrix(dense, dense_cover, v) for v in dense_cover}
-                    assert _kernel_blocks(mapped, layer, cover) == \
-                        _kernel_blocks(dense, dense_layer, dense_cover)
-                    checked += 1
-    assert checked > 2000, checked
+                resolve(M)
+                resolve(Representation(pr, M.dims, M.mats))
+    shapes = Counter()
+    for M in {id(M): M for M in covered}.values():
+        layer, cover = real_cover(M)
+        assert _kernel_blocks(M, layer, cover) == nullspace_kernel_blocks(M, layer, cover)
+        for v, idx in degree_blocks(M, layer):
+            shapes["unit" if is_unit_block(cover[v], idx) else "general"] += 1
+    assert shapes["unit"] > 10000 and shapes["general"] > 100, shapes
 
 
 def dense_top_lifts_reference(M):
@@ -1394,9 +1429,9 @@ def dense_top_lifts_reference(M):
 
 
 def test_sparse_top_lifts_and_covers_match_the_dense_reference(monkeypatch):
-    # every module resolve covers, with maps or sparse columns, against the
-    # dense rules on its mats view: the top lifts of [R | I], and each cover
-    # column as mat_vec images of the top lift it grows from
+    # every module resolve covers, with unit-shaped or general cover blocks,
+    # against the dense rules on its mats view: the top lifts of [R | I],
+    # and each cover column as mat_vec images of the top lift it grows from
     from monosing import linalg as la
     from monosing.corpus import random_presentation
     from monosing.oracle import _cover_matrix, injective_summand_rep, top_lifts
@@ -1414,10 +1449,10 @@ def test_sparse_top_lifts_and_covers_match_the_dense_reference(monkeypatch):
                 if oracle._injective_summand_key(pr, v) is None:
                     D = injective_summand_rep(pr, v)
                     resolve(D)
-                    if pres in presentations:  # ungraded, a column module from step 1 on
+                    if pres in presentations:  # ungraded: one degree block per vertex
                         resolve(Representation(pr, D.dims, D.mats))
     covered = list({id(M): M for M in covered}.values())  # syzygy_step reads the cover again
-    forms = {"maps": 0, "columns": 0}
+    shapes = {"unit": 0, "general": 0}
     columns = 0
     for M in covered:
         lifts = top_lifts(M)
@@ -1435,45 +1470,65 @@ def test_sparse_top_lifts_and_covers_match_the_dense_reference(monkeypatch):
             block = _cover_matrix(M, cover, v)
             assert [[row[j] for row in block] for j in range(len(placed))] == dense
             columns += len(placed)
-        forms["maps" if M.maps is not None else "columns"] += 1
-    assert forms["maps"] > 50 and forms["columns"] > 150, forms
+        for v, idx in degree_blocks(M, layer):
+            shapes["unit" if is_unit_block(cover[v], idx) else "general"] += 1
+    assert shapes["unit"] > 800 and shapes["general"] > 150, shapes
     assert max(M.total_dim for M in covered) == 1072 and columns > 10000, columns
 
 
 def test_a_copy_of_the_mats_view_is_the_module(glu):
-    # mats is built in full from the primary form on first read, so a module
-    # made from it is the same module, whichever form the original holds
+    # mats is built in full from the columns on first read, so a module made
+    # from it is the same module, unit columns or not
     from monosing.oracle import _build_projective, _class_rep, injective_summand_rep, syzygy_step
 
     D = injective_summand_rep(glu, "1")
     _, _, S, _ = syzygy_step(injective_summand_rep(glu, "1"))
     modules = [_build_projective(glu, [("1", 0), ("2", 1)]).rep,
                _class_rep(glu, glu.survivor_key(glu.quiver.arrow_path("t1"))), D, S]
-    assert [M.maps is not None for M in modules] == [True, True, True, False]
     for M in modules:
         copy = Representation(glu, M.dims, M.mats, degrees=M.degrees)  # validates
-        assert copy.maps is None and module_data(copy) == module_data(M)
+        assert module_data(copy) == module_data(M)
 
 
-def test_index_maps_are_validated(z2r3):
-    # a map must fit its ends, and every relation must act by zero through it
+def test_columns_are_validated(z2r3):
+    # a column list must fit its ends, and every relation must act by zero
+    # through it
     dims = {"1": 1, "2": 1}
     with pytest.raises(InternalInvariantViolation, match="leaves the target space"):
-        Representation(z2r3, dims, maps={"a": (1,)})
+        Representation(z2r3, dims, columns={"a": [{1: 1}]})
     with pytest.raises(InternalInvariantViolation, match="wrong length"):
-        Representation(z2r3, dims, maps={"a": (0, None)})
+        Representation(z2r3, dims, columns={"a": [{0: 1}, {}]})
     with pytest.raises(InternalInvariantViolation, match="relation .* acts nonzero"):
-        Representation(z2r3, dims, maps={"a": (0,), "b": (0,)})  # a b a acts as 1
-    M = Representation(z2r3, dims, maps={"a": (0,), "b": (None,)})
+        Representation(z2r3, dims, columns={"a": [{0: 1}], "b": [{0: 1}]})  # a b a acts as 1
+    M = Representation(z2r3, dims, columns={"a": [{0: 1}], "b": [{}]})
     assert M.mats["a"] == [[1]] and M.mats["b"] == [[0]]
 
 
-def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
-    # D(e_v A) and the projectives carry index maps, and the cover, the
-    # kernel and P's action on the kernel read them; a syzygy keeps sparse
-    # columns, whose top lifts and cover are sparse too.  So the profile
-    # calls neither mat_vec nor pivot_columns, and nullspace only for the
-    # kernel of a cover that certified no split
+def test_a_vertex_off_the_quiver_is_refused(z2r3):
+    with pytest.raises(UnknownVertex, match="'9'"):
+        Representation(z2r3, {"9": 1}, {})
+
+
+def test_an_arrow_off_the_quiver_is_refused(z2r3):
+    dims = {"1": 1, "2": 1}
+    with pytest.raises(UnknownArrow, match="'zz'"):
+        Representation(z2r3, dims, {"zz": [[1]]})
+    with pytest.raises(UnknownArrow, match="'zz'"):
+        Representation(z2r3, dims, columns={"zz": [{0: 1}]})
+
+
+def test_a_negative_dimension_is_refused(z2r3):
+    with pytest.raises(ValueError, match="negative"):
+        Representation(z2r3, {"1": -1}, {})
+
+
+def test_the_profile_runs_linear_algebra_only_on_general_blocks(monkeypatch):
+    # D(e_v A) and the projectives have unit columns, and so has many a
+    # syzygy's cover: the top lifts, the cover and P's action on the kernel
+    # are sparse, and a degree block of zero and unit cover columns gives
+    # its kernel with no elimination.  So the profile calls neither mat_vec
+    # nor pivot_columns, and nullspace only on a block that is not
+    # unit-shaped, in a cover that certified no split
     import sys
 
     from monosing import linalg
@@ -1483,7 +1538,7 @@ def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
     rng = seeded_rng()
     presentations += [random_presentation(rng) for _ in range(50)]
     resolved = counting(monkeypatch, "resolve")
-    calls = []  # (linalg function, caller, the module's cover certified no split)
+    calls = []  # (linalg function, caller, a general block of a cover that certified no split)
 
     def watch(name):
         real = getattr(linalg, name)
@@ -1491,11 +1546,11 @@ def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
         def wrapper(*args):
             frame = sys._getframe(1)
             local = frame.f_locals
-            unsplit = (frame.f_code.co_name == "_kernel_blocks"
-                       and local["rep"].maps is None
+            general = (frame.f_code.co_name == "_kernel_blocks"
+                       and not is_unit_block(local["block"], local["idx"])
                        and oracle._summand_classes(local["rep"], local["layer"],
                                                    local["cover"]) is None)
-            calls.append((name, frame.f_code.co_name, unsplit))
+            calls.append((name, frame.f_code.co_name, general))
             return real(*args)
 
         monkeypatch.setattr(linalg, name, wrapper)
@@ -1504,7 +1559,9 @@ def test_modules_with_index_maps_run_no_linear_algebra(monkeypatch):
         watch(name)
     for pres in presentations:
         injective_dimension_profile(pres)
-    assert resolved and all(M.maps is not None for (M,) in resolved)
+    # the profile resolves only built D(e_v A), whose columns are all unit
+    assert resolved and all(is_unit_block(cols, range(len(cols)))
+                            for (M,) in resolved for cols in M.columns.values())
     assert calls and all(call == ("nullspace", "_kernel_blocks", True) for call in calls), \
         {call for call in calls if not call[2]}
 

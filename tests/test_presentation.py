@@ -101,6 +101,15 @@ def test_parse_comments_and_echo(z3r2):
     assert again == z3r2
 
 
+def test_the_empty_presentation_round_trips():
+    # no vertex, so no vertex line: "vertex " alone is refused
+    empty = parse_presentation("")
+    assert presentation_to_text(empty) == ""
+    assert parse_presentation(presentation_to_text(empty)) == empty
+    one = parse_presentation("vertex 1\n")
+    assert presentation_to_text(one) == "vertex 1\n"
+
+
 def test_minimal_relations_single(lin):
     assert [str(f) for f in minimal_relations(lin)] == ["a·b"]
 
