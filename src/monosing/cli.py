@@ -195,7 +195,10 @@ def cmd_glue(pres, args):
 
 def cmd_oracle(pres, args):
     """homological oracle checks"""
-    window = args.window if args.window is not None else max(1, 2 * pres.dimension())
+    if args.trace and args.check != "gorenstein":
+        raise ParseError(f"--trace applies to --check gorenstein, not --check {args.check}")
+    if args.window is not None and args.check != "tilting":
+        raise ParseError(f"--window applies to --check tilting, not --check {args.check}")
     if args.check == "gorenstein":
         data = injective_dimension_profile(pres).to_json()
         lines = [_kv("gorenstein", f"{data['gorenstein']} (level {data['level']})")]
@@ -210,6 +213,7 @@ def cmd_oracle(pres, args):
     if args.check == "classification":
         data = crosscheck_classification(pres)
         return data, [_kv("match", data["match"]), _kv("classes", data["homological_classes"])], 0
+    window = args.window if args.window is not None else max(1, 2 * pres.dimension())
     ok = verify_omega_T_ext_vanishing(pres, window)
     return {"window": window, "vanishing": ok}, [_kv("vanishing", f"{ok} (window {window})")], \
         0 if ok else 1
@@ -264,9 +268,10 @@ def build_parser():
             p.add_argument("--check", required=True,
                            choices=["classification", "tilting", "gorenstein"])
             p.add_argument("--window", type=_window, default=None,
-                           help="Ext window, at least 1 (default max(1, 2 * dim A))")
+                           help="--check tilting's Ext window, at least 1 "
+                                "(default max(1, 2 * dim A))")
             p.add_argument("--trace", action="store_true",
-                           help="include per-vertex resolution traces")
+                           help="--check gorenstein: include per-vertex resolution traces")
     return parser
 
 

@@ -112,9 +112,15 @@ keep the least column of each component of rad Omega^1, which is the
 column the fibre rule picks.  So an infinite trace names the same split
 step and first class cycle as the dense resolution, and projective ranks
 and syzygy dimensions, invariants of the minimal resolution, read the
-same anyway.  Only when the certificate fails is the summand built by its
-own action (``injective_summand_rep``) and resolved, the split left to
-the dense step.
+same anyway.
+
+When the certificate fails, the resolution goes on in path coordinates,
+still with no module built (``_syzygy_in_paths``): Omega^k is held as its
+top lifts written in P_(k-1)'s columns, and Omega^(k+1) is the kernel of
+the cover P_k -> P_(k-1), until the lifts' classes certify a split or
+``resolve``'s backstop is passed.  The trace is the dense resolution's:
+the same generators, dimensions, split step and ordered classes.  Two
+kernels do not always suffice; a summand may split only at Omega^3.
 
 The crosscheck compares keys.  Over a Gorenstein algebra of level d the
 Gorenstein-projective modules are the d-th syzygies and the M with
@@ -521,19 +527,30 @@ def _last_index_pivots(vectors):
             x = vec[p]
             b = basis.get(p)
             if b is None:
-                if x == -1:
-                    vec = {i: -y for i, y in vec.items()}
-                elif x != 1:
-                    vec = {i: Fraction(y) / x for i, y in vec.items()}
-                basis[p] = vec
+                basis[p] = _divided(vec, x)
                 break
-            for i, y in b.items():
-                t = vec.get(i, 0) - x * y
-                if t:
-                    vec[i] = t
-                else:
-                    del vec[i]
+            _subtract(vec, x, b)
     return basis.keys()
+
+
+def _divided(vec, x):
+    """The sparse vector vec / x, integral when vec is and x is 1 or -1."""
+    if x == 1:
+        return vec
+    if x == -1:
+        return {i: -y for i, y in vec.items()}
+    x = Fraction(x)
+    return {i: y / x for i, y in vec.items()}
+
+
+def _subtract(vec, s, other):
+    """vec -= s * other, in place, on sparse vectors without zeros."""
+    for i, y in other.items():
+        t = vec.get(i, 0) - s * y
+        if t:
+            vec[i] = t
+        else:
+            del vec[i]
 
 
 def projective_cover(rep):
@@ -707,8 +724,7 @@ def resolve(rep):
     the split and the syzygies one step before it.
     """
     pres = rep.pres
-    basis = pres.basis()
-    bound = 2 + max(0, basis.dimension - len(pres.quiver.vertices))
+    bound = _backstop(pres)
     trace = ResolutionTrace(module=rep)
     if rep.is_zero():
         trace.status, trace.pd = FINITE, 0
@@ -725,10 +741,21 @@ def resolve(rep):
         _, _, cur, _ = syzygy_step(cur)
         trace.syzygies.append(cur)
         if k > bound:
-            trace.status = PERIODIC
-            trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
-                            "syzygy classes over a monomial algebra must recur")
-            return trace
+            return _past_backstop(trace, bound)
+
+
+def _backstop(pres):
+    """2 + (number of nontrivial basis paths), the sound upper limit on
+    finite projective dimensions over a monomial algebra."""
+    return 2 + max(0, pres.basis().dimension - len(pres.quiver.vertices))
+
+
+def _past_backstop(trace, bound):
+    """Finish a trace still alive after bound + 1 steps: periodic."""
+    trace.status = PERIODIC
+    trace.detail = (f"resolution alive after the finite-pd bound {bound}; "
+                    "syzygy classes over a monomial algebra must recur")
+    return trace
 
 
 def _summand_classes(rep, layer, cover):
@@ -1077,11 +1104,15 @@ def _class_dims(pres, key):
 
 
 def _fibre_split(pres, v):
-    """(P0's generators, dim Omega^1, the classes of Omega^1's top
-    generators, certificate) for the non-cyclic D(e_v A), read off the
-    maximal paths into v with no module built (see the module docstring).
-    Omega^1 is the direct sum of the classes when the certificate holds:
-    their words number dim P0 - dim D(e_v A) at every vertex.
+    """(P0's generators, Omega^1's dimension vector, the classes of
+    Omega^1's top generators, lifts) for the non-cyclic D(e_v A), read off
+    the maximal paths into v with no module built (see the module
+    docstring).  Omega^1 is the direct sum of the classes when the
+    certificate holds: their words number dim P0 - dim D(e_v A) at every
+    vertex.  Then ``lifts`` is None; otherwise it lists the top generators
+    as ``(vertex, degree, vector)`` in P0's coordinates, for
+    ``_syzygy_in_paths``: e_(i, c.x_i) for a killed column, and
+    e_(i, x_i) - e_(leader) for a fibre difference.
 
     P0's generators are listed in ``top_lifts`` order.  A minimal killed
     column (i, c.x_i) belongs to exactly one group of signed pairs, the one
@@ -1107,7 +1138,7 @@ def _fibre_split(pres, v):
     for i, w in enumerate(tops):
         for k in range(w.length + 1):
             fibres.setdefault(w.arrows[:k], []).append((i, w.source, w.arrows[k:]))
-    lifts = []  # (the lift's place in the dense cover's order, its class)
+    lifts = []  # (place in the dense cover's order, class, P0 columns of the lift)
     for q, members in fibres.items():  # members: (i, s(w_i), x_i) with w_i = q.x_i
         u = quiver.source(q[-1]) if q else v
         # one minimal killed column per ungrounded group (q, c)
@@ -1117,47 +1148,171 @@ def _fibre_split(pres, v):
             if all(pres.word_is_nonzero((c.name,) + x) for _, _, x in members):
                 i, s, x = members[0]
                 y = Path((c.name,) + x, s, c.target)
-                lifts.append(((index(c.target), 1 - len(q), i, rank[y]), pres.survivor_key(y)))
+                r = rank[y]
+                lifts.append(((index(c.target), 1 - len(q), i, r), pres.survivor_key(y),
+                              ((i, r),)))
         # one difference per block past the first, blocks by the arrow before q
         blocks = {}
         for i, s, x in members:
             blocks.setdefault(x[:1], (i, s, x))
         if len(blocks) > 1:
-            (_, s, x), *rest = blocks.values()
-            words = pres.survivor_key(Path(x, s, u))[1]
+            (lead, s, x), *rest = blocks.values()
+            leader = Path(x, s, u)
+            words = pres.survivor_key(leader)[1]
             for i, t, y in rest:
                 p = Path(y, t, u)
-                lifts.append(((index(u), -len(q), i, rank[p]),
-                              (u, words | pres.survivor_key(p)[1])))
+                r = rank[p]
+                lifts.append(((index(u), -len(q), i, r), (u, words | pres.survivor_key(p)[1]),
+                              ((i, r), (lead, rank[leader]))))
     lifts.sort(key=lambda lift: lift[0])
-    classes = [key for _, key in lifts]
+    classes = [key for _, key, _ in lifts]
     omega = Counter()  # dim P0 - dim D(e_v A), per vertex
     for w in tops:
         omega.update(p.target for p in basis.from_vertex(w.source))
     omega.subtract(w.source for w in into)
+    gens = [(w.source, -w.length) for w in tops]
+    if _counted(pres, classes) == omega:
+        return gens, omega, classes, None
+    return gens, omega, classes, [(key[0], order[1], dict(zip(cols, (1, -1))))
+                                  for order, key, cols in lifts]
+
+
+@memoized
+def _left_products(pres):
+    """By basis rank, each nonzero path's nonzero left multiples a.p by
+    arrow name, as basis ranks."""
+    basis = pres.basis()
+    rank = basis.rank
+    arrows_from = pres.quiver.arrows_from
+    out = []
+    for p in basis:
+        products = {}
+        for a in arrows_from[p.target]:
+            r = rank.get(Path((a.name,) + p.arrows, p.source, a.target))
+            if r is not None:
+                products[a.name] = r
+        out.append(products)
+    return out
+
+
+def _counted(pres, classes):
+    """The words of the classes, counted by the vertex they end at: the
+    dimension vector of their direct sum."""
     counted = Counter()
     for key in classes:
         counted.update(_class_dims(pres, key))
-    gens = [(w.source, -w.length) for w in tops]
-    return gens, omega.total(), classes, counted == omega
+    return counted
+
+
+def _syzygy_in_paths(pres, lifts):
+    """One resolution step in path coordinates, from the top lifts of
+    Omega^k written in P_(k-1)'s columns (generator index, path): returns
+    Omega^(k+1)'s dimension vector, the classes of its top lifts and the
+    lifts, the lifts None when the classes certify a split.
+
+    P_k has one generator per lift, in lift order, and its column (g, z)
+    goes to z.g: each path p of g's support becomes z.p, and the terms zero
+    in A drop.  Omega^k sits inside P_(k-1), so Omega^(k+1) is the kernel of
+    this map, taken per (vertex, degree) block, columns in P_k's order: a
+    column is free when it lies in the span of the earlier ones, and its
+    kernel vector is the combination with 1 there and its other entries on
+    pivot columns, which ``la.nullspace`` gives up to scaling, as a reduced
+    kernel basis is unique.  Omega^(k+1)'s basis at a vertex comes by
+    degree and then by free column, and an arrow's image of a kernel
+    vector has its free-column entries as its coordinates, so
+    ``_last_index_pivots`` on those images leaves the top lifts, as in
+    ``top_lifts``.  The class of a lift is (its vertex, the union of the
+    survivor words of the paths in its support): z.g is nonzero exactly
+    when z.p is for one of them, as distinct paths p give distinct z.p.
+    """
+    basis = pres.basis()
+    rank = basis.rank
+    left = _left_products(pres)
+    blocks = {}  # (vertex, degree) -> [(P_k column, its image in P_(k-1))], in P_k's order
+    for g, (t, d, vec) in enumerate(lifts):
+        images = {}  # z's word -> z.g; z's right factor z[1:] comes first in basis order
+        for z in basis.from_vertex(t):
+            word = z.arrows
+            if word:
+                a = word[0]
+                image = {}
+                for (i, r), c in images[word[1:]].items():
+                    r = left[r].get(a)
+                    if r is not None:
+                        image[(i, r)] = c
+            else:
+                image = vec
+            images[word] = image
+            blocks.setdefault((z.target, d + len(word)), []).append(((g, rank[z]), image))
+    kernel = {}  # vertex -> [(degree, free column, vector)], in Omega^(k+1)'s basis order
+    for (u, d), columns in sorted(blocks.items(), key=lambda item: item[0][1]):
+        reduced = {}  # pivot -> (image with 1 at the pivot, its combination of columns)
+        for col, image in columns:
+            image = dict(image)
+            combo = {col: 1}
+            while image:
+                p = next(iter(image))
+                x = image[p]
+                if p not in reduced:
+                    reduced[p] = _divided(image, x), _divided(combo, x)
+                    break
+                b_image, b_combo = reduced[p]
+                _subtract(image, x, b_image)
+                _subtract(combo, x, b_combo)
+            else:
+                kernel.setdefault(u, []).append((d, col, combo))
+    arrows_into = pres.quiver.arrows_into
+    index = pres.quiver.vertex_index
+    omega = Counter()
+    classes = []
+    top = []
+    for u in sorted(kernel, key=index):
+        basis_u = kernel[u]
+        omega[u] = len(basis_u)
+        free = {col: j for j, (_, col, _) in enumerate(basis_u)}
+        images = []
+        for a in arrows_into[u]:
+            for _, _, vec in kernel.get(a.source, ()):
+                image = {}
+                for (g, r), c in vec.items():
+                    j = free.get((g, left[r].get(a.name)))
+                    if j is not None:
+                        image[j] = c
+                images.append(image)
+        hit = _last_index_pivots(images)
+        for j, (d, _, vec) in enumerate(basis_u):
+            if j not in hit:
+                top.append((u, d, vec))
+                classes.append((u, frozenset().union(
+                    *(pres.survivor_key(basis.paths[r])[1] for _, r in vec))))
+    return omega, classes, None if _counted(pres, classes) == omega else top
 
 
 @memoized
 def _summand_trace(pres, v):
-    """The resolution of D(e_v A), once per presentation.  A cyclic summand
-    is walked as its class.  Any other is split by the fibre rule
-    (``_fibre_split``) and its classes, in the dense order, walked from
-    step 2 with no module built, finite or periodic, when the certificate
-    holds.  Otherwise it is built and resolved."""
+    """The resolution of D(e_v A), once per presentation, with no module
+    built.  A cyclic summand is walked as its class.  Any other is split by
+    the fibre rule (``_fibre_split``); while the classes of the current
+    syzygy's top lifts do not certify a split, the next syzygy is taken in
+    path coordinates (``_syzygy_in_paths``), up to ``resolve``'s backstop.
+    The classes of the split, in the dense order, are then walked, finite
+    or periodic."""
     key = _injective_summand_key(pres, v)
     if key is not None:
         return _class_trace(pres, key)
-    gens, dim, classes, split = _fibre_split(pres, v)
-    if not split:
-        return resolve(injective_summand_rep(pres, v))
+    gens, omega, classes, lifts = _fibre_split(pres, v)
     trace = ResolutionTrace(module=None, layers=[ProjectiveLayer(gens, pbasis=None, rep=None)],
-                            syzygies=[_Counted(dim)])
-    return _class_walk(pres, trace, classes, 2)
+                            syzygies=[_Counted(omega.total())])
+    bound = _backstop(pres)
+    k = 2
+    while lifts is not None:
+        trace.layers.append(ProjectiveLayer([(t, d) for t, d, _ in lifts], pbasis=None, rep=None))
+        omega, classes, lifts = _syzygy_in_paths(pres, lifts)
+        trace.syzygies.append(_Counted(omega.total()))
+        if k > bound:
+            return _past_backstop(trace, bound)
+        k += 1
+    return _class_walk(pres, trace, classes, k)
 
 
 def _dual_regular_pd(pres):

@@ -42,6 +42,20 @@ def l_line_text(k):
     return w_line_text(k) + f"arrow x {m} {m}\nrelation x x\nrelation a{m - 1} x\n"
 
 
+def three_kernel_text():
+    """A presentation whose injective summand at vertex 5 splits only after
+    three kernels: its dense trace has syzygy dims [20, 19, 17] and splits
+    at Omega^3 into classes that reach a cycle of 4.  It is draw 140
+    (0-based) of random_presentation(rng, 6, 9, 4) from random.Random(3),
+    taken after 300 random_presentation and 100
+    random_gentle_presentation(rng, 12, 18) draws."""
+    return ("vertex 1 2 3 4 5 6\n"
+            "arrow x1 3 2\narrow x2 4 1\narrow x3 5 4\narrow x4 1 3\n"
+            "arrow x5 4 5\narrow x6 1 2\narrow x7 1 5\n"
+            "relation x3 x5\nrelation x3 x2 x4 x1\nrelation x2 x7 x3 x5\n"
+            "relation x2 x7 x3 x2\nrelation x5 x3 x2 x4\nrelation x7 x3 x2 x7\n")
+
+
 def class_rule_corpus():
     """Fixtures, loc1, seeded and gentle draws and Z_n R_m with m <= 6."""
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]

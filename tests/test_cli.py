@@ -476,6 +476,46 @@ def test_l_line_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, k):
         L_LINE_TRACE_SHA256[k]
 
 
+# sha256 of `oracle --check gorenstein --trace --json` stdout on the draws
+# of random_presentation at corpus seed 174011 (the sweep workload's) where
+# a fibre certificate fails, pinned while those summands were built and
+# resolved
+SWEEP_TRACE_SHA256 = {
+    43: "a4a92a1f085beaa022c08883956bc49696768b5ed246c3931eaf5a2d59a0e10b",
+    65: "da991ccae3a5466ebdc84d0af11d5a03a6f58118b83301269f0f6561cbde22c2",
+    73: "d891e9b29857aab11f3a6e91fe4c15323c02663418ab5bb1e5827e6fc1f10fd6",
+}
+
+
+@pytest.mark.parametrize("draw", sorted(SWEEP_TRACE_SHA256))
+def test_failed_fibre_certificate_trace_reports_are_pinned(tmp_path, capsys, monkeypatch, draw):
+    # each draw has a non-cyclic injective summand whose fibre certificate
+    # fails; its later syzygies are taken in path coordinates, so nothing
+    # is resolved and the bytes are the dense resolution's
+    from monosing.oracle import _fibre_split, _injective_summand_key
+    from monosing.presentation import presentation_to_text
+
+    rng = random.Random(174011)
+    pres = [random_presentation(rng) for _ in range(draw + 1)][-1]
+    assert any(_fibre_split(pr, v)[3] is not None
+               for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
+               if _injective_summand_key(pr, v) is None)
+    text = presentation_to_text(pres)
+    assert unresolved_trace_sha256(tmp_path, capsys, monkeypatch, text) == \
+        SWEEP_TRACE_SHA256[draw]
+
+
+@pytest.mark.parametrize("check, flag", [("tilting", ["--trace"]),
+                                         ("classification", ["--trace"]),
+                                         ("gorenstein", ["--window", "3"]),
+                                         ("classification", ["--window", "3"])])
+def test_oracle_refuses_a_flag_its_check_does_not_read(capsys, check, flag):
+    # --trace is read by the gorenstein check only, --window by tilting only
+    code, out, err = run(capsys, "oracle", fixture_path("z3r2"), "--check", check, *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and flag[0] in err and check in err
+
+
 def test_trace_shares_the_profiles_opposite(capsys, monkeypatch):
     # the profile and the trace report resolve the same opposite presentation,
     # so `oracle --check gorenstein --trace` builds it once

@@ -344,59 +344,110 @@ def test_a_module_is_covered_once(glu, monkeypatch):
 
 
 def densely_resolved(pres):
-    """The non-cyclic summands, both sides, that the profile still builds and
-    resolves: those whose fibre certificate fails."""
+    """The non-cyclic summands, both sides, whose fibre certificate fails:
+    the profile takes their later syzygies in path coordinates."""
     from monosing.oracle import _fibre_split, _injective_summand_key
 
     return [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
-            if _injective_summand_key(pr, v) is None and not _fibre_split(pr, v)[3]]
+            if _injective_summand_key(pr, v) is None and _fibre_split(pr, v)[3] is not None]
+
+
+def dense_calls(monkeypatch):
+    """Record the name of every call of resolve, syzygy_step and each
+    linalg function."""
+    from monosing import linalg
+
+    calls = []
+
+    def watch(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("resolve", "syzygy_step"):
+        watch(oracle, name)
+    for name, fn in list(vars(linalg).items()):
+        if callable(fn) and getattr(fn, "__module__", None) == linalg.__name__:
+            watch(linalg, name)
+    return calls
 
 
 def test_trace_report_resolves_each_summand_once(monkeypatch):
-    # a cyclic summand is walked as its class, and so is every other one
-    # whose fibre certificate holds; each remaining one is resolved once
-    from monosing.oracle import (
-        _injective_summand_key,
-        injective_summand_rep,
-        resolution_trace_report,
-    )
+    # a cyclic summand is walked as its class, every other one is split by
+    # the fibre rule once, and one whose certificate fails takes its later
+    # syzygies in path coordinates: no module is resolved, no dense step
+    # taken and no linalg function called
+    from monosing.oracle import _injective_summand_key, resolution_trace_report
 
-    resolved = counting(monkeypatch, "resolve")
-    noncyclic = dense = 0
+    dense = dense_calls(monkeypatch)
+    split = counting(monkeypatch, "_fibre_split")
+    steps = counting(monkeypatch, "_syzygy_in_paths")
+    noncyclic = uncertified = 0
     for name in ("lin", "glu", "loc1"):
         pres = load(name)
-        resolved.clear()
-        resolution_trace_report(pres)
         want = densely_resolved(pres)
-        assert [args[0].pres for args in resolved] == [pr for pr, _ in want]
-        assert [args[0].dims for args in resolved] == \
-            [injective_summand_rep(pr, v).dims for pr, v in want]
-        noncyclic += sum(_injective_summand_key(pr, v) is None
-                         for pr in (pres, pres.opposite()) for v in pr.quiver.vertices)
-        dense += len(want)
+        split.clear()
+        steps.clear()
+        resolution_trace_report(pres)
+        assert split == [(pr, v) for pr in (pres, pres.opposite()) for v in pr.quiver.vertices
+                         if _injective_summand_key(pr, v) is None]
+        assert [args[0] for args in steps] == [pr for pr, _ in want]
+        noncyclic += len(split)
+        uncertified += len(want)
+    assert dense == []
     # loc1's one failed certificate; its certified split whose classes
     # reach a cycle is walked too
-    assert (noncyclic, dense) == (8, 1)
+    assert (noncyclic, uncertified) == (8, 1)
 
 
 def test_profile_and_trace_report_share_each_resolution(monkeypatch):
-    # the profile and then the trace report resolve each densely resolved
-    # summand once between them, also past a side the profile cut short at
-    # infinity
+    # the profile and then the trace report split each non-cyclic summand
+    # once between them, and take the path-coordinate step of each one whose
+    # certificate fails once, also past a side the profile cut short at
+    # infinity; neither resolves a module or calls linalg
     from monosing.oracle import resolution_trace_report
 
-    resolved = counting(monkeypatch, "resolve")
+    dense = dense_calls(monkeypatch)
+    split = counting(monkeypatch, "_fibre_split")
+    steps = counting(monkeypatch, "_syzygy_in_paths")
     counts = {}
     for name, pres in [(name, load(name)) for name in ("lin", "glu", "loc1")] + \
             [("heavy", heavy_draw())]:
-        resolved.clear()
+        want = densely_resolved(pres)
+        split.clear()
+        steps.clear()
         injective_dimension_profile(pres)
         resolution_trace_report(pres)
-        assert [args[0].pres for args in resolved] == \
-            [pr for pr, _ in densely_resolved(pres)], name
-        counts[name] = len(resolved)
+        assert len({(id(pr), v) for pr, v in split}) == len(split), name
+        assert [args[0] for args in steps] == [pr for pr, _ in want], name
+        counts[name] = (len(split), len(steps))
+    assert dense == []
     # the heavy draw's 11 non-cyclic summands all end finite by the fibre rule
-    assert counts == {"lin": 0, "glu": 0, "loc1": 1, "heavy": 0}, counts
+    assert counts == {"lin": (0, 0), "glu": (6, 0), "loc1": (2, 1), "heavy": (11, 0)}, counts
+
+
+def test_the_profile_and_trace_report_take_no_dense_step(monkeypatch):
+    # on the class-rule corpus and on the 133 sweep draws of the benchmark
+    # at corpus seeds 174011 and 1, some with failed fibre certificates
+    import random
+
+    from monosing.corpus import random_presentation
+    from monosing.oracle import resolution_trace_report
+
+    presentations = class_rule_corpus()
+    for seed in (174011, 1):
+        rng = random.Random(seed)
+        presentations += [random_presentation(rng) for _ in range(133)]
+    dense = dense_calls(monkeypatch)
+    steps = counting(monkeypatch, "_syzygy_in_paths")
+    for pres in presentations:
+        injective_dimension_profile(pres)
+        resolution_trace_report(pres)
+    assert dense == [] and len(steps) > 10, (dense, len(steps))
 
 
 def test_trace_report_matches_the_dense_steps():
@@ -1253,9 +1304,11 @@ HEAVY_SHA256 = {
 
 def test_every_non_cyclic_dual_summand_splits_within_two_kernels():
     # the resolution premise: a non-cyclic D(e_v A) is no sum of cyclic
-    # modules, so its first cover certifies no split, and the cover after
-    # one or two kernels does, on both sides of every input; so no verdict
-    # rests on resolve's finite-pd backstop
+    # modules, so its first cover certifies no split, and on this corpus
+    # the cover after one or two kernels does, on both sides of every
+    # input; so no verdict here rests on resolve's finite-pd backstop.  Two
+    # kernels are no bound in general: three_kernel_text's summand at 5
+    # needs three (test_a_summand_split_after_three_kernels_is_read_in_paths)
     from collections import Counter
 
     from monosing.corpus import random_gentle_presentation, random_presentation
@@ -1283,7 +1336,9 @@ def test_the_fibre_rule_matches_the_dense_step():
     # count are invariants of the minimal resolution; the certificate holds
     # exactly when the dense cover of Omega^1 splits, and then the classes
     # come in the dense order, so the walk from them, periodic ones
-    # included, is the dense trace
+    # included, is the dense trace.  Where it fails, the steps in path
+    # coordinates give the dense trace: every layer's generators, the
+    # syzygy dimensions, the ordered classes, status, pd and detail
     from collections import Counter
 
     from monosing.corpus import random_gentle_presentation, random_presentation
@@ -1302,25 +1357,39 @@ def test_the_fibre_rule_matches_the_dense_step():
             for v in pr.quiver.vertices:
                 if _injective_summand_key(pr, v) is not None:
                     continue
-                gens, dim, classes, split = _fibre_split(pr, v)
+                gens, omega, classes, lifts = _fibre_split(pr, v)
+                split = lifts is None
                 dense = resolve(injective_summand_rep(pr, v))
                 where = (presentation_to_text(pr), v)
                 assert gens == dense.layers[0].gens, where
-                assert dim == dense.syzygies[0].total_dim, where
+                assert omega == Counter(dense.syzygies[0].dims), where
                 assert Counter(u for u, _ in classes) == \
                     Counter(u for u, _ in dense.layers[1].gens), where
                 assert split == (len(dense.syzygies) == 1), where
-                seen["noncyclic"] += 1
-                if not split:
-                    seen["uncertified"] += 1
-                    continue
-                assert classes == dense.classes, where
                 outcome = (dense.status, dense.pd, dense.detail)
-                walk = _class_walk(pr, ResolutionTrace(module=None), classes, 2)
-                assert (walk.status, walk.pd, walk.detail) == outcome, where
                 trace = _summand_trace(pr, v)
                 assert trace.module is None, where
                 assert (trace.status, trace.pd, trace.detail) == outcome, where
+                assert trace.classes == dense.classes, where
+                seen["noncyclic"] += 1
+                if not split:
+                    # the lifts handed over are the dense top lifts of Omega^1,
+                    # as kernel vectors over P0's columns
+                    layer, _, omega1, kernel = oracle.syzygy_step(injective_summand_rep(pr, v))
+                    column = {u: {(i, pr.basis().rank[x]): j for j, (i, x) in enumerate(placed)}
+                              for u, placed in layer.pbasis.items()}
+                    tops = oracle.top_lifts(omega1)
+                    assert [(t, {column[t][c]: x for c, x in vec.items()}) for t, _, vec in lifts] \
+                        == [(t, kernel[t][j]) for t in omega1.support for j in tops[t]], where
+                    assert [layer.gens for layer in trace.layers] == \
+                        [layer.gens for layer in dense.layers[:len(dense.syzygies)]], where
+                    assert [S.total_dim for S in trace.syzygies] == \
+                        [S.total_dim for S in dense.syzygies], where
+                    seen["uncertified"] += 1
+                    continue
+                assert classes == dense.classes, where
+                walk = _class_walk(pr, ResolutionTrace(module=None), classes, 2)
+                assert (walk.status, walk.pd, walk.detail) == outcome, where
                 seen[walk.status] += 1
     # the floors fail, even without the top count above, when a group of
     # signed pairs with a zero member still gives a generator (no ground),
@@ -1328,7 +1397,30 @@ def test_the_fibre_rule_matches_the_dense_step():
     # classes fail without the sort, or with the degree left out of it
     assert seen[FINITE] > 550 and seen[PERIODIC] > 220, seen
     assert seen[FINITE] + seen[PERIODIC] > 800, seen
-    assert seen["uncertified"] < seen["noncyclic"] / 8, seen
+    assert 50 < seen["uncertified"] < seen["noncyclic"] / 8, seen
+
+
+def test_a_summand_split_after_three_kernels_is_read_in_paths(monkeypatch):
+    # at vertex 5 the dense resolution needs three kernels before a cover
+    # splits; the steps in path coordinates give its trace with no module
+    # resolved and no linalg function called
+    from conftest import three_kernel_text
+
+    from monosing.oracle import _summand_trace, injective_summand_rep
+
+    pres = parse_presentation(three_kernel_text())
+    dense = dense_calls(monkeypatch)
+    steps = counting(monkeypatch, "_syzygy_in_paths")
+    trace = _summand_trace(pres, "5")
+    assert dense == [] and len(steps) == 2
+    monkeypatch.undo()
+    want = resolve(injective_summand_rep(pres, "5"))
+    assert [S.total_dim for S in want.syzygies] == [20, 19, 17]
+    assert want.detail == "Omega^3 splits into summand classes that reach a cycle of 4 classes"
+    assert [S.total_dim for S in trace.syzygies] == [20, 19, 17]
+    assert [layer.gens for layer in trace.layers] == [layer.gens for layer in want.layers[:3]]
+    assert (trace.status, trace.pd, trace.detail, trace.classes) == \
+        (want.status, want.pd, want.detail, want.classes)
 
 
 def test_the_heavy_draw_reports_are_pinned():
@@ -1523,16 +1615,19 @@ def test_a_negative_dimension_is_refused(z2r3):
 
 
 def test_the_profile_runs_linear_algebra_only_on_general_blocks(monkeypatch):
-    # D(e_v A) and the projectives have unit columns, and so has many a
+    # the profile calls no linalg function at all: a summand whose fibre
+    # certificate fails is resolved in path coordinates.  Built and resolved
+    # on its own, such a D(e_v A) has unit columns, and so has many a
     # syzygy's cover: the top lifts, the cover and P's action on the kernel
     # are sparse, and a degree block of zero and unit cover columns gives
-    # its kernel with no elimination.  So the profile calls neither mat_vec
-    # nor pivot_columns, and nullspace only on a block that is not
+    # its kernel with no elimination.  So its resolution calls neither
+    # mat_vec nor pivot_columns, and nullspace only on a block that is not
     # unit-shaped, in a cover that certified no split
     import sys
 
     from monosing import linalg
     from monosing.corpus import random_presentation
+    from monosing.oracle import injective_summand_rep
 
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
     rng = seeded_rng()
@@ -1559,17 +1654,24 @@ def test_the_profile_runs_linear_algebra_only_on_general_blocks(monkeypatch):
         watch(name)
     for pres in presentations:
         injective_dimension_profile(pres)
-    # the profile resolves only built D(e_v A), whose columns are all unit
-    assert resolved and all(is_unit_block(cols, range(len(cols)))
-                            for (M,) in resolved for cols in M.columns.values())
+    assert resolved == [] and calls == []
+    summands = [injective_summand_rep(pr, v) for pres in presentations
+                for pr, v in densely_resolved(pres)]
+    for M in summands:
+        resolve(M)
+    assert summands and all(is_unit_block(cols, range(len(cols)))
+                            for M in summands for cols in M.columns.values())
     assert calls and all(call == ("nullspace", "_kernel_blocks", True) for call in calls), \
         {call for call in calls if not call[2]}
 
 
 def test_the_profile_takes_dense_steps_without_a_solve(monkeypatch):
-    # the action on each syzygy is read at the kernel's free columns
+    # the profile takes no dense step; the dense resolution of a summand
+    # whose fibre certificate fails reads the action on each syzygy at the
+    # kernel's free columns
     from monosing import linalg
     from monosing.corpus import random_presentation
+    from monosing.oracle import injective_summand_rep
 
     presentations = [load(name) for name in FIXTURE_NAMES + ["loc1"]]
     rng = seeded_rng()
@@ -1581,6 +1683,10 @@ def test_the_profile_takes_dense_steps_without_a_solve(monkeypatch):
                         lambda *args: solves.append(args) or real_solve_many(*args))
     for pres in presentations:
         injective_dimension_profile(pres)
+    assert steps == [] and solves == []
+    for pres in presentations:
+        for pr, v in densely_resolved(pres):
+            resolve(injective_summand_rep(pr, v))
     assert solves == [] and len(steps) > 0, len(steps)
 
 
